@@ -119,7 +119,7 @@ def semidirect_from_hom(p_group, q_group, phi: Homomorphism,
     twist = {}
     for q in q_group.elements():
         auto = auts.auto_of_perm(phi(q))
-        auto._check_table_edges()
+        auto.check_table_edges()
         twist[q] = {e: auto(e) for e in p_group.elements()}
     # action property follows from phi being a homomorphism into Aut(P)
     return semidirect(p_group, q_group, twist, label)

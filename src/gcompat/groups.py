@@ -15,6 +15,7 @@ from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .perms import (
     StabilizerChain,
     closure,
+    dimino_extend,
     identity_perm,
     inv,
     is_perm,
@@ -197,8 +198,11 @@ class FiniteGroup:
         return Subgroup(self, members=[self.identity], label="1")
 
     def full_subgroup(self):
-        return Subgroup(self, gens=self.generators, members=self._elements,
-                        label=self.label)
+        """The whole group as a subgroup: it takes over this group's
+        generators and element cache, so nothing is closed again."""
+        sub = Subgroup(self, gens=self.generators, label=self.label)
+        sub.group._elements, sub.group._order = self._elements, self._order
+        return sub
 
     def center(self, bound=None):
         gens = self.generators
@@ -255,11 +259,11 @@ class FiniteGroup:
             return ()
         by_pref = sorted(elems, key=lambda e: (-perm_order(e), e))
         gens = []
-        have = {self.identity}
+        have = frozenset([self.identity])
         for e in by_pref:
             if e not in have:
+                have = dimino_extend(have, gens, e)
                 gens.append(e)
-                have = closure(gens)
                 if len(have) == len(elems):
                     break
         return tuple(gens)

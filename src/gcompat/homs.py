@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import FiniteGroup, Subgroup, from_elements
-from .perms import mul
+from .groups import FiniteGroup, Subgroup
+from .perms import closure, identity_perm, mul
 
 
 class Homomorphism:
@@ -30,7 +30,7 @@ class Homomorphism:
         self._table = dict(table) if table is not None else None
         self._rule = rule
         if check and self._table is not None:
-            self._check_table_edges()
+            self.check_table_edges()
 
     # -- construction ------------------------------------------------------
 
@@ -47,23 +47,11 @@ class Homomorphism:
         for g in source.generators:
             if g not in images:
                 raise ValueError("missing image for a generator")
-        table = {source.identity: target.identity}
-        frontier = [source.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                fx = table[x]
-                for g, fg in images.items():
-                    y = mul(x, g)
-                    fy = mul(fx, fg)
-                    old = table.get(y)
-                    if old is None:
-                        table[y] = fy
-                        nxt.append(y)
-                    elif old != fy:
-                        raise HypothesisError(
-                            f"{label}: generator images are not consistent")
-            frontier = nxt
+        table = extend_images(list(images.items()), source.identity,
+                              target.identity)
+        if table is None:
+            raise HypothesisError(
+                f"{label}: generator images are not consistent")
         return cls(source, target, table=table, label=label, check=False)
 
     @classmethod
@@ -170,11 +158,6 @@ class Homomorphism:
     def is_surjective(self):
         return self.image().order() == self.target.order()
 
-    def is_injective(self):
-        if self.source.is_enumerable():
-            return self.kernel().order() == 1
-        return self.source.order() == self.image().order()
-
     def is_bijective(self):
         return (self.source.order() == self.target.order()
                 and self.is_surjective())
@@ -197,7 +180,7 @@ class Homomorphism:
 
     # -- validation ----------------------------------------------------------
 
-    def _check_table_edges(self):
+    def check_table_edges(self):
         ident_ok = self._table.get(self.source.identity) == self.target.identity
         if not ident_ok:
             raise HypothesisError(f"{self.label}: identity not preserved")
@@ -220,7 +203,7 @@ class Homomorphism:
         """
         if self.source.is_enumerable(bounds.enum):
             self.tabulated()
-            self._check_table_edges()
+            self.check_table_edges()
             n = self.source.order()
             checked = n * max(1, len(self.source.generators))
             if n <= bounds.pair_check:
@@ -244,9 +227,6 @@ class Homomorphism:
                 raise HypothesisError(f"{self.label}: not a homomorphism")
         return len(gens) ** 2 + samples
 
-    def equal_on(self, elems, other):
-        return all(self(x) == other(x) for x in elems)
-
     def table_equal(self, other):
         if self.source.degree != other.source.degree:
             return False
@@ -259,6 +239,28 @@ class Homomorphism:
 
 
 # -- free functions matching the usual vocabulary -----------------------------
+
+
+def extend_images(pairs, source_identity, target_identity):
+    """Extend (generator, image) pairs over the source's Cayley graph.
+
+    Returns the table x -> f(x), or None when two paths to one element
+    give different images, i.e. the pairs define no homomorphism.
+    """
+    table = {source_identity: target_identity}
+    reached = [source_identity]
+    for x in reached:  # grows while it is scanned
+        fx = table[x]
+        for g, fg in pairs:
+            y = mul(x, g)
+            fy = mul(fx, fg)
+            old = table.get(y)
+            if old is None:
+                table[y] = fy
+                reached.append(y)
+            elif old != fy:
+                return None
+    return table
 
 
 def kernel(f: Homomorphism) -> Subgroup:
@@ -279,43 +281,65 @@ def restrict(f: Homomorphism, sub: Subgroup, target_sub: Subgroup,
     return f.restrict(sub, target_sub, label=label)
 
 
+def action_on_cosets(g: FiniteGroup, n: Subgroup, reps=None, label=None):
+    """The right-multiplication action of g on the right cosets of n.
+
+    Points are numbered by `reps` (one element of each coset) when given,
+    else by the cosets' least elements in canonical order. Only the
+    generators' point permutations are computed. The rest of the table is
+    read off the induced group when the action is regular (n normal), and
+    propagated over g's Cayley graph otherwise; it keeps g's canonical
+    element order. Returns (reps, rho), rho mapping g onto the induced
+    group `label`.
+    """
+    if not (n <= g):
+        raise HypothesisError(
+            f"{n.group.label} is not a subgroup of {g.label}")
+    elems = g.sorted_elements()
+    coset_of, least = {}, []
+    for e in elems:
+        if e not in coset_of:
+            coset_of.update((mul(x, e), len(least)) for x in n.members())
+            least.append(e)
+    if reps is None:
+        reps, point = least, range(len(least))
+    else:
+        reps = [tuple(r) for r in reps]
+        point = {coset_of[r]: i for i, r in enumerate(reps)}
+        if len(point) != len(reps):
+            raise HypothesisError("representatives repeat a coset")
+        if len(reps) != len(least):
+            raise HypothesisError("representatives do not cover the cosets")
+    gens = g.generators
+    images = [tuple(point[coset_of[mul(r, s)]] for r in reps) for s in gens]
+    ident = identity_perm(len(reps))
+    image = closure(images, seed=[ident])
+    if len(image) == len(reps):
+        # a regular action (n is normal in g): x acts as the one element of
+        # the image that takes the identity's coset to the coset of x
+        start = point[coset_of[g.identity]]
+        moved = {q[start]: q for q in image}
+        table = {e: moved[point[coset_of[e]]] for e in elems}
+    else:
+        table = extend_images(list(zip(gens, images)), g.identity, ident)
+        table = {e: table[e] for e in elems}
+    target = FiniteGroup(len(reps), images, label or f"{g.label}-cosets",
+                         elements=image)
+    return reps, Homomorphism(g, target, table=table, label="rho", check=False)
+
+
 def quotient(g: FiniteGroup, n: Subgroup, label=None):
     """Quotient by a normal subgroup via the right-coset action.
 
     Returns (Q, pi) where Q acts faithfully on the coset space and pi is the
     canonical surjection with kernel exactly n.
     """
-    if not (n <= g.full_subgroup()):
-        raise HypothesisError("not a subgroup of the parent")
     if not n.is_normal():
         raise HypothesisError(f"{n.group.label} is not normal in {g.label}")
-    members = n.members()
-    elems = g.sorted_elements()
-    coset_of = {}
-    reps = []
-    for e in elems:
-        if e in coset_of:
-            continue
-        coset = sorted(mul(x, e) for x in members)
-        for c in coset:
-            coset_of[c] = len(reps)
-        reps.append(coset[0])
-    npts = len(reps)
-
-    def act(x):
-        return tuple(coset_of[mul(reps[i], x)] for i in range(npts))
-
     name = label or f"{g.label}/{n.group.label}"
-    table = {e: act(e) for e in elems}
-    q = from_elements(set(table.values()), name,
-                      generators=[table[x] for x in g.generators] or None)
-    pi = Homomorphism(g, q, table=table, label=f"pi_{name}", check=False)
-    return q, pi
-
-
-def fiber_over(f: Homomorphism, y):
-    y = tuple(y)
-    return [x for x in f.source.sorted_elements() if f(x) == y]
+    _, pi = action_on_cosets(g, n, label=name)
+    pi.label = f"pi_{name}"
+    return pi.target, pi
 
 
 def direct_product_with_maps(g, h, label=None):

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import FiniteGroup, Subgroup, from_elements
-from .homs import Homomorphism
+from .groups import Subgroup, from_elements
+from .homs import Homomorphism, action_on_cosets
 from .inverse_limits import star_limit, star_system
 from .perms import inv, mul
 from .wreath import (
@@ -23,39 +23,6 @@ from .wreath import (
     natural_action,
     wreath_product,
 )
-
-
-def _ordered_coset_action(h: FiniteGroup, image: Subgroup, reps):
-    """Right-coset action with points ordered by the given representatives."""
-    members = image.members()
-    elems = h.sorted_elements()
-    coset_key = {}
-    for e in elems:
-        if e not in coset_key:
-            coset = sorted(mul(x, e) for x in members)
-            for c in coset:
-                coset_key[c] = coset[0]
-    point_of = {}
-    for i, r in enumerate(reps):
-        key = coset_key[r]
-        if key in point_of:
-            raise HypothesisError("representatives repeat a coset")
-        point_of[key] = i
-    if len(point_of) * image.order() != h.order():
-        raise HypothesisError("representatives do not cover the cosets")
-    npts = len(point_of)
-    keys = [None] * npts
-    for key, i in point_of.items():
-        keys[i] = key
-
-    def point_perm(g):
-        return tuple(point_of[coset_key[mul(keys[i], g)]] for i in range(npts))
-
-    table = {e: point_perm(e) for e in elems}
-    target = from_elements(set(table.values()), f"{h.label}-cosets",
-                           generators=[table[g] for g in h.generators] or None)
-    rho = Homomorphism(h, target, table=table, label="rho", check=False)
-    return GroupAction(h, npts, rho, labels=list(reps))
 
 
 class HybridWreath:
@@ -89,7 +56,8 @@ class HybridWreath:
             reps = [tuple(t) for t in transversal_elems]
         if reps[0] != h_group.identity:
             raise HypothesisError("transversal must start with the identity")
-        self.action = _ordered_coset_action(h_group, image, reps)
+        reps, rho = action_on_cosets(h_group, image, reps)
+        self.action = GroupAction(h_group, len(reps), rho, labels=reps)
         self.npoints = self.action.npoints
         self.transversal = PermutationTransversal(
             self.action, 0, {i: reps[i] for i in range(self.npoints)})
@@ -219,7 +187,7 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
         raise HypothesisError("base subgroup does not fill the limit")
     if len(set(table.values())) != len(table):
         raise HypothesisError("identification is not injective")
-    ident._check_table_edges()
+    ident.check_table_edges()
     for v in range(hw.npoints):
         proj = lim.projection(v)
         for w in hw.base.members():

@@ -10,6 +10,7 @@ limit stays available past the enumeration bound.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, from_elements, trivial_group
@@ -153,6 +154,11 @@ class SystemMorphism:
         return all(phi.is_bijective() for phi in self.level_map.values())
 
 
+def _decode_block(perm, off, deg):
+    """perm's block on the points off..off+deg-1, shifted down to 0..deg-1."""
+    return tuple([x - off for x in perm[off:off + deg]])
+
+
 class LimitGroup:
     """The coherent-tuple group of a system, with its projections.
 
@@ -166,10 +172,14 @@ class LimitGroup:
         self.group = group
         self.node_order = list(node_order)
         self.offsets = dict(offsets)
+        # the rules hold only their block, not self, so a dropped limit is
+        # freed at once rather than left as a cycle for the collector
         self.projections = {
             n: Homomorphism.of_rule(
                 group, system.groups[n],
-                lambda p, n=n: self.decode(p, n), label=f"p_{n}")
+                partial(_decode_block, off=self.offsets[n],
+                        deg=system.groups[n].degree),
+                label=f"p_{n}")
             for n in self.node_order}
 
     def encode(self, assignment) -> tuple:
@@ -180,9 +190,8 @@ class LimitGroup:
         return tuple(out)
 
     def decode(self, perm, node) -> tuple:
-        off = self.offsets[node]
-        deg = self.system.groups[node].degree
-        return tuple(perm[off + i] - off for i in range(deg))
+        return _decode_block(perm, self.offsets[node],
+                             self.system.groups[node].degree)
 
     def decode_all(self, perm):
         return {n: self.decode(perm, n) for n in self.node_order}

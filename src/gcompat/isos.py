@@ -2,15 +2,18 @@
 
 Screens: order, abelianness, element-order histogram, center order, derived
 subgroup order. Backtracking assigns generator images in canonical order
-with partial-closure consistency pruning, so results are deterministic.
+with two prunings: the images chosen so far must generate a subgroup of the
+same order as the generators they stand for (grown level by level with
+Dimino's method), and the partial map must close consistently. Results are
+deterministic.
 """
 
 from __future__ import annotations
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import Subgroup, from_elements
-from .homs import Homomorphism
-from .perms import closure, identity_perm, inv, mul, perm_order
+from .homs import Homomorphism, extend_images
+from .perms import dimino_extend, identity_perm, inv, mul, perm_order
 
 
 def _screen(g, h):
@@ -27,29 +30,6 @@ def _screen(g, h):
     return True
 
 
-def _partial_hom(gens, images, ident_s):
-    """Close the partial assignment; return the map or None if inconsistent."""
-    tdeg = len(images[0])
-    table = {ident_s: identity_perm(tdeg)}
-    frontier = [ident_s]
-    pairs = list(zip(gens, images))
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = table[x]
-            for g, fg in pairs:
-                y = mul(x, g)
-                fy = mul(fx, fg)
-                old = table.get(y)
-                if old is None:
-                    table[y] = fy
-                    nxt.append(y)
-                elif old != fy:
-                    return None
-        frontier = nxt
-    return table
-
-
 def _iso_search(g, h, *, find_all=False, limit=None):
     """Backtracking over generator images; yields full isomorphism tables."""
     gens = g.small_generating_set()
@@ -63,35 +43,40 @@ def _iso_search(g, h, *, find_all=False, limit=None):
         by_order.setdefault(perm_order(e), []).append(e)
     results = 0
 
-    def sub_order(perms):
-        return len(closure(perms)) if perms else 1
+    src_orders, grown = [], frozenset([g.identity])
+    for k, gen in enumerate(gens):
+        grown = dimino_extend(grown, gens[:k], gen)
+        src_orders.append(len(grown))
 
-    src_orders = [sub_order(list(gens[:k + 1])) for k in range(len(gens))]
-
-    def extend(k, chosen):
+    def extend(k, chosen, closed, table):
+        """`closed` is <chosen> in h and `table` the map the choices define."""
         nonlocal results
         if k == len(gens):
-            table = _partial_hom(gens, chosen, g.identity)
-            if table is None or len(table) != g.order():
+            n = g.order()
+            if len(table) != n or len(set(table.values())) != n:
                 return
-            if len(set(table.values())) != g.order():
-                return
-            yield dict(table)
+            yield table
             results += 1
             return
         for cand in by_order.get(perm_order(gens[k]), []):
             trial = chosen + [cand]
-            if sub_order(trial) != src_orders[k]:
+            grown = dimino_extend(closed, chosen, cand, limit=src_orders[k])
+            if grown is None or len(grown) != src_orders[k]:
                 continue
-            if _partial_hom(gens[:k + 1], trial, g.identity) is None:
+            table = extend_images(list(zip(gens, trial)), g.identity,
+                                  h.identity)
+            if table is None:
                 continue
-            yield from extend(k + 1, trial)
+            yield from extend(k + 1, trial, grown, table)
             if results and not find_all:
                 return
             if limit is not None and results >= limit:
                 return
 
-    yield from extend(0, [])
+    try:
+        yield from extend(0, [], frozenset([h.identity]), None)
+    finally:
+        del extend  # the closure refers to itself: drop it without the collector
 
 
 def find_isomorphism(g, h, bounds=DEFAULT_BOUNDS):
@@ -151,9 +136,6 @@ class AutomorphismSet:
     @staticmethod
     def _key(auto):
         return tuple(sorted(auto.tabulated().items()))
-
-    def contains_map(self, candidate):
-        return self._key(candidate) in self.keys()
 
     def as_group(self, label=None):
         """Permutation realization on the group's canonical element list."""

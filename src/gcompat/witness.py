@@ -478,7 +478,7 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     iso_table = {embed1(y): embed0(kappa2_inv(y)) for y in k_pi22.members()}
     kernel_iso = Homomorphism(ker1.group, ker2.group, table=iso_table,
                               label="kernel-iso", check=False)
-    kernel_iso._check_table_edges()
+    kernel_iso.check_table_edges()
     if len(set(iso_table.values())) != len(iso_table):
         raise HypothesisError("length-2 kernel identification not injective")
 
@@ -608,7 +608,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
             table[w] = lim_bar.encode(asg)
         eta = Homomorphism(hw.base.group, lim_bar.group, table=table,
                            label=f"eta_{d}", check=False)
-        eta._check_table_edges()
+        eta.check_table_edges()
         image = set(table.values())
         if len(image) != len(table) or image != lim_z_members[bar]:
             raise HypothesisError("eta is not a bijection onto the kernel system")
@@ -698,7 +698,7 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
         table = {z: new_iso_rule(z) for z in new_kers[1].members()}
         new_iso = Homomorphism(new_kers[1].group, new_kers[2].group,
                                table=table, label="kernel-iso", check=False)
-        new_iso._check_table_edges()
+        new_iso.check_table_edges()
         if len(set(table.values())) != len(table):
             raise HypothesisError("composed kernel map is not injective")
     else:
@@ -821,7 +821,7 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     kappa_next = Homomorphism(ker_next[1].group, ker_next[2].group,
                               table=kappa_next_table, label="kappa_next",
                               check=False)
-    kappa_next._check_table_edges()
+    kappa_next.check_table_edges()
     if len(set(kappa_next_table.values())) != len(kappa_next_table):
         raise HypothesisError("new top kernel map is not injective")
 
@@ -848,7 +848,7 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     kappa_big = Homomorphism(ker_pi_big[1].group, ker_pi_big[2].group,
                              table=kappa_big_table, label="kappa_contracted",
                              check=False)
-    kappa_big._check_table_edges()
+    kappa_big.check_table_edges()
     if len(set(kappa_big_table.values())) != len(kappa_big_table):
         raise HypothesisError("contracted kernel map is not injective")
 
@@ -1069,7 +1069,7 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
     try:
         if cert.ker1.group.is_enumerable(bounds.enum):
             ki.tabulated()
-            ki._check_table_edges()
+            ki.check_table_edges()
             injective = len(set(ki.tabulated().values())) == cert.ker1.order()
             rep.add("kernel-iso-homomorphism", True, "complete edge check")
             rep.add("kernel-iso-bijective",

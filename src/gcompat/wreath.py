@@ -8,8 +8,8 @@ points x base-domain plus the top domain is derived from that arithmetic.
 from __future__ import annotations
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import FiniteGroup, Subgroup, from_elements
-from .homs import Homomorphism
+from .groups import FiniteGroup, Subgroup
+from .homs import Homomorphism, action_on_cosets
 from .perms import identity_perm, inv, is_perm, mul
 
 
@@ -72,31 +72,8 @@ def natural_action(g: FiniteGroup) -> GroupAction:
 
 def coset_action(h: FiniteGroup, k: Subgroup) -> GroupAction:
     """Right-multiplication action on the right cosets of k, canonical order."""
-    if not (k <= h.full_subgroup()):
-        raise HypothesisError("not a subgroup")
-    members = k.members()
-    elems = h.sorted_elements()
-    coset_of, reps = {}, []
-    for e in elems:
-        if e in coset_of:
-            continue
-        coset = sorted(mul(x, e) for x in members)
-        for c in coset:
-            coset_of[c] = len(reps)
-        reps.append(coset[0])
-    npts = len(reps)
-
-    def point_perm(g):
-        return tuple(coset_of[mul(reps[i], g)] for i in range(npts))
-
-    images = {g: point_perm(g) for g in h.generators}
-    target = from_elements({point_perm(e) for e in elems},
-                           f"{h.label}/{k.group.label}-pts",
-                           generators=list(images.values()) or None)
-    rho = Homomorphism(h, target,
-                       table={e: point_perm(e) for e in elems},
-                       label="rho", check=False)
-    return GroupAction(h, npts, rho, labels=reps)
+    reps, rho = action_on_cosets(h, k, label=f"{h.label}/{k.group.label}-pts")
+    return GroupAction(h, len(reps), rho, labels=reps)
 
 
 class PermutationTransversal:

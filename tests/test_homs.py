@@ -5,6 +5,7 @@ from gcompat.catalog import named_group
 from gcompat.groups import Subgroup, cyclic, direct_product, symmetric
 from gcompat.homs import (
     Homomorphism,
+    action_on_cosets,
     compose,
     direct_product_with_maps,
     image,
@@ -12,7 +13,7 @@ from gcompat.homs import (
     quotient,
     restrict,
 )
-from gcompat.perms import closure, perm_order
+from gcompat.perms import closure, mul, perm_order
 
 
 def mod2_map():
@@ -159,3 +160,24 @@ def test_hom_inverse():
     f = find_isomorphism(z6, other)
     finv = f.inverse()
     assert all(finv(f(x)) == x for x in z6.elements())
+
+
+def test_quotient_table_matches_coset_definition(rng, coset_table):
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    pool = medium_group_pool(60)
+    for _ in range(25):
+        g = rng.choice(pool)
+        n = random_normal_subgroup(rng, g)
+        q, pi = quotient(g, n)
+        assert list(pi.tabulated().items()) == list(coset_table(g, n).items())
+        assert q.order() * n.order() == g.order()
+        # any element of each coset, in any order, may number the points
+        cosets = {frozenset(mul(m, e) for m in n.members())
+                  for e in g.sorted_elements()}
+        reps = [rng.choice(sorted(c)) for c in sorted(cosets, key=min)]
+        rng.shuffle(reps)
+        got, rho = action_on_cosets(g, n, reps)
+        assert got == reps
+        expect = coset_table(g, n, reps)
+        assert list(rho.tabulated().items()) == list(expect.items())

@@ -11,7 +11,11 @@ from gcompat.hybrid import (
 )
 from gcompat.isos import find_isomorphism
 from gcompat.perms import inv, mul, perm_order
-from gcompat.sampling import random_normal_hybrid
+from gcompat.sampling import (
+    random_normal_hybrid,
+    random_subgroup,
+    small_group_pool,
+)
 
 
 def f21_s3_theta():
@@ -187,3 +191,25 @@ def test_size_formula_invariant(rng):
         hw = random_normal_hybrid(rng)
         n = hw.npoints
         assert hw.order() == hw.h_group.order() * hw.ker_theta.order() ** n
+
+
+def test_hybrid_coset_action_follows_the_transversal(rng, coset_table):
+    # theta includes a random subgroup, normal or not; the transversal
+    # picks a random element of each coset in random order, identity first
+    pool = small_group_pool(24)
+    for _ in range(20):
+        h = rng.choice(pool)
+        k = random_subgroup(rng, h)
+        cosets = {}
+        for e in h.sorted_elements():
+            key = min(mul(m, e) for m in k.members())
+            cosets.setdefault(key, []).append(e)
+        others = [rng.choice(c) for key, c in cosets.items()
+                  if key != h.identity]
+        rng.shuffle(others)
+        reps = [h.identity] + others
+        hw = hybrid_wreath(k.group, h, Homomorphism.inclusion(k),
+                           transversal_elems=reps)
+        assert hw.action.labels == reps
+        expect = coset_table(h, k, reps)
+        assert list(hw.action.rho.tabulated().items()) == list(expect.items())

@@ -6,6 +6,7 @@ from gcompat.perms import (
     StabilizerChain,
     closure,
     cycles,
+    dimino_extend,
     identity_perm,
     inv,
     mul,
@@ -80,3 +81,44 @@ def test_chain_on_direct_product_style_generators(rng):
             gens.append(tuple(pts))
         chain = StabilizerChain(deg, gens)
         assert chain.order == len(closure(gens))
+
+
+def test_mul_matches_generator_expression(rng):
+    # the itemgetter kernel against the plain definition, degree 1 included
+    for deg in [1, 2] + [rng.randint(3, 300) for _ in range(40)]:
+        p, q = list(range(deg)), list(range(deg))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        p, q = tuple(p), tuple(q)
+        assert mul(p, q) == tuple(q[i] for i in p)
+        assert type(mul(p, q)) is tuple
+
+
+def test_dimino_extend_matches_closure(rng):
+    from gcompat.sampling import medium_group_pool
+
+    pool = medium_group_pool(60)
+    for _ in range(40):
+        g = rng.choice(pool)
+        elems = g.sorted_elements()
+        gens = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
+        closed = closure(gens[:-1]) if gens[:-1] else frozenset([g.identity])
+        grown = dimino_extend(closed, gens[:-1], gens[-1])
+        assert grown == closure(gens)
+        assert dimino_extend(closed, gens[:-1], gens[-1],
+                             limit=len(grown)) == grown
+        if len(grown) > len(closed):
+            assert dimino_extend(closed, gens[:-1], gens[-1],
+                                 limit=len(grown) - 1) is None
+
+
+def test_chain_rejects_non_permutations():
+    chain = StabilizerChain(3)
+    with pytest.raises(ValueError):
+        chain.add((0, 0, 1))
+    with pytest.raises(ValueError):
+        chain.add((1, 0))
+    with pytest.raises(ValueError):
+        StabilizerChain(3, [(2, 2, 2)])
+    chain.add((1, 2, 0))
+    assert chain.order == 3

@@ -4,7 +4,12 @@ from gcompat.bounds import HypothesisError
 from gcompat.groups import Subgroup, cyclic, symmetric, trivial_group
 from gcompat.homs import Homomorphism
 from gcompat.perms import closure, mul, perm_order
-from gcompat.sampling import random_transitive_action, random_transversal
+from gcompat.sampling import (
+    medium_group_pool,
+    random_subgroup,
+    random_transitive_action,
+    random_transversal,
+)
 from gcompat.wreath import (
     GroupAction,
     PermutationTransversal,
@@ -230,3 +235,15 @@ def test_base_and_top_embeddings():
         [w.coordinate_embedding(1)(g) for g in z3.generators] + \
         [emb_top(h) for h in z2.generators]
     assert len(closure(gens)) == w.order
+
+
+def test_coset_action_table_matches_coset_definition(rng, coset_table):
+    pool = medium_group_pool(60)
+    for _ in range(25):
+        g = rng.choice(pool)
+        k = random_subgroup(rng, g)
+        act = coset_action(g, k)
+        expect = coset_table(g, k)
+        assert list(act.rho.tabulated().items()) == list(expect.items())
+        assert act.npoints * k.order() == g.order()
+        assert all(act.act(0, r) == i for i, r in enumerate(act.labels))
