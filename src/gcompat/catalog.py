@@ -118,8 +118,7 @@ def semidirect_from_hom(p_group, q_group, phi: Homomorphism,
     phi.validate()
     twist = {}
     for q in q_group.elements():
-        auto = auts.auto_of_perm(phi(q))
-        auto.check_table_edges()
+        auto = auts.auto_of_perm(phi(q))  # checked as a homomorphism
         twist[q] = {e: auto(e) for e in p_group.elements()}
     # action property follows from phi being a homomorphism into Aut(P)
     return semidirect(p_group, q_group, twist, label)

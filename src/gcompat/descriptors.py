@@ -8,6 +8,7 @@ the witness is enumerable and generator images otherwise.
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from .bounds import DEFAULT_BOUNDS
 from .catalog import construct, named_group
@@ -222,6 +223,7 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup, l2: FiniteGroup,
             "generator-based certificate: maps carry generator images only, "
             "re-verification runs in-process at build time")
     witness = group_from_descriptor(d["witness"], bounds)
+    witness.cayley(bounds.enum)  # p1 and p2 share the witness's graph
     p1 = hom_from_descriptor(d["p1"], source=witness, target=l1, bounds=bounds)
     p2 = hom_from_descriptor(d["p2"], source=witness, target=l2, bounds=bounds)
     ker1 = subgroup_from_descriptor(d["kernel1"], witness)
@@ -263,7 +265,10 @@ def _provenance_from_dict(d: dict) -> ProvenanceNode:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1)
+    """json.dumps(obj, sort_keys=True, indent=1), its chunks joined 4096 at
+    a time: a certificate's hundreds of thousands never all live at once."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj)
+    return "".join(iter(lambda: "".join(islice(chunks, 4096)), ""))
 
 
 def loads(text: str):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import threading
+from array import array
 from math import gcd
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
@@ -52,6 +53,7 @@ class FiniteGroup:
         self._elements = None
         self._sorted = None
         self._chain = None
+        self._cayley = None
         self._order = None
         self._rattle = None
         if elements is not None:
@@ -84,9 +86,6 @@ class FiniteGroup:
         """a b a^-1 b^-1."""
         return mul(mul(a, b), mul(inv(a), inv(b)))
 
-    def element_order(self, a):
-        return perm_order(a)
-
     def __repr__(self):
         return f"FiniteGroup({self.label!r}, degree={self.degree}, order={self.order()})"
 
@@ -118,6 +117,17 @@ class FiniteGroup:
                 if self._sorted is None:
                     self._sorted = elems
         return self._sorted
+
+    def cayley(self, bound=None):
+        """The Cayley graph `cayley_graph(sorted_elements(), generators)`:
+        computed once (|G|*|gens| multiplies) and kept, so every map out of
+        the group is checked on the same int columns."""
+        if self._cayley is None:
+            graph = cayley_graph(self.sorted_elements(bound), self.generators)
+            with self._lock:
+                if self._cayley is None:
+                    self._cayley = graph
+        return self._cayley
 
     def chain(self):
         if self._chain is None:
@@ -210,12 +220,6 @@ class FiniteGroup:
                    if all(mul(e, g) == mul(g, e) for g in gens)]
         return Subgroup(self, members=members, label=f"Z({self.label})")
 
-    def centralizer(self, subset, bound=None):
-        subset = list(subset)
-        members = [e for e in self.elements(bound)
-                   if all(mul(e, s) == mul(s, e) for s in subset)]
-        return Subgroup(self, members=members)
-
     def normal_closure(self, seed, bound=None):
         """Smallest normal subgroup containing `seed` elements."""
         limit = bound if bound is not None else DEFAULT_BOUNDS.enum
@@ -267,6 +271,15 @@ class FiniteGroup:
                 if len(have) == len(elems):
                     break
         return tuple(gens)
+
+
+def cayley_graph(elems, gens):
+    """(elems, generator indices, columns): per generator s the int array
+    i -> index of elems[i]*s. KeyError if elems is not closed under gens."""
+    index = {e: i for i, e in enumerate(elems)}
+    return (elems, tuple(index[s] for s in gens),
+            tuple(array("i", [index[mul(e, s)] for e in elems])
+                  for s in gens))
 
 
 def from_elements(perms, label="G", generators=None):
@@ -334,9 +347,6 @@ class Subgroup:
                 if mul(s, g) != mul(g, s):
                     return False
         return True
-
-    def index(self):
-        return self.parent.order() // self.order()
 
     def __repr__(self):
         return f"Subgroup({self.group.label!r}, order={self.order()} in {self.parent.label!r})"
@@ -418,14 +428,6 @@ def direct_product(g, h, label=None):
     gens = [lift_g(p) for p in g.generators] + [lift_h(p) for p in h.generators]
     out = FiniteGroup(d, gens, label or f"{g.label}x{h.label}")
     out._order = g.order() * h.order()
-    return out
-
-
-def direct_power(g, k, label=None):
-    out = g
-    for _ in range(k - 1):
-        out = direct_product(out, g)
-    out.label = label or f"{g.label}^{k}"
     return out
 
 

@@ -6,6 +6,10 @@ may instead carry a rule (callable) for maps out of generator-based groups.
 Validation of the table form checks every Cayley edge f(x*s) = f(x)f(s),
 which proves the homomorphism law for the whole table by induction on word
 length; rule-backed maps are checked on generator pairs plus random samples.
+Table checks run on element indices: the source's Cayley graph gives x*s
+as int columns, the table's distinct values are multiplied once per
+generator, and both sides of the law are compared as int lists; the pair
+check of tiny sources reads x*y off the graph's spanning tree.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import random
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, cayley_graph
 from .perms import closure, identity_perm, mul
 
 
@@ -180,19 +184,33 @@ class Homomorphism:
 
     # -- validation ----------------------------------------------------------
 
-    def check_table_edges(self):
-        ident_ok = self._table.get(self.source.identity) == self.target.identity
-        if not ident_ok:
+    def check_table_edges(self, pairs=False):
+        """Check f(x*s) = f(x)f(s) on every Cayley edge of the source or,
+        with `pairs`, f(x*y) = f(x)f(y) on all pairs, on element indices.
+        Edges run over the source's kept graph if it has the table's size,
+        else over the table's keys, which hold the whole source once they
+        hold the identity and are closed under the generators. Pairs read
+        x*y off a spanning tree of the source's graph: no multiplies there."""
+        table = self._table
+        if table.get(self.source.identity) != self.target.identity:
             raise HypothesisError(f"{self.label}: identity not preserved")
-        gens = self.source.generators
-        for x, fx in self._table.items():
-            for g in gens:
-                y = mul(x, g)
-                fy = self._table.get(y)
-                if fy is None:
-                    raise HypothesisError(f"{self.label}: table not total")
-                if fy != mul(fx, self._table[g]):
-                    raise HypothesisError(f"{self.label}: not a homomorphism")
+        graph = self.source.cayley() if pairs else self.source._cayley
+        try:
+            if graph is None or not pairs and len(graph[0]) != len(table):
+                graph = cayley_graph(list(table), self.source.generators)
+            images = list(map(table.__getitem__, graph[0]))
+        except KeyError:
+            raise HypothesisError(f"{self.label}: table not total") from None
+        elems, gens, cols = graph
+        number = {}  # the distinct image values, numbered as first seen
+        f = [number.setdefault(v, len(number)) for v in images]
+        values, right = list(number), {}
+        for y, col in _pair_columns(cols, len(f)) if pairs else zip(gens, cols):
+            b = f[y]
+            if b not in right:  # number of v*f(y) for each value v, or -1
+                right[b] = [number.get(mul(v, values[b]), -1) for v in values]
+            if list(map(f.__getitem__, col)) != list(map(right[b].__getitem__, f)):
+                raise HypothesisError(f"{self.label}: not a homomorphism")
 
     def validate(self, bounds=DEFAULT_BOUNDS, rng=None):
         """Re-check the homomorphism law; returns the number of checked pairs.
@@ -202,15 +220,13 @@ class Homomorphism:
         random pairs are sampled.
         """
         if self.source.is_enumerable(bounds.enum):
+            self.source.cayley(bounds.enum)  # kept, shared by maps out of it
             self.tabulated()
             self.check_table_edges()
             n = self.source.order()
             checked = n * max(1, len(self.source.generators))
             if n <= bounds.pair_check:
-                for x in self.source.elements():
-                    for y in self.source.elements():
-                        if self(mul(x, y)) != mul(self(x), self(y)):
-                            raise HypothesisError(f"{self.label}: not a homomorphism")
+                self.check_table_edges(pairs=True)
                 checked += n * n
             return checked
         rng = rng or random.Random(0)
@@ -261,6 +277,20 @@ def extend_images(pairs, source_identity, target_identity):
             elif old != fy:
                 return None
     return table
+
+
+def _pair_columns(cols, n):
+    """(y, column x -> x*y) for every element index y < n, grown over a
+    breadth-first spanning tree by x*(z*s) = (x*z)*s: no multiplies."""
+    rows = [list(range(n))] + [None] * (n - 1)
+    reached = [0]
+    for z in reached:  # grows while it is scanned
+        yield z, rows[z]
+        for col in cols:
+            y = col[z]
+            if rows[y] is None:
+                rows[y] = list(map(col.__getitem__, rows[z]))
+                reached.append(y)
 
 
 def kernel(f: Homomorphism) -> Subgroup:

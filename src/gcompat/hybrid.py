@@ -119,9 +119,6 @@ class HybridWreath:
     def decode(self, w):
         return self.wreath.decode(w)
 
-    def base_value(self, w, v):
-        return self.wreath.decode(w)[0][v]
-
 
 def hybrid_wreath(g_group, h_group, theta, transversal_elems=None,
                   bounds=DEFAULT_BOUNDS, label=None) -> HybridWreath:
@@ -181,13 +178,12 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
         for v in range(hw.npoints):
             asg[v] = base[v]
         table[w] = lim.encode(asg)
-    ident = Homomorphism(hw.base.group, lim.group, table=table,
-                         label="bw-as-lim", check=False)
     if set(table.values()) != set(lim.group.elements()):
         raise HypothesisError("base subgroup does not fill the limit")
     if len(set(table.values())) != len(table):
         raise HypothesisError("identification is not injective")
-    ident.check_table_edges()
+    ident = Homomorphism(hw.base.group, lim.group, table=table,
+                         label="bw-as-lim")
     for v in range(hw.npoints):
         proj = lim.projection(v)
         for w in hw.base.members():

@@ -86,9 +86,6 @@ class InverseSystem:
         return all(self.maps[p].is_surjective()
                    for p in self.poset.comparable_pairs())
 
-    def restrict_to(self, subgroups) -> "Subsystem":
-        return Subsystem(self, subgroups)
-
     def node_list(self):
         return list(self.poset.nodes)
 
@@ -119,10 +116,6 @@ class Subsystem:
                 self.subgroups[j], self.subgroups[i])
         return InverseSystem(self.system.poset, groups, maps, check=False)
 
-    def is_full(self):
-        return all(s.order() == self.system.groups[n].order()
-                   for n, s in self.subgroups.items())
-
 
 class SystemMorphism:
     """Level maps source -> target over one poset, commuting with transitions."""
@@ -146,12 +139,6 @@ class SystemMorphism:
                 if g(phi_j(x)) != phi_i(f(x)):
                     raise HypothesisError(
                         f"level maps do not commute with transitions at ({i},{j})")
-
-    def is_levelwise_surjective(self):
-        return all(phi.is_surjective() for phi in self.level_map.values())
-
-    def is_levelwise_iso(self):
-        return all(phi.is_bijective() for phi in self.level_map.values())
 
 
 def _decode_block(perm, off, deg):

@@ -156,8 +156,7 @@ class AutomorphismSet:
     def auto_of_perm(self, perm):
         elems = self.group.sorted_elements()
         table = {e: elems[perm[i]] for i, e in enumerate(elems)}
-        return Homomorphism(self.group, self.group, table=table,
-                            label="aut", check=False)
+        return Homomorphism(self.group, self.group, table=table, label="aut")
 
 
 def automorphism_set(g, bounds=DEFAULT_BOUNDS):

@@ -55,10 +55,6 @@ class Poset:
         self._known(i)
         return frozenset(x for x in self.nodes if (x, i) in self.leq)
 
-    def upset(self, i):
-        self._known(i)
-        return frozenset(x for x in self.nodes if (i, x) in self.leq)
-
     def comparable_pairs(self):
         """All strictly ordered pairs (i, j) with i < j."""
         return [(i, j) for (i, j) in sorted(self.leq, key=self._pair_key)

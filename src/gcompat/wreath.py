@@ -208,15 +208,6 @@ class WreathProduct:
             self.top_group, self.carrier,
             lambda h: self.encode(ident_f, h), label="top")
 
-    def top_projection(self) -> Homomorphism:
-        off = self.top_offset
-
-        def proj(p):
-            return tuple(p[off + i] - off for i in range(self.top_group.degree))
-
-        return Homomorphism.of_rule(self.carrier, self.top_group, proj,
-                                    label="to-top")
-
 
 def wreath_product(base_group, action, label=None,
                    bounds=DEFAULT_BOUNDS) -> WreathProduct:

@@ -98,3 +98,9 @@ def test_dumps_is_deterministic():
     a = descriptors.dumps(descriptors.group_to_descriptor(g))
     b = descriptors.dumps(descriptors.group_to_descriptor(named_group("S3")))
     assert a == b
+
+
+def test_dumps_matches_json_dumps_on_a_certificate():
+    cert = witness_nilpotent(named_group("Z8"), named_group("Z4xZ2"))
+    d = descriptors.certificate_to_descriptor(cert)
+    assert descriptors.dumps(d) == json.dumps(d, sort_keys=True, indent=1)

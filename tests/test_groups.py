@@ -6,6 +6,7 @@ from gcompat.groups import (
     Subgroup,
     all_subgroups,
     alternating,
+    cayley_graph,
     central_subgroup_of_order_p,
     cyclic,
     cyclic_normal_subgroup_of_order,
@@ -193,3 +194,31 @@ def test_random_element_lies_in_group(rng):
     g = symmetric(4)
     for _ in range(50):
         assert g.contains(g.random_element(rng))
+
+
+def test_cayley_columns_are_right_multiplication():
+    from array import array
+
+    from gcompat.perms import mul
+
+    for g in (cyclic(1), cyclic(6), symmetric(4), quaternion(),
+              named_group("Z4xZ2"), frobenius21()):
+        elems, gens, cols = g.cayley()
+        assert elems == g.sorted_elements() and elems[0] == g.identity
+        index = {x: i for i, x in enumerate(elems)}
+        assert gens == tuple(index[s] for s in g.generators)
+        assert len(cols) == len(g.generators)
+        for s, col in zip(g.generators, cols):
+            assert isinstance(col, array) and col.typecode == "i"
+            assert list(col) == [index[mul(x, s)] for x in elems]
+        assert g.cayley() is g.cayley()  # computed once
+    # any closed element order gives the same columns; a gap is a KeyError
+    g = symmetric(4)
+    elems = list(g.elements())
+    _, gens, cols = cayley_graph(elems, g.generators)
+    index = {x: i for i, x in enumerate(elems)}
+    assert gens == tuple(index[s] for s in g.generators)
+    for s, col in zip(g.generators, cols):
+        assert list(col) == [index[mul(x, s)] for x in elems]
+    with pytest.raises(KeyError):
+        cayley_graph(elems[:-1], g.generators)

@@ -1,8 +1,16 @@
+from functools import partial
+
 import pytest
 
 from gcompat.bounds import HypothesisError
 from gcompat.catalog import named_group
-from gcompat.groups import Subgroup, cyclic, direct_product, symmetric
+from gcompat.groups import (
+    FiniteGroup,
+    Subgroup,
+    cyclic,
+    direct_product,
+    symmetric,
+)
 from gcompat.homs import (
     Homomorphism,
     action_on_cosets,
@@ -128,6 +136,117 @@ def test_validate_is_complete_for_tables():
     bad = Homomorphism(z4, z2, table=broken, check=False)
     with pytest.raises(HypothesisError):
         bad.validate()
+
+
+def _tuple_edge_law(g, table, target_identity):
+    """The edge law straight from its definition, on permutation tuples."""
+    if table.get(g.identity) != target_identity:
+        return False
+    return all(table.get(mul(x, s)) == mul(fx, table[s])
+               for x, fx in table.items() for s in g.generators)
+
+
+def _accepts(check):
+    try:
+        check()
+    except HypothesisError:
+        return False
+    return True
+
+
+def test_index_checks_agree_with_the_tuple_definition(rng):
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    pool = medium_group_pool(60)
+    verdicts = set()
+    for _ in range(40):
+        g = rng.choice(pool)
+        q, pi = quotient(g, random_normal_subgroup(rng, g))
+        good = dict(pi.tabulated())
+        keys, values = sorted(good), sorted(q.elements())
+        swapped, changed = dict(good), dict(good)
+        a, b = rng.sample(keys, 2)
+        swapped[a], swapped[b] = good[b], good[a]
+        changed[rng.choice(keys)] = rng.choice(values)
+        scrambled = {x: rng.choice(values) for x in keys}
+        scrambled[g.identity] = q.identity
+        trivial = dict.fromkeys(keys, q.identity)
+        for table in (good, swapped, changed, scrambled, trivial):
+            # edges over the table's keys, then pairs and edges over the
+            # kept graph of a copy of g that had none
+            fresh = FiniteGroup(g.degree, g.generators)
+            f = Homomorphism(fresh, q, table=table, check=False)
+            expected = _tuple_edge_law(g, table, q.identity)
+            assert _accepts(f.check_table_edges) == expected
+            assert fresh._cayley is None
+            fresh.cayley()
+            assert _accepts(partial(f.check_table_edges, pairs=True)) == expected
+            assert _accepts(f.check_table_edges) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_pair_columns_are_products():
+    from gcompat.homs import _pair_columns
+
+    for g in (cyclic(5), symmetric(4), named_group("Z4xZ2")):
+        elems, _, cols = g.cayley()
+        index = {x: i for i, x in enumerate(elems)}
+        seen = []
+        for y, col in _pair_columns(cols, len(elems)):
+            assert col == [index[mul(x, elems[y])] for x in elems]
+            seen.append(y)
+        assert sorted(seen) == list(range(len(elems)))
+
+
+def test_two_swapped_values_are_rejected():
+    z4, z2, f = mod2_map()
+    table = dict(f.tabulated())
+    gen = z4.generators[0]
+    square = mul(gen, gen)
+    table[gen], table[square] = table[square], table[gen]
+    with pytest.raises(HypothesisError, match="not a homomorphism"):
+        Homomorphism(z4, z2, table=table)
+
+
+def test_non_total_table_is_refuted_not_undecided():
+    z4, z2, f = mod2_map()
+    table = dict(f.tabulated())
+    del table[max(table)]
+    with pytest.raises(HypothesisError, match="not total"):
+        Homomorphism(z4, z2, table=table)
+    z4.cayley()  # the same verdict over the source's kept graph
+    with pytest.raises(HypothesisError, match="not total"):
+        Homomorphism(z4, z2, table=table)
+    # a source far past the enumeration bound is not enumerated: the short
+    # table's keys are not closed under its generators, a refutation and
+    # never UndecidedError
+    big = symmetric(9)
+    short = dict.fromkeys((big.identity,) + big.generators, z2.identity)
+    with pytest.raises(HypothesisError, match="not total"):
+        Homomorphism(big, z2, table=short)
+    # an entry outside the source is checked like the others, with or
+    # without a kept graph, as the definition over the table's items asks
+    outside = dict(f.tabulated())
+    outside[(1, 0, 2, 3)] = z2.identity
+    for source in (FiniteGroup(4, z4.generators), z4):
+        with pytest.raises(HypothesisError, match="not total"):
+            Homomorphism(source, z2, table=outside)
+
+
+def test_pair_check_alone_rejects_a_non_homomorphism():
+    z4, z2, f = mod2_map()
+    f.check_table_edges(pairs=True)
+    assert f.validate() == 4 * 1 + 4 * 4  # edges plus pairs, as counted
+    broken = dict(f.tabulated())
+    broken[z4.generators[0]] = z2.identity
+    bad = Homomorphism(z4, z2, table=broken, check=False)
+    with pytest.raises(HypothesisError, match="not a homomorphism"):
+        bad.check_table_edges(pairs=True)
+    del broken[max(broken)]
+    with pytest.raises(HypothesisError, match="not total"):
+        Homomorphism(z4, z2, table=broken, check=False).check_table_edges(
+            pairs=True)
 
 
 def test_section_is_canonical_minimal():

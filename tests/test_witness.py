@@ -604,3 +604,35 @@ def test_tampered_projection_fails():
                                   cert.ker2, cert.kernel_iso, cert.good_at,
                                   cert.evidence, cert.provenance, cert.mode)
     assert not verify_witness(tampered, l1, l2).passed
+
+
+def test_surjectivity_needs_images_inside_the_target():
+    z4, chain = cyclic_tower(4, [2, 2])
+    v4 = named_group("Z2xZ2")
+    assert z4.degree == v4.degree == 4
+    # the identity of Z4, declared as a map to Z2xZ2: a homomorphism whose
+    # image has the target's order but lies outside it
+    relabelled = Homomorphism(z4, v4, table={x: x for x in z4.elements()})
+    assert relabelled.validate() > 0
+    assert relabelled.image().order() == v4.order()
+    assert not relabelled.image() <= v4
+
+    two = Subgroup(v4, members=closure([v4.generators[0]]))
+    s1 = seq_of(z4, chain)
+    s2 = seq_of(v4, [v4.trivial_subgroup(), two, v4.full_subgroup()])
+    cert = build_witness_length2(s1, s2, comp_membership(s1, s2))
+    genuine = {c.name: c for c in verify_witness(cert, z4, v4).checks}
+    assert genuine["p2-surjective"].passed
+    assert genuine["p2-surjective"].detail == "image order 4"
+    # p1's table (images in Z4) relabelled as the map to Z2xZ2
+    p2 = Homomorphism(cert.witness, v4, table=cert.p1.tabulated(),
+                      label="p2")
+    tampered = WitnessCertificate(cert.witness, cert.p1, p2, cert.ker1,
+                                  cert.ker2, cert.kernel_iso, cert.good_at,
+                                  cert.evidence, cert.provenance, cert.mode)
+    rep = verify_witness(tampered, z4, v4)
+    checks = {c.name: c for c in rep.checks}
+    assert checks["p2-homomorphism"].passed
+    assert not checks["p2-surjective"].passed
+    assert checks["p2-surjective"].detail == "image order 4"
+    assert not rep.passed
