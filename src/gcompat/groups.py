@@ -3,6 +3,13 @@
 Every group acts on {0..degree-1}; elements are permutation tuples (see
 perms.py for the conventions). The canonical element ordering used for
 deterministic choices everywhere is lexicographic on those tuples.
+
+Element orders come from one sweep over cyclic subgroups
+(`FiniteGroup.element_orders`): the powers of each element not yet seen
+are listed with `mul`, and e^k gets order o/gcd(o, k), so a group's orders
+cost about one multiply per element of the cyclic subgroups walked, not a
+cycle walk per element. Generating sets, order histograms and the
+subgroup searches below read their orders from that sweep.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import random
 import threading
 from array import array
+from collections import Counter
 from math import gcd
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
@@ -22,7 +30,6 @@ from .perms import (
     is_perm,
     mul,
     perm_from_cycles,
-    perm_order,
     perm_pow,
 )
 
@@ -185,12 +192,28 @@ class FiniteGroup:
                     return False
         return True
 
+    def element_orders(self, bound=None):
+        """Element -> order, from one sweep over cyclic subgroups (see the
+        module docstring). Built afresh on each call and not kept: its power
+        tuples are new objects that would duplicate the element set."""
+        ident = self.identity
+        orders = {ident: 1}
+        for e in self.elements(bound):
+            if e in orders:
+                continue
+            powers = [e]
+            x = mul(e, e)
+            while x != ident:
+                powers.append(x)
+                x = mul(x, e)
+            o = len(powers) + 1
+            for k, x in enumerate(powers, 1):
+                orders[x] = o // gcd(o, k)
+        return orders
+
     def order_histogram(self, bound=None):
         """Multiset of element orders as a sorted tuple of (order, count)."""
-        counts = {}
-        for e in self.elements(bound):
-            o = perm_order(e)
-            counts[o] = counts.get(o, 0) + 1
+        counts = Counter(self.element_orders(bound).values())
         return tuple(sorted(counts.items()))
 
     def exponent(self, bound=None):
@@ -261,7 +284,9 @@ class FiniteGroup:
         elems = self.sorted_elements(bound)
         if len(elems) == 1:
             return ()
-        by_pref = sorted(elems, key=lambda e: (-perm_order(e), e))
+        # reverse=True keeps the sort stable: (-order, element) order
+        by_pref = sorted(elems, key=self.element_orders(bound).__getitem__,
+                         reverse=True)
         gens = []
         have = frozenset([self.identity])
         for e in by_pref:
@@ -491,8 +516,9 @@ def central_subgroup_of_order_p(g, p, bound=None):
     if g.order() % p:
         raise HypothesisError(f"{p} does not divide |{g.label}| = {g.order()}")
     z = g.center(bound)
-    for e in sorted(z.members()):
-        o = perm_order(e)
+    orders = z.group.element_orders()
+    for e in z.group.sorted_elements():
+        o = orders[e]
         if o % p == 0:
             x = perm_pow(e, o // p)
             return Subgroup(g, members=closure([x]), label=f"Z_{p}")
@@ -528,7 +554,8 @@ def normal_sylow_and_complement(g, bound=None):
     if not _is_square_free(n):
         raise HypothesisError(f"|{g.label}| = {n} is not square-free")
     p = _largest_prime_factor(n)
-    p_elems = [e for e in g.elements(bound) if perm_order(e) == p]
+    orders = g.element_orders(bound)
+    p_elems = [e for e in g.elements(bound) if orders[e] == p]
     members = closure(p_elems, bound=bound or DEFAULT_BOUNDS.enum)
     if len(members) != p:
         raise HypothesisError(f"Sylow {p}-subgroup of {g.label} is not normal")
@@ -546,8 +573,9 @@ def _find_subgroup_of_order(g, m, avoid=None, bound=None):
     """Exhaustive search for a subgroup of order m meeting `avoid` trivially."""
     if m == 1:
         return g.trivial_subgroup()
+    orders = g.element_orders(bound)
     elems = [e for e in g.sorted_elements(bound)
-             if perm_order(e) != 1 and m % perm_order(e) == 0]
+             if orders[e] != 1 and m % orders[e] == 0]
 
     def extend(current_gens, current_members, pool_start):
         if len(current_members) == m:
@@ -602,8 +630,9 @@ def all_subgroups(g, bound=None):
 
 def cyclic_normal_subgroup_of_order(g, m):
     """First (canonical) cyclic normal subgroup of the given order, or None."""
+    orders = g.element_orders()
     for e in g.sorted_elements():
-        if perm_order(e) == m:
+        if orders[e] == m:
             sub = Subgroup(g, members=closure([e]), label=f"<{m}>")
             if sub.is_normal():
                 return sub

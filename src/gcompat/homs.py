@@ -33,6 +33,7 @@ class Homomorphism:
         self.label = label
         self._table = dict(table) if table is not None else None
         self._rule = rule
+        self._kernel = None
         if check and self._table is not None:
             self.check_table_edges()
 
@@ -145,13 +146,18 @@ class Homomorphism:
     # -- kernels and images --------------------------------------------------
 
     def kernel(self) -> Subgroup:
-        if not self.source.is_enumerable():
-            raise UndecidedError(
-                f"kernel of {self.label}: source not enumerable")
-        ident = self.target.identity
-        members = [x for x in self.source.elements() if self(x) == ident]
-        return Subgroup(self.source, members=members,
-                        label=f"ker({self.label})")
+        """The kernel, found by an element scan on the first call; later
+        calls return the same Subgroup, so the callers that need the
+        kernel of one map share it."""
+        if self._kernel is None:
+            if not self.source.is_enumerable():
+                raise UndecidedError(
+                    f"kernel of {self.label}: source not enumerable")
+            ident = self.target.identity
+            members = [x for x in self.source.elements() if self(x) == ident]
+            self._kernel = Subgroup(self.source, members=members,
+                                    label=f"ker({self.label})")
+        return self._kernel
 
     def image(self) -> Subgroup:
         gens = [self(g) for g in self.source.generators]

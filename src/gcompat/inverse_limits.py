@@ -170,10 +170,11 @@ class LimitGroup:
             for n in self.node_order}
 
     def encode(self, assignment) -> tuple:
+        """Concatenate the node values, each block shifted to its offset."""
         out = []
         for n in self.node_order:
             off = self.offsets[n]
-            out.extend(x + off for x in assignment[n])
+            out.extend(map(off.__add__, assignment[n]) if off else assignment[n])
         return tuple(out)
 
     def decode(self, perm, node) -> tuple:
@@ -252,19 +253,14 @@ def limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
 
 
 class LimitGroupBuilder:
-    """Encoding helper shared by the limit constructors."""
+    """The limit encoder before the limit group exists, for the constructors."""
+
+    encode = LimitGroup.encode
 
     def __init__(self, system, node_order, offsets):
         self.system = system
         self.node_order = node_order
         self.offsets = offsets
-
-    def encode(self, assignment):
-        out = []
-        for n in self.node_order:
-            off = self.offsets[n]
-            out.extend(x + off for x in assignment[n])
-        return tuple(out)
 
 
 def star_system(root_group, branch_groups, branch_maps,

@@ -37,10 +37,10 @@ def _iso_search(g, h, *, find_all=False, limit=None):
         if h.order() == 1:
             yield {g.identity: h.identity}
         return
-    h_elems = h.sorted_elements()
+    h_orders = h.element_orders()
     by_order = {}
-    for e in h_elems:
-        by_order.setdefault(perm_order(e), []).append(e)
+    for e in h.sorted_elements():
+        by_order.setdefault(h_orders[e], []).append(e)
     results = 0
 
     src_orders, grown = [], frozenset([g.identity])

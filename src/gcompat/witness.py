@@ -215,9 +215,9 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
     kmembers = kernel.members()
     fibers = pi.fibers()
     complements = {}
-    budget = 200000
     for m_sub in all_subgroups(n.group, bounds):
-        c = _find_complement(pi, m_sub, kmembers, fibers, budget)
+        c = _find_complement(pi, m_sub, kmembers, fibers,
+                             bounds.complement_budget)
         if c is None:
             return ExtendReport(False, None, m_sub)
         complements[m_sub.members()] = c

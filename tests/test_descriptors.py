@@ -104,3 +104,40 @@ def test_dumps_matches_json_dumps_on_a_certificate():
     cert = witness_nilpotent(named_group("Z8"), named_group("Z4xZ2"))
     d = descriptors.certificate_to_descriptor(cert)
     assert descriptors.dumps(d) == json.dumps(d, sort_keys=True, indent=1)
+
+
+# sha256 of the canonical JSON of each certificate: a change in any
+# generator choice, kernel or table shows here as a changed digest, which a
+# speed-up must never cause
+GOLDEN = [
+    ("auto-central", "Z4", "Z2xZ2",
+     "ec4ff14192ac59b51511cfb64334a48b17fc60f430ca588dd40b16ffd532b5bf"),
+    ("auto-central", "Z8", "Z4xZ2",
+     "dffb57d38a8e469172e55b5ee8d88bfa94a826e144c3177cf2f41cb84953820f"),
+    ("auto-squarefree", "Z6", "S3",
+     "707ac46baf3fa7a56661d71e54521f51649f12f77b6adfc1db4e8e59d7fbbd47"),
+    ("auto-squarefree", "Z10", "D10",
+     "58d4b057bb4aac44dfef63d307e98d4caca40452cd3fe7d72d8c5b2a88b66eff"),
+    pytest.param(
+        "stretch", "Z30", "Z5xS3",
+        "f57c68209386e8d5c35d6162275fa927b5904344fc7a9532b08fed8e64f9b7ab",
+        marks=pytest.mark.stretch),
+]
+
+
+@pytest.mark.parametrize("series,a,b,digest", GOLDEN)
+def test_certificate_digest_is_pinned(series, a, b, digest):
+    import hashlib
+
+    from gcompat.bounds import Bounds
+    from gcompat.witness import witness_square_free
+
+    l1, l2 = named_group(a), named_group(b)
+    if series == "auto-central":
+        cert = witness_nilpotent(l1, l2)
+    elif series == "auto-squarefree":
+        cert = witness_square_free(l1, l2)
+    else:
+        cert = witness_square_free(l1, l2, Bounds().with_mode("stretch"))
+    text = descriptors.dumps(descriptors.certificate_to_descriptor(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -16,8 +16,9 @@ from gcompat.groups import (
     from_elements,
     normal_sylow_and_complement,
     symmetric,
+    trivial_group,
 )
-from gcompat.perms import closure, perm_order
+from gcompat.perms import closure, dimino_extend, perm_order
 
 
 def test_cyclic_6_is_abelian_of_order_6():
@@ -222,3 +223,51 @@ def test_cayley_columns_are_right_multiplication():
         assert list(col) == [index[mul(x, s)] for x in elems]
     with pytest.raises(KeyError):
         cayley_graph(elems[:-1], g.generators)
+
+
+def order_sweep_groups():
+    """The sampling pool, random subgroups and quotients of it, the catalog
+    groups and the degree-1 trivial group."""
+    import random
+
+    from gcompat.homs import quotient
+    from gcompat.sampling import (
+        medium_group_pool,
+        random_normal_subgroup,
+        random_subgroup,
+    )
+
+    rng = random.Random(4102)
+    groups = [trivial_group(), quaternion(), frobenius21(),
+              named_group("Z4xZ2"), named_group("Z2xZ4xZ8"),
+              named_group("E(2,3)"), named_group("D10"), named_group("Z5xS3")]
+    for g in medium_group_pool():
+        groups.append(g)
+        groups.append(random_subgroup(rng, g).group)
+        groups.append(quotient(g, random_normal_subgroup(rng, g))[0])
+    return groups
+
+
+def test_element_orders_match_cycle_walk():
+    for g in order_sweep_groups():
+        orders = g.element_orders()
+        assert orders == {e: perm_order(e) for e in g.elements()}
+        assert g.element_orders() is not orders  # built afresh, not kept
+        assert g.order_histogram() == tuple(sorted(
+            (o, sum(1 for e in g.elements() if perm_order(e) == o))
+            for o in set(orders.values())))
+
+
+def test_small_generating_set_is_the_order_first_greedy():
+    # the greedy over (-perm_order(e), e), as the order sweep replaced it
+    for g in order_sweep_groups():
+        elems = g.sorted_elements()
+        gens, have = [], frozenset([g.identity])
+        if len(elems) > 1:
+            for e in sorted(elems, key=lambda e: (-perm_order(e), e)):
+                if e not in have:
+                    have = dimino_extend(have, gens, e)
+                    gens.append(e)
+                    if len(have) == len(elems):
+                        break
+        assert g.small_generating_set() == tuple(gens)

@@ -38,6 +38,22 @@ def test_kernel_of_mod2():
     assert k.members() == even
 
 
+def test_kernel_is_computed_once_and_matches_a_scan():
+    from gcompat.catalog import frobenius21
+
+    f21 = frobenius21()
+    z3 = cyclic(3)
+    f = Homomorphism.from_gen_images(
+        f21, z3, {g: (z3.generators[0] if perm_order(g) == 3 else z3.identity)
+                  for g in f21.generators})
+    for h in (mod2_map()[2], f, Homomorphism.identity(f21),
+              Homomorphism.trivial(f21, z3)):
+        k = h.kernel()
+        assert h.kernel() is k and kernel(h) is k
+        scan = {x for x in h.source.elements() if h(x) == h.target.identity}
+        assert k.members() == scan
+
+
 def test_gen_image_propagation_rejects_non_homomorphism():
     z4, z2 = cyclic(4), cyclic(2)
     z3 = cyclic(3)

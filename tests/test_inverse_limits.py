@@ -78,6 +78,18 @@ def test_star_limit_agrees_with_generic_and_is_fast_path():
     assert fast.group.elements() == slow.group.elements()
 
 
+def test_limit_encode_concatenates_shifted_blocks(rng):
+    from gcompat.inverse_limits import LimitGroup, LimitGroupBuilder
+
+    assert LimitGroupBuilder.encode is LimitGroup.encode
+    for _ in range(5):
+        lim = limit(random_surjective_system(rng, random_in_forest_poset(rng)))
+        for w in lim.group.sorted_elements()[:50]:
+            asg = lim.decode_all(w)
+            assert lim.encode(asg) == w == tuple(
+                x + lim.offsets[n] for n in lim.node_order for x in asg[n])
+
+
 def test_limit_projections_commute_with_transitions():
     system, z4, z2, pi = z4_star()
     lim = limit(system)

@@ -188,6 +188,19 @@ def test_trivial_kernel_always_extendable():
     assert rep.ok
 
 
+def test_complement_budget_bounds_the_search():
+    from gcompat.bounds import UndecidedError
+
+    z4 = cyclic(4)
+    ident = Homomorphism.identity(z4)
+    # each subgroup of Z4 has one candidate section under the identity
+    with pytest.raises(UndecidedError):
+        is_trivially_extendable(ident, z4.full_subgroup(),
+                                Bounds(complement_budget=0))
+    assert is_trivially_extendable(ident, z4.full_subgroup(),
+                                   Bounds(complement_budget=1)).ok
+
+
 def test_star_projection_extendable_at_branch_kernel():
     from gcompat.inverse_limits import star_limit, star_system
 
@@ -636,3 +649,23 @@ def test_surjectivity_needs_images_inside_the_target():
     assert not checks["p2-surjective"].passed
     assert checks["p2-surjective"].detail == "image order 4"
     assert not rep.passed
+
+
+def test_verify_recomputes_kernels_past_the_memo():
+    from dataclasses import replace
+
+    l1, l2 = named_group("Z4"), named_group("Z2xZ2")
+    cert = witness_nilpotent(l1, l2)
+    verdicts = lambda c: [(x.name, x.passed, x.detail)
+                          for x in verify_witness(c, l1, l2).checks]
+    genuine = verdicts(cert)
+    # a wrong kernel memo on p1 changes no verdict and no detail
+    wrong = cert.witness.trivial_subgroup()
+    assert cert.ker1.order() > 1
+    cert.p1._kernel = wrong
+    assert cert.p1.kernel() is wrong
+    assert verdicts(cert) == genuine
+    # a wrong certificate kernel fails even when the memo agrees with it
+    checks = {name: (ok, detail) for name, ok, detail
+              in verdicts(replace(cert, ker1=wrong))}
+    assert checks["ker-p1-matches"] == (False, f"order {cert.ker1.order()}")
