@@ -29,7 +29,6 @@ class Bounds:
     pair_check: int = 128    # exhaustive f(xy)=f(x)f(y) pair loop cap
     subgroups: int = 20000   # cap on the number of subgroups enumerated
     sample: int = 10000      # random samples for stretch-mode map checks
-    complement_budget: int = 200000  # section candidates tried per complement
     mode: str = ENUMERATED
 
     def with_mode(self, mode: str) -> "Bounds":

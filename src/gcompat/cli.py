@@ -122,8 +122,8 @@ def cmd_hybrid(args) -> int:
     kp = hw.kernel_of_standard_map()
     print(f"HW({g.label}, {h.label}, theta): order {hw.order()}")
     print(f"theta image order: {hw.image.order()} (normal: {hw.normal})")
-    kp_ea = kp.group.is_abelian() and set(
-        kp.group.element_orders().values()) <= {1, kp.group.exponent()}
+    # abelian with one non-identity order, which must then be a prime
+    kp_ea = kp.group.is_abelian() and len(kp.group.order_histogram()) <= 2
     print(f"ker(p_theta): order {kp.order()}, "
           f"abelian: {kp.group.is_abelian()}, elementary: {kp_ea}")
     print(f"BW: order {hw.base.order()}")

@@ -4,12 +4,13 @@ Every group acts on {0..degree-1}; elements are permutation tuples (see
 perms.py for the conventions). The canonical element ordering used for
 deterministic choices everywhere is lexicographic on those tuples.
 
-Element orders come from one sweep over cyclic subgroups
+Element orders come from a sweep over cyclic subgroups
 (`FiniteGroup.element_orders`): the powers of each element not yet seen
 are listed with `mul`, and e^k gets order o/gcd(o, k), so a group's orders
 cost about one multiply per element of the cyclic subgroups walked, not a
-cycle walk per element. Generating sets, order histograms and the
-subgroup searches below read their orders from that sweep.
+cycle walk per element. The sweep is made afresh on each call, since its
+dict is not kept on the group; generating sets, order histograms and the
+subgroup searches below each read their orders from one such sweep.
 """
 
 from __future__ import annotations
@@ -563,17 +564,17 @@ def normal_sylow_and_complement(g, bound=None):
     if not sylow.is_normal():
         raise HypothesisError(f"Sylow {p}-subgroup of {g.label} is not normal")
     m = n // p
-    comp = _find_subgroup_of_order(g, m, avoid=sylow, bound=bound)
+    comp = _find_subgroup_of_order(g, m, orders, avoid=sylow, bound=bound)
     if comp is None:
         raise HypothesisError(f"no complement of order {m} found in {g.label}")
     return sylow, comp
 
 
-def _find_subgroup_of_order(g, m, avoid=None, bound=None):
-    """Exhaustive search for a subgroup of order m meeting `avoid` trivially."""
+def _find_subgroup_of_order(g, m, orders, avoid=None, bound=None):
+    """Exhaustive search for a subgroup of order m meeting `avoid` trivially;
+    `orders` is g's `element_orders()`."""
     if m == 1:
         return g.trivial_subgroup()
-    orders = g.element_orders(bound)
     elems = [e for e in g.sorted_elements(bound)
              if orders[e] != 1 and m % orders[e] == 0]
 

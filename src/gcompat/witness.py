@@ -199,6 +199,9 @@ class ExtendReport:
     failing: Subgroup | None
 
 
+COMPLEMENT_BUDGET = 200000  # section candidates tried per complement
+
+
 def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
                             bounds=DEFAULT_BOUNDS) -> ExtendReport:
     """Search for complements certifying pi trivially extendable at n.
@@ -216,8 +219,7 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
     fibers = pi.fibers()
     complements = {}
     for m_sub in all_subgroups(n.group, bounds):
-        c = _find_complement(pi, m_sub, kmembers, fibers,
-                             bounds.complement_budget)
+        c = _find_complement(pi, m_sub, kmembers, fibers, COMPLEMENT_BUDGET)
         if c is None:
             return ExtendReport(False, None, m_sub)
         complements[m_sub.members()] = c

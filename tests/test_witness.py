@@ -190,15 +190,17 @@ def test_trivial_kernel_always_extendable():
 
 def test_complement_budget_bounds_the_search():
     from gcompat.bounds import UndecidedError
+    from gcompat.witness import _find_complement
 
     z4 = cyclic(4)
     ident = Homomorphism.identity(z4)
-    # each subgroup of Z4 has one candidate section under the identity
+    kmembers = ident.kernel().members()
+    fibers = ident.fibers()
+    # Z4 itself has one candidate section under the identity
     with pytest.raises(UndecidedError):
-        is_trivially_extendable(ident, z4.full_subgroup(),
-                                Bounds(complement_budget=0))
-    assert is_trivially_extendable(ident, z4.full_subgroup(),
-                                   Bounds(complement_budget=1)).ok
+        _find_complement(ident, z4.full_subgroup(), kmembers, fibers, 0)
+    assert _find_complement(ident, z4.full_subgroup(), kmembers, fibers,
+                            1) is not None
 
 
 def test_star_projection_extendable_at_branch_kernel():
