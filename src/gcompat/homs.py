@@ -10,11 +10,19 @@ Table checks run on element indices: the source's Cayley graph gives x*s
 as int columns, the table's distinct values are multiplied once per
 generator, and both sides of the law are compared as int lists; the pair
 check of tiny sources reads x*y off the graph's spanning tree.
+
+A block map projects a group acting on a disjoint union of domains (a
+direct product or an inverse limit) onto the block of points at one
+offset. Block projections compose by offset arithmetic: block(b) after
+block(a) is the block at offset a + b, so `then` fuses a chain of them
+into one slice (Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, section 2.1).
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, cayley_graph
@@ -67,6 +75,18 @@ class Homomorphism:
         return cls(source, target, rule=fn, label=label, check=False)
 
     @classmethod
+    def block(cls, source, target, off, label="f"):
+        """The projection of `source` onto its points off..off+deg-1,
+        shifted down to `target`'s points 0..deg-1 (deg = target.degree)."""
+        deg = target.degree
+        if off + deg > source.degree:
+            raise ValueError(
+                f"{label}: block at {off} of degree {deg} overruns degree "
+                f"{source.degree}")
+        return cls(source, target, rule=partial(decode_block, off=off, deg=deg),
+                   label=label, check=False)
+
+    @classmethod
     def identity(cls, group, label=None):
         return cls.of_rule(group, group, lambda x: x,
                            label=label or f"id_{group.label}")
@@ -110,6 +130,9 @@ class Homomorphism:
                 f"compose mismatch: {self.label} lands in degree "
                 f"{self.target.degree}, {other.label} starts at {other.source.degree}")
         name = label or f"{other.label}*{self.label}"
+        a, b = _block_offset(self), _block_offset(other)
+        if a is not None and b is not None:
+            return Homomorphism.block(self.source, other.target, a + b, name)
         if self._table is not None:
             table = {x: other(y) for x, y in self._table.items()}
             return Homomorphism(self.source, other.target, table=table,
@@ -263,6 +286,19 @@ class Homomorphism:
 # -- free functions matching the usual vocabulary -----------------------------
 
 
+def decode_block(perm, off, deg):
+    """perm's block on the points off..off+deg-1, shifted down to 0..deg-1."""
+    return tuple([x - off for x in perm[off:off + deg]])
+
+
+def _block_offset(f):
+    """The offset of a block map's rule, or None for any other map."""
+    rule = f._rule
+    if isinstance(rule, partial) and rule.func is decode_block:
+        return rule.keywords["off"]
+    return None
+
+
 def extend_images(pairs, source_identity, target_identity):
     """Extend (generator, image) pairs over the source's Cayley graph.
 
@@ -384,15 +420,8 @@ def direct_product_with_maps(g, h, label=None):
 
     prod = direct_product(g, h, label)
     lift_g, lift_h = pair_embeddings(g, h, prod)
-    inj_g = Homomorphism.of_rule(g, prod, lambda p: lift_g(p), label="inj1")
-    inj_h = Homomorphism.of_rule(h, prod, lambda p: lift_h(p), label="inj2")
-
-    def proj_g(p):
-        return tuple(p[:g.degree])
-
-    def proj_h(p):
-        return tuple(x - g.degree for x in p[g.degree:])
-
-    pr_g = Homomorphism.of_rule(prod, g, proj_g, label="pr1")
-    pr_h = Homomorphism.of_rule(prod, h, proj_h, label="pr2")
+    inj_g = Homomorphism.of_rule(g, prod, lift_g, label="inj1")
+    inj_h = Homomorphism.of_rule(h, prod, lift_h, label="inj2")
+    pr_g = Homomorphism.block(prod, g, 0, label="pr1")
+    pr_h = Homomorphism.block(prod, h, g.degree, label="pr2")
     return prod, inj_g, inj_h, pr_g, pr_h

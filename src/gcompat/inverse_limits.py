@@ -10,11 +10,10 @@ limit stays available past the enumeration bound.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, from_elements, trivial_group
-from .homs import Homomorphism
+from .homs import Homomorphism, decode_block
 from .perms import mul
 from .posets import Poset, star_poset
 
@@ -141,11 +140,6 @@ class SystemMorphism:
                         f"level maps do not commute with transitions at ({i},{j})")
 
 
-def _decode_block(perm, off, deg):
-    """perm's block on the points off..off+deg-1, shifted down to 0..deg-1."""
-    return tuple([x - off for x in perm[off:off + deg]])
-
-
 class LimitGroup:
     """The coherent-tuple group of a system, with its projections.
 
@@ -159,14 +153,11 @@ class LimitGroup:
         self.group = group
         self.node_order = list(node_order)
         self.offsets = dict(offsets)
-        # the rules hold only their block, not self, so a dropped limit is
-        # freed at once rather than left as a cycle for the collector
+        # the block maps hold only their offsets, not self, so a dropped
+        # limit is freed at once rather than left as a cycle for the collector
         self.projections = {
-            n: Homomorphism.of_rule(
-                group, system.groups[n],
-                partial(_decode_block, off=self.offsets[n],
-                        deg=system.groups[n].degree),
-                label=f"p_{n}")
+            n: Homomorphism.block(group, system.groups[n], self.offsets[n],
+                                  label=f"p_{n}")
             for n in self.node_order}
 
     def encode(self, assignment) -> tuple:
@@ -178,8 +169,8 @@ class LimitGroup:
         return tuple(out)
 
     def decode(self, perm, node) -> tuple:
-        return _decode_block(perm, self.offsets[node],
-                             self.system.groups[node].degree)
+        return decode_block(perm, self.offsets[node],
+                            self.system.groups[node].degree)
 
     def decode_all(self, perm):
         return {n: self.decode(perm, n) for n in self.node_order}

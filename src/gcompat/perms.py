@@ -157,6 +157,7 @@ class StabilizerChain:
         self.base = []
         self.sgens = []   # strong generators known at each level
         self.orbits = []  # per level: point -> transversal perm
+        self.inverses = []  # per level: point -> inverse of that perm
         for g in gens:
             self.add(g)
 
@@ -172,10 +173,10 @@ class StabilizerChain:
     def _strip(self, p, start=0):
         for i in range(start, len(self.base)):
             x = p[self.base[i]]
-            t = self.orbits[i].get(x)
-            if t is None:
+            t_inv = self.inverses[i].get(x)
+            if t_inv is None:
                 return p, i
-            p = mul(p, inv(t))
+            p = mul(p, t_inv)
         return p, len(self.base)
 
     def contains(self, p) -> bool:
@@ -201,26 +202,33 @@ class StabilizerChain:
             self.base.append(moved)
             self.sgens.append([])
             self.orbits.append({moved: identity_perm(self.degree)})
+            self.inverses.append({moved: identity_perm(self.degree)})
         self.sgens[lev].append(r)
         self._rebuild_orbit(lev)
         return True
 
     def _rebuild_orbit(self, i):
+        """Transversal of level i by breadth-first search, each element's
+        inverse beside it: inv(t*g) = inv(g)*inv(t), one inv per generator."""
         b = self.base[i]
         gens = [g for lv in range(i, len(self.sgens)) for g in self.sgens[lv]]
+        gens = [(g, inv(g)) for g in gens]
         tr = {b: identity_perm(self.degree)}
+        itr = {b: tr[b]}
         frontier = [b]
         while frontier:
             nxt = []
             for x in frontier:
-                tx = tr[x]
-                for g in gens:
+                tx, itx = tr[x], itr[x]
+                for g, ig in gens:
                     y = g[x]
                     if y not in tr:
                         tr[y] = mul(tx, g)
+                        itr[y] = mul(ig, itx)
                         nxt.append(y)
             frontier = nxt
         self.orbits[i] = tr
+        self.inverses[i] = itr
 
     def _verify(self):
         """Close under Schreier generators until every level is stabilized."""
@@ -233,11 +241,11 @@ class StabilizerChain:
                 for x, tx in list(self.orbits[i].items()):
                     for g in gens:
                         y = g[x]
-                        ty = self.orbits[i].get(y)
-                        if ty is None:
+                        ity = self.inverses[i].get(y)
+                        if ity is None:
                             self._rebuild_orbit(i)
-                            ty = self.orbits[i][y]
-                        schreier = mul(mul(tx, g), inv(ty))
+                            ity = self.inverses[i][y]
+                        schreier = mul(mul(tx, g), ity)
                         if self._add_at(schreier, i + 1):
                             changed = True
                 if changed:

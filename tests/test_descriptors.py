@@ -141,3 +141,33 @@ def test_certificate_digest_is_pinned(series, a, b, digest):
         cert = witness_square_free(l1, l2, Bounds().with_mode("stretch"))
     text = descriptors.dumps(descriptors.certificate_to_descriptor(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the stretch certificates with their verification reports: every check
+# verdict and detail of verify_witness is in the digest, so a change to the
+# maps the checks evaluate shows here even when the certificate does not
+GOLDEN_REPORTS = [
+    ("Z30", "Z5xS3",
+     "fa3c427fca7e1f0c61cedac01444b102cf9fa0607bd9bd2295129408b6de10b5"),
+    ("F21xZ2", "Z7xS3",
+     "132ba819e560cb58cb1959a626c993a22b349d55b519c8c70f33bd67e6740417"),
+]
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("a,b,digest", GOLDEN_REPORTS)
+def test_stretch_report_digest_is_pinned(a, b, digest):
+    import hashlib
+    import random
+
+    from gcompat.bounds import Bounds
+    from gcompat.witness import witness_square_free
+
+    bounds = Bounds().with_mode("stretch")
+    l1, l2 = named_group(a), named_group(b)
+    cert = witness_square_free(l1, l2, bounds)
+    report = verify_witness(cert, l1, l2, bounds, rng=random.Random(0))
+    assert report.passed
+    text = descriptors.dumps(
+        descriptors.certificate_to_descriptor(cert, bounds, report))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -295,3 +295,51 @@ def test_universal_property_on_small_instance():
                for n in lim.node_order):
             mediators.append(u)
     assert len(mediators) == 1
+
+
+def nested_star_limits(top_bounds=None):
+    """lim1 = the Z4 star, lim2 a star over lim1, and a top star over lim2:
+    small (order 32) by default, generator-based (order 65536) with
+    `top_bounds` in stretch mode."""
+    system, z4, z2, pi = z4_star()
+    lim1 = limit(system)
+    lim2 = star_limit(star_system(z2, [lim1.group, z4],
+                                  [lim1.projection("r"), pi]))
+    if top_bounds is None:
+        top = star_limit(star_system(z2, [lim2.group, z4],
+                                     [lim2.projection("r"), pi]))
+    else:
+        z, triv = named_group("Z2xZ4xZ8"), trivial_group()
+        maps = [Homomorphism.trivial(g, triv) for g in (lim2.group, z, z)]
+        top = star_limit(star_system(triv, [lim2.group, z, z], maps),
+                         top_bounds)
+    return top, lim2, lim1
+
+
+@pytest.mark.parametrize("stretch", [False, True])
+def test_fused_limit_projections_equal_nested_decodes(stretch, rng):
+    from gcompat.homs import _block_offset, decode_block
+
+    bounds = Bounds(enum=1000).with_mode("stretch") if stretch else None
+    top, lim2, lim1 = nested_star_limits(bounds)
+    two = top.projection(0).then(lim2.projection(1))
+    three = top.projection(0).then(lim2.projection(0)).then(lim1.projection(1))
+    off0, off1 = top.offsets[0], lim2.offsets[0]
+    assert _block_offset(two) == off0 + lim2.offsets[1]
+    assert _block_offset(three) == off0 + off1 + lim1.offsets[1]
+    assert three.label == "p_1*p_0*p_0"
+    if stretch:
+        assert top.group.order() == 16 * 64 * 64
+        assert not top.group.is_enumerable(1000)
+        elems = [top.group.random_element(rng) for _ in range(200)]
+    else:
+        assert top.group.order() == 32
+        elems = top.group.elements()
+    deg1, deg2, z4deg = lim1.group.degree, lim2.group.degree, 4
+    for w in elems:
+        inner = decode_block(w, off0, deg2)
+        assert two(w) == decode_block(inner, lim2.offsets[1], z4deg)
+        nested = decode_block(decode_block(inner, off1, deg1),
+                              lim1.offsets[1], z4deg)
+        assert three(w) == nested
+        assert nested == lim1.decode(lim2.decode(top.decode(w, 0), 0), 1)

@@ -122,3 +122,27 @@ def test_chain_rejects_non_permutations():
         StabilizerChain(3, [(2, 2, 2)])
     chain.add((1, 2, 0))
     assert chain.order == 3
+
+
+def test_strip_matches_inverting_each_transversal_element(rng):
+    from gcompat.sampling import medium_group_pool
+
+    def strip_by_definition(chain, p, start):
+        for i in range(start, len(chain.base)):
+            t = chain.orbits[i].get(p[chain.base[i]])
+            if t is None:
+                return p, i
+            p = mul(p, inv(t))
+        return p, len(chain.base)
+
+    for g in medium_group_pool(60):
+        chain = StabilizerChain(g.degree, g.generators)
+        assert chain.order == g.order()
+        for level, tr in enumerate(chain.orbits):
+            assert chain.inverses[level] == {x: inv(t) for x, t in tr.items()}
+        for _ in range(20):
+            p = list(range(g.degree))
+            rng.shuffle(p)
+            for q in (tuple(p), g.random_element(rng)):
+                start = rng.randrange(len(chain.base) + 1)
+                assert chain._strip(q, start) == strip_by_definition(chain, q, start)
