@@ -28,7 +28,6 @@ class Bounds:
     aut: int = 512           # automorphism-group enumeration cap (on |G|)
     pair_check: int = 128    # exhaustive f(xy)=f(x)f(y) pair loop cap
     subgroups: int = 20000   # cap on the number of subgroups enumerated
-    sample: int = 10000      # random samples for stretch-mode map checks
     mode: str = ENUMERATED
 
     def with_mode(self, mode: str) -> "Bounds":

@@ -178,8 +178,7 @@ def cmd_witness_build(args) -> int:
     print(f"kernel orders: {cert.ker1.order()}, {cert.ker2.order()}")
     print(f"mode: {cert.mode}")
     if args.out:
-        report = verify_witness(cert, l1, l2, bounds,
-                                rng=random.Random(args.seed))
+        report = verify_witness(cert, l1, l2, bounds)
         payload = descriptors.certificate_to_descriptor(cert, bounds, report)
         Path(args.out).write_text(descriptors.dumps(payload) + "\n")
         print(f"wrote {args.out} "
@@ -194,8 +193,7 @@ def cmd_witness_verify(args) -> int:
     l1, l2 = _group_arg(args.L1), _group_arg(args.L2)
     data = json.loads(Path(args.cert).read_text())
     cert = descriptors.certificate_from_descriptor(data, l1, l2, bounds)
-    rep = verify_witness(cert, l1, l2, bounds,
-                         rng=random.Random(args.seed))
+    rep = verify_witness(cert, l1, l2, bounds)
     for line in rep.lines():
         print(line)
     print("verdict:", "all checks passed" if rep.passed else "FAILED")
@@ -272,7 +270,7 @@ def _example_goodwit(bounds, rng):
     n1 = Subgroup(l1, members=perm_closure([x1]))
     n2 = Subgroup(l2, members=perm_closure([l2.power(y, 4)]))
     cert = assemble_certificate(g, p1, p2, (n1, n2), bounds=bounds)
-    rep = verify_witness(cert, l1, l2, bounds, rng)
+    rep = verify_witness(cert, l1, l2, bounds)
     l1p, l2p = named_group("E(2,2)"), named_group("Z4")
     u1, u2 = l1p.generators
     pi1 = Homomorphism.from_gen_images(
@@ -286,14 +284,14 @@ def _example_goodwit(bounds, rng):
     cert2 = compose_witness(cert, pi1, pi2, kappa, (ev1, ev2),
                             (l1p.trivial_subgroup(), l2p.trivial_subgroup()),
                             bounds)
-    rep2 = verify_witness(cert2, l1p, l2p, bounds, rng)
+    rep2 = verify_witness(cert2, l1p, l2p, bounds)
     return rep.passed and rep2.passed, "hand certificate and its quotient"
 
 
 def _example_z6s3(bounds, rng):
     l1, l2 = named_group("Z6"), named_group("S3")
     cert = witness_square_free(l1, l2, bounds)
-    rep = verify_witness(cert, l1, l2, bounds, rng)
+    rep = verify_witness(cert, l1, l2, bounds)
     return (cert.witness.order() == 18 and rep.passed,
             f"witness order {cert.witness.order()}")
 
@@ -308,7 +306,7 @@ def _example_order8(bounds, rng):
     count = 0
     for a, b in itertools.combinations(groups, 2):
         cert = witness_nilpotent(a, b, bounds)
-        rep = verify_witness(cert, a, b, bounds, rng)
+        rep = verify_witness(cert, a, b, bounds)
         if not (rep.passed and cert.witness.order() <= 2048):
             return False, f"{a.label} vs {b.label} failed"
         count += 1

@@ -15,7 +15,6 @@ subgroup searches below each read their orders from one such sweep.
 
 from __future__ import annotations
 
-import random
 import threading
 from array import array
 from collections import Counter
@@ -63,7 +62,6 @@ class FiniteGroup:
         self._chain = None
         self._cayley = None
         self._order = None
-        self._rattle = None
         if elements is not None:
             elems = frozenset(tuple(e) for e in elements)
             if ident not in elems:
@@ -163,25 +161,6 @@ class FiniteGroup:
         if self._elements is not None:
             return p in self._elements
         return self.chain().contains(p)
-
-    def random_element(self, rng: random.Random):
-        """Random element by product replacement over an accumulated pool."""
-        if not self.generators:
-            return self.identity
-        if self._rattle is None:
-            pool = list(self.generators) * 3 + [self.identity]
-            for _ in range(60 * len(pool)):
-                i = rng.randrange(len(pool))
-                j = rng.randrange(len(pool))
-                if i != j:
-                    pool[i] = mul(pool[i], pool[j])
-            self._rattle = pool
-        pool = self._rattle
-        i = rng.randrange(len(pool))
-        j = rng.randrange(len(pool))
-        if i != j:
-            pool[i] = mul(pool[i], pool[j])
-        return pool[i]
 
     # -- cheap structural predicates -----------------------------------------
 
@@ -443,23 +422,16 @@ def elementary_abelian(p, k, label=None):
 
 def direct_product(g, h, label=None):
     """Direct product acting on the disjoint union of the two domains."""
-    d = g.degree + h.degree
-
-    def lift_g(p):
-        return tuple(p) + tuple(range(g.degree, d))
-
-    def lift_h(p):
-        return tuple(range(g.degree)) + tuple(x + g.degree for x in p)
-
+    lift_g, lift_h = pair_embeddings(g, h)
     gens = [lift_g(p) for p in g.generators] + [lift_h(p) for p in h.generators]
-    out = FiniteGroup(d, gens, label or f"{g.label}x{h.label}")
+    out = FiniteGroup(g.degree + h.degree, gens, label or f"{g.label}x{h.label}")
     out._order = g.order() * h.order()
     return out
 
 
-def pair_embeddings(g, h, product):
+def pair_embeddings(g, h):
     """The two canonical injections of g, h into their direct product."""
-    d = product.degree
+    d = g.degree + h.degree
 
     def lift_g(p):
         return tuple(p) + tuple(range(g.degree, d))

@@ -153,6 +153,7 @@ class LimitGroup:
         self.group = group
         self.node_order = list(node_order)
         self.offsets = dict(offsets)
+        self.identities = {n: system.groups[n].identity for n in node_order}
         # the block maps hold only their offsets, not self, so a dropped
         # limit is freed at once rather than left as a cycle for the collector
         self.projections = {
@@ -167,6 +168,12 @@ class LimitGroup:
             off = self.offsets[n]
             out.extend(map(off.__add__, assignment[n]) if off else assignment[n])
         return tuple(out)
+
+    def place(self, node, value) -> tuple:
+        """`value` at `node` and the identity at every other node, encoded."""
+        asg = dict(self.identities)
+        asg[node] = value
+        return self.encode(asg)
 
     def decode(self, perm, node) -> tuple:
         return decode_block(perm, self.offsets[node],
@@ -247,11 +254,13 @@ class LimitGroupBuilder:
     """The limit encoder before the limit group exists, for the constructors."""
 
     encode = LimitGroup.encode
+    place = LimitGroup.place
 
     def __init__(self, system, node_order, offsets):
         self.system = system
         self.node_order = node_order
         self.offsets = offsets
+        self.identities = {n: system.groups[n].identity for n in node_order}
 
 
 def star_system(root_group, branch_groups, branch_maps,
@@ -299,11 +308,7 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
 
     gens = [lift(r) for r in rg.generators]
     for b in branches:
-        ident = {n: system.groups[n].identity for n in node_order}
-        for k in kernels[b].group.generators:
-            asg = dict(ident)
-            asg[b] = k
-            gens.append(builder.encode(asg))
+        gens.extend(builder.place(b, k) for k in kernels[b].group.generators)
 
     total = rg.order()
     for b in branches:

@@ -307,6 +307,57 @@ def test_then_fuses_block_maps_only():
         assert all(h(x) == fused(x) == g(f(x)) for x in outer.elements())
 
 
+def test_block_map_is_proved_from_its_block():
+    z2, z3 = cyclic(2), cyclic(3)
+    prod = direct_product(z2, z3)
+    pr2 = Homomorphism.block(prod, z3, 2)
+    assert pr2.validate() == len(prod.generators)
+    assert pr2._table is None and prod._cayley is None  # nothing tabulated
+    # a generator of S4 (the 4-cycle) moves a point of block 0..1 out of it
+    s4 = symmetric(4)
+    with pytest.raises(HypothesisError, match="out of it"):
+        Homomorphism.block(s4, cyclic(2), 0).validate()
+    # Z2's generator keeps block 0..1 but its image misses a trivial target
+    one = FiniteGroup(2, [], "1")
+    with pytest.raises(HypothesisError, match="not in the target"):
+        Homomorphism.block(prod, one, 0).validate()
+
+
+def test_rule_map_past_the_enumeration_bound_is_undecided():
+    from gcompat.bounds import Bounds, UndecidedError
+
+    z2, z3 = cyclic(2), cyclic(3)
+    prod = direct_product(z2, z3)
+    pr2 = Homomorphism.block(prod, z3, 2)
+    rule = Homomorphism.of_rule(prod, z3, lambda x: pr2(x), label="r")
+    with pytest.raises(UndecidedError, match="r: rule map out of a source "
+                       "of order 6, past the enumeration bound 5"):
+        rule.validate(Bounds(enum=5))
+    assert rule.validate(Bounds(enum=6)) == 6 * 2 + 6 * 6
+    # a block map needs no enumeration; a table map is checked on its table
+    assert pr2.validate(Bounds(enum=5)) == 2
+    assert Homomorphism.of_rule(prod, z3, pr2, tabulate=True).validate(
+        Bounds(enum=5)) == 6 * 2 + 6 * 6
+
+
+def test_generator_graph_decides_generator_images():
+    z3, z2 = cyclic(3), cyclic(2)
+    g, h = z3.generators[0], z2.generators[0]
+    # g -> h, g^2 -> 1 agrees with itself on the only generator pair
+    # (f(g*g) = 1 = h*h) but defines no homomorphism Z3 -> Z2
+    rule = {z3.identity: z2.identity, g: h, mul(g, g): z2.identity}
+    bad = Homomorphism.of_rule(z3, z2, rule.__getitem__, label="bad")
+    assert bad(mul(g, g)) == mul(bad(g), bad(g))
+    with pytest.raises(HypothesisError, match="bad: generator graph has "
+                       "order 6, not the source's 3"):
+        bad.check_generator_graph()
+    assert mod2_map()[2].check_generator_graph() == 4
+    z6 = cyclic(6)
+    to_z3 = Homomorphism.from_gen_images(
+        z6, z3, {z6.generators[0]: g}, label="mod3")
+    assert to_z3.check_generator_graph() == 6
+
+
 def test_block_map_rejects_an_overrun():
     z3, z4 = cyclic(3), cyclic(4)
     prod = direct_product(z3, z4)

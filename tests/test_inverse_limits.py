@@ -20,7 +20,7 @@ from gcompat.inverse_limits import (
     subsystem_limit,
     trivial_subsystem,
 )
-from gcompat.perms import closure
+from gcompat.perms import closure, mul
 from gcompat.posets import Poset, chain_poset
 from gcompat.sampling import (
     random_in_forest_poset,
@@ -331,7 +331,12 @@ def test_fused_limit_projections_equal_nested_decodes(stretch, rng):
     if stretch:
         assert top.group.order() == 16 * 64 * 64
         assert not top.group.is_enumerable(1000)
-        elems = [top.group.random_element(rng) for _ in range(200)]
+        gens, elems = top.group.generators, []
+        for _ in range(200):  # random words of length 30 in the generators
+            w = top.group.identity
+            for _ in range(30):
+                w = mul(w, rng.choice(gens))
+            elems.append(w)
     else:
         assert top.group.order() == 32
         elems = top.group.elements()

@@ -2,12 +2,13 @@ import pytest
 
 from gcompat.bounds import Bounds, HypothesisError
 from gcompat.catalog import frobenius21, named_group, quaternion
-from gcompat.groups import Subgroup, cyclic, direct_product
+from gcompat.groups import FiniteGroup, Subgroup, cyclic, direct_product
 from gcompat.homs import Homomorphism
 from gcompat.isos import find_isomorphism
 from gcompat.perms import closure, inv, mul, perm_order
 from gcompat.sequences import GroupSequence, series_to_sequence, sharp
 from gcompat.witness import (
+    CheckResult,
     WitnessCertificate,
     assemble_certificate,
     build_good_witness,
@@ -538,6 +539,71 @@ def test_order_30_stretch_end_to_end():
     cert = witness_square_free(z30, other, b)
     assert cert.witness.order() == 7031250
     assert verify_witness(cert, z30, other, b).passed
+
+
+@pytest.mark.stretch
+def test_order_30_stretch_negative_controls():
+    from dataclasses import replace
+
+    b = Bounds().with_mode("stretch")
+    z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
+    cert = witness_square_free(z30, other, b)
+    # p1 as a rule rather than a block map: undecided, never sampled
+    rule_p1 = Homomorphism.of_rule(cert.witness, cert.p1.target, cert.p1,
+                                   label="p1")
+    checks = {c.name: c for c in verify_witness(
+        replace(cert, p1=rule_p1), z30, other, b).checks}
+    assert not checks["p1-homomorphism"].passed
+    assert checks["p1-homomorphism"].detail == (
+        "p1: rule map out of a source of order 7031250, past the "
+        "enumeration bound 20000; homomorphism not decided")
+    assert "p1-surjective" not in checks and checks["p2-homomorphism"].passed
+    # an order-5 kernel generator sent to an order-15 element
+    ki, gens = cert.kernel_iso, cert.ker1.group.generators
+    five = next(g for g in gens if perm_order(g) == 5)
+    fifteen = ki(gens[0])
+    assert perm_order(fifteen) == 15
+    images = {g: fifteen if g == five else ki(g) for g in gens}
+    tampered = Homomorphism.of_rule(
+        ki.source, ki.target,
+        lambda x: images[x] if x in images else ki(x), label="kernel-iso")
+    rep = verify_witness(replace(cert, kernel_iso=tampered), z30, other, b)
+    checks = {c.name: c for c in rep.checks}
+    assert not checks["kernel-iso-homomorphism"].passed and not rep.passed
+    with pytest.raises(HypothesisError, match="generator graph has order"):
+        Homomorphism.of_rule(ki.source, ki.target, images.__getitem__,
+                             label="kernel-iso").check_generator_graph()
+
+
+def test_generator_graph_rejects_what_generator_pairs_miss():
+    from dataclasses import replace
+
+    l1, l2 = named_group("Z6"), named_group("S3")
+    cert = witness_square_free(l1, l2)
+    # a fresh witness group with nothing enumerated, so that Bounds(enum=2)
+    # sends the kernel map down the generator-based branch
+    w = FiniteGroup(cert.witness.degree, cert.witness.generators, "G")
+    ker1 = Subgroup(w, gens=cert.ker1.group.generators)
+    ker2 = Subgroup(w, gens=cert.ker2.group.generators)
+    (g,) = ker1.group.generators
+    swap = (1, 0) + tuple(range(2, w.degree))
+    # Z3 -> Z2, g -> (0 1), g^2 -> 1: f(g*g) = f(g)f(g) on the one
+    # generator pair, yet no homomorphism
+    rule = {w.identity: w.identity, g: swap, mul(g, g): w.identity}
+    ki = Homomorphism.of_rule(ker1.group, ker2.group, rule.__getitem__,
+                              label="kernel-iso")
+    bad = replace(cert, witness=w, ker1=ker1, ker2=ker2, kernel_iso=ki)
+    checks = {c.name: c for c in verify_witness(bad, l1, l2,
+                                                Bounds(enum=2)).checks}
+    assert checks["kernel-iso-homomorphism"] == CheckResult(
+        "kernel-iso-homomorphism", False,
+        "kernel-iso: generator graph has order 6, not the source's 3")
+    genuine = verify_witness(replace(cert, witness=w, ker1=ker1, ker2=ker2),
+                             l1, l2, Bounds(enum=2))
+    assert genuine.passed
+    assert {c.name: c.detail for c in genuine.checks}[
+        "kernel-iso-homomorphism"] == (
+        "generator pairs + generator graph of order 3 = |ker1|")
 
 
 # ---------------------------------------------------------------------------
