@@ -43,20 +43,10 @@ class HybridWreath:
             raise UndecidedError(
                 f"hybrid wreath of order {size} exceeds bound {bounds.enum}")
 
-        if transversal_elems is None:
-            # canonical: identity coset first, then cosets by minimal element
-            seen, reps = set(), []
-            for e in h_group.sorted_elements():
-                key = min(mul(x, e) for x in image.members())
-                if key not in seen:
-                    seen.add(key)
-                    reps.append(key)
-            reps[0] = h_group.identity
-        else:
-            reps = [tuple(t) for t in transversal_elems]
+        # canonical numbering: cosets by least element, the identity's first
+        reps, rho = action_on_cosets(h_group, image, transversal_elems)
         if reps[0] != h_group.identity:
             raise HypothesisError("transversal must start with the identity")
-        reps, rho = action_on_cosets(h_group, image, reps)
         self.action = GroupAction(h_group, len(reps), rho, labels=reps)
         self.npoints = self.action.npoints
         self.transversal = PermutationTransversal(
@@ -100,8 +90,6 @@ class HybridWreath:
         if group.order() != size:
             raise HypothesisError("hybrid carrier has unexpected order")
         self.group = group
-        self.carrier = Subgroup(self.wreath.carrier, gens=group.generators,
-                                members=group.elements(), label=name)
         self.standard_map = Homomorphism(group, h_group, table=p_theta_table,
                                          label="p_theta", check=False)
         bw_members = [w for w, h in p_theta_table.items()

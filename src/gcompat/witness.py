@@ -449,13 +449,13 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     k_pi22 = s2.kernel(2)
     embed0, embed1 = partial(lim.place, 0), partial(lim.place, 1)
     ker1 = Subgroup(lim.group,
-                    gens=[embed1(k) for k in k_pi22.group.generators] or None,
-                    members=frozenset(embed1(y) for y in k_pi22.members()),
+                    gens=[embed1(k) for k in k_pi22.group.generators],
                     label="ker p1")
     ker2 = Subgroup(lim.group,
-                    gens=[embed0(k) for k in k_pi21.group.generators] or None,
-                    members=frozenset(embed0(x) for x in k_pi21.members()),
+                    gens=[embed0(k) for k in k_pi21.group.generators],
                     label="ker p2")
+    if ker1.order() != k_pi22.order() or ker2.order() != k_pi21.order():
+        raise HypothesisError("length-2 kernel generators have wrong order")
     kappa2_inv = comp.kernel_isos[2].inverse()
     kernel_iso = Homomorphism(
         ker1.group, ker2.group, label="kernel-iso",
@@ -650,17 +650,9 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
         p, kerp = certs[d]
         gens = list(kerp.group.generators)
         gens += [lifts[d][m] for m in kpi[d].group.generators]
-        total = kerp.order() * kpi[d].order()
-        members = None
-        if total <= bounds.enum and kerp.group.is_enumerable(bounds.enum):
-            members = frozenset(mul(lifts[d][m], k)
-                                for m in kpi[d].members()
-                                for k in kerp.members())
-            if len(members) != total:
-                raise HypothesisError("kernel decomposition is not direct")
-        sub = Subgroup(cert.witness, gens=gens, members=members,
-                       label=f"ker q_{d}")
-        if members is None and sub.group.order() != total:
+        # <ker p, lifts> lies in ker q, so equal orders prove equality
+        sub = Subgroup(cert.witness, gens=gens, label=f"ker q_{d}")
+        if sub.order() != kerp.order() * kpi[d].order():
             raise HypothesisError("kernel generators have wrong order")
         new_kers[d] = sub
 
@@ -676,7 +668,8 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
         return mul(lifts[2][kappa_pi(m)], kappa_g(k))
 
     if new_kers[1].group.is_enumerable(bounds.enum):
-        table = {z: new_iso_rule(z) for z in new_kers[1].members()}
+        table = {z: new_iso_rule(z)
+                 for z in new_kers[1].members(bounds.enum)}
         new_iso = Homomorphism(new_kers[1].group, new_kers[2].group,
                                table=table, label="kernel-iso")
         if len(set(table.values())) != len(table):
@@ -747,13 +740,12 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         place = lims_w[d].place
         ker_rho = step.rho[d].kernel()
         ker_phi = step.phis[d].kernel()
-        members = frozenset(mul(place(0, g), place(1, h))
-                            for g in ker_rho.members()
-                            for h in ker_phi.members())
         gens = [place(0, g) for g in ker_rho.group.generators] \
             + [place(1, h) for h in ker_phi.group.generators]
-        ker_next[d] = Subgroup(new_tops[d], gens=gens or None, members=members,
+        ker_next[d] = Subgroup(new_tops[d], gens=gens,
                                label=f"ker pi_next_{d}")
+        if ker_next[d].order() != ker_rho.order() * ker_phi.order():
+            raise HypothesisError("new top kernel generators have wrong order")
 
     # the explicit kernel isomorphism chain for the new top maps
     sigma_l = comp.kernel_isos[ell]
@@ -1061,14 +1053,19 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
     except HypothesisError as e:
         rep.add("kernel-iso-homomorphism", False, str(e))
 
-    if cert.ker1.order() <= bounds.iso \
-            and cert.ker1.group.is_enumerable(bounds.enum):
+    k_order = cert.ker1.order()
+    if k_order > bounds.iso:
+        rep.add("kernel-iso-independent-search", True,
+                f"skipped: kernel order {k_order} past the isomorphism "
+                f"bound {bounds.iso}")
+    elif not cert.ker1.group.is_enumerable(bounds.enum):
+        rep.add("kernel-iso-independent-search", True,
+                f"skipped: kernel order {k_order} past the enumeration "
+                f"bound {bounds.enum}")
+    else:
         found = find_isomorphism(cert.ker1.group, cert.ker2.group, bounds)
         rep.add("kernel-iso-independent-search", found is not None,
-                f"brute force at order {cert.ker1.order()}")
-    else:
-        rep.add("kernel-iso-independent-search", True,
-                f"skipped: kernel order {cert.ker1.order()} past bound")
+                f"brute force at order {k_order}")
 
     # goodness evidence
     for d in (1, 2):

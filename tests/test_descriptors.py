@@ -114,6 +114,8 @@ GOLDEN = [
      "ec4ff14192ac59b51511cfb64334a48b17fc60f430ca588dd40b16ffd532b5bf"),
     ("auto-central", "Z8", "Z4xZ2",
      "dffb57d38a8e469172e55b5ee8d88bfa94a826e144c3177cf2f41cb84953820f"),
+    ("auto-central", "D8", "Q8",
+     "d3f10c39b9ba4b772a8312b27c6d2a90f6471d2757aaf4643ec2e6658010fdc1"),
     ("auto-squarefree", "Z6", "S3",
      "707ac46baf3fa7a56661d71e54521f51649f12f77b6adfc1db4e8e59d7fbbd47"),
     ("auto-squarefree", "Z10", "D10",
@@ -148,9 +150,9 @@ def test_certificate_digest_is_pinned(series, a, b, digest):
 # maps the checks evaluate shows here even when the certificate does not
 GOLDEN_REPORTS = [
     ("Z30", "Z5xS3",
-     "a39e205ead8e474423f4144b5412a5bcebb16f0c30905be02100774824f633a5"),
+     "1f2659fc28b5a429d4b40d2a93212b3bc7c22bafc4b93c029b112905be088f0c"),
     ("F21xZ2", "Z7xS3",
-     "d6a6208181e1c758cd7123dd221d6f16bd801e54627ca8c74276ec7695767624"),
+     "c6da07e349704f0d7195718acf4f1a1e8b26b30cae2737826bf8a8590d2f435e"),
 ]
 
 

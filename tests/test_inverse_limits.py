@@ -21,7 +21,7 @@ from gcompat.inverse_limits import (
     trivial_subsystem,
 )
 from gcompat.perms import closure, mul
-from gcompat.posets import Poset, chain_poset
+from gcompat.posets import Poset, chain_poset, star_poset
 from gcompat.sampling import (
     random_in_forest_poset,
     random_quotient_morphism,
@@ -71,11 +71,31 @@ def test_z6_s3_star_has_order_18():
     assert lim.group.order() == count == 18
 
 
-def test_star_limit_agrees_with_generic_and_is_fast_path():
-    system, *_ = z4_star()
-    fast = star_limit(system)
-    slow = limit(system)
-    assert fast.group.elements() == slow.group.elements()
+@pytest.mark.parametrize("stretch", [False, True])
+def test_star_limit_agrees_with_generic_limit(stretch, rng):
+    # a small enum bound in stretch mode leaves about half the limits
+    # unclosed, so their elements are closed only after star_limit returns
+    bounds = Bounds(enum=40).with_mode("stretch") if stretch else Bounds()
+    systems = [z4_star()[0]] + [
+        random_surjective_system(rng, star_poset(rng.randint(1, 3)))
+        for _ in range(24)]
+    past_bound = 0
+    for system in systems:
+        lim = star_limit(system, bounds)
+        past_bound += lim.group._elements is None
+        assert lim.group.elements() == limit(system).group.elements()
+    assert past_bound > 0 if stretch else past_bound == 0
+
+
+def test_star_limit_refutes_a_wrong_kernel():
+    z4, z2 = cyclic(4), cyclic(2)
+    pis = [Homomorphism.from_gen_images(z4, z2,
+                                        {z4.generators[0]: z2.generators[0]})
+           for _ in range(2)]
+    pis[1]._kernel = z4.trivial_subgroup()
+    # the generators span the order-8 limit, not the 2 * 2 * 1 predicted
+    with pytest.raises(HypothesisError, match="wrong order"):
+        star_limit(star_system(z2, [z4, z4], pis))
 
 
 def test_limit_encode_concatenates_shifted_blocks(rng):

@@ -601,9 +601,11 @@ def test_generator_graph_rejects_what_generator_pairs_miss():
     genuine = verify_witness(replace(cert, witness=w, ker1=ker1, ker2=ker2),
                              l1, l2, Bounds(enum=2))
     assert genuine.passed
-    assert {c.name: c.detail for c in genuine.checks}[
-        "kernel-iso-homomorphism"] == (
+    details = {c.name: c.detail for c in genuine.checks}
+    assert details["kernel-iso-homomorphism"] == (
         "generator pairs + generator graph of order 3 = |ker1|")
+    assert details["kernel-iso-independent-search"] == (
+        "skipped: kernel order 3 past the enumeration bound 2")
 
 
 # ---------------------------------------------------------------------------
