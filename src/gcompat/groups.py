@@ -98,7 +98,8 @@ class FiniteGroup:
     # -- enumeration and size ----------------------------------------------
 
     def elements(self, bound=None):
-        """The full element set (frozenset), computed by generator closure.
+        """The full element set (frozenset), closed from the generators by
+        Dimino's method (`perms.closure`); UndecidedError past `bound`.
 
         The cache is populated once behind a lock; values are immutable
         afterwards, so concurrent reads are safe.
@@ -107,10 +108,8 @@ class FiniteGroup:
             with self._lock:
                 if self._elements is None:
                     limit = bound if bound is not None else DEFAULT_BOUNDS.enum
-                    if not self.generators:
-                        elems = frozenset([self.identity])
-                    else:
-                        elems = closure(self.generators, bound=limit)
+                    elems = closure(self.generators or [self.identity],
+                                    bound=limit)
                     self._order = len(elems)
                     self._elements = elems
         return self._elements
@@ -239,7 +238,7 @@ class FiniteGroup:
             gens.extend(extra)
             if len(gens) > limit:
                 raise UndecidedError("normal closure generator blow-up")
-        members = closure(gens, bound=limit) if gens else frozenset([self.identity])
+        members = closure(gens or [self.identity], bound=limit)
         return Subgroup(self, gens=gens, members=members)
 
     def derived_subgroup(self, bound=None):
@@ -560,11 +559,11 @@ def _find_subgroup_of_order(g, m, orders, avoid=None, bound=None):
             e = elems[idx]
             if e in current_members:
                 continue
-            new_gens = current_gens + [e]
-            new_members = closure(new_gens, bound=bound or DEFAULT_BOUNDS.enum)
-            if len(new_members) > m or m % len(new_members):
+            new_members = dimino_extend(current_members, current_gens, e,
+                                        limit=m)
+            if new_members is None or m % len(new_members):
                 continue
-            found = extend(new_gens, new_members, idx + 1)
+            found = extend(current_gens + [e], new_members, idx + 1)
             if found is not None:
                 return found
         return None

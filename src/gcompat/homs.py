@@ -176,7 +176,9 @@ class Homomorphism:
         if self._kernel is None:
             if not self.source.is_enumerable():
                 raise UndecidedError(
-                    f"kernel of {self.label}: source not enumerable")
+                    f"kernel of {self.label}: source not enumerable (order "
+                    f"{self.source.order()}, past the enumeration bound "
+                    f"{DEFAULT_BOUNDS.enum})")
             ident = self.target.identity
             members = [x for x in self.source.elements() if self(x) == ident]
             self._kernel = Subgroup(self.source, members=members,
@@ -413,7 +415,7 @@ def action_on_cosets(g: FiniteGroup, n: Subgroup, reps=None, label=None):
     gens = g.generators
     images = [tuple(point[coset_of[mul(r, s)]] for r in reps) for s in gens]
     ident = identity_perm(len(reps))
-    image = closure(images, seed=[ident])
+    image = closure(images or [ident])
     if len(image) == len(reps):
         # a regular action (n is normal in g): x acts as the one element of
         # the image that takes the identity's coset to the coset of x

@@ -23,6 +23,8 @@ def _screen(g, h):
         return False
     if g.order_histogram() != h.order_histogram():
         return False
+    if g.is_abelian():  # both: the centers are the groups, the derived trivial
+        return True
     if g.center().order() != h.center().order():
         return False
     if g.derived_subgroup().order() != h.derived_subgroup().order():

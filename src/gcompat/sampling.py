@@ -169,8 +169,7 @@ def random_subsystem(rng: random.Random, system: InverseSystem) -> Subsystem:
             gens += [f(x) for x in subs[j].group.generators]
         if rng.random() < 0.5:
             gens.append(rng.choice(system.groups[node].sorted_elements()))
-        members = closure(gens) if gens else \
-            frozenset([system.groups[node].identity])
+        members = closure(gens or [system.groups[node].identity])
         subs[node] = Subgroup(system.groups[node], members=members)
     return Subsystem(system, subs)
 

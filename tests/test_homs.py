@@ -398,3 +398,14 @@ def test_quotient_table_matches_coset_definition(rng, coset_table):
         assert got == reps
         expect = coset_table(g, n, reps)
         assert list(rho.tabulated().items()) == list(expect.items())
+
+
+def test_kernel_past_the_enumeration_bound_names_order_and_bound():
+    from gcompat.bounds import UndecidedError
+
+    s8 = named_group("S8")
+    f = Homomorphism.trivial(s8, cyclic(2), label="Pi_1")
+    with pytest.raises(UndecidedError, match=r"kernel of Pi_1: source not "
+                       r"enumerable \(order 40320, past the enumeration "
+                       r"bound 20000\)"):
+        f.kernel()

@@ -144,3 +144,24 @@ def test_inner_automorphism_rule():
 def test_enumerate_isomorphisms_complete_for_z5():
     isos = enumerate_isomorphisms(cyclic(5), cyclic(5))
     assert len(isos) == 4  # = |Aut(Z5)|
+
+
+def test_screen_shortcut_on_abelian_pairs_matches_the_five_screens():
+    from gcompat.isos import _screen
+
+    def five_screens(g, h):
+        return (g.order() == h.order()
+                and g.is_abelian() == h.is_abelian()
+                and g.order_histogram() == h.order_histogram()
+                and g.center().order() == h.center().order()
+                and g.derived_subgroup().order() == h.derived_subgroup().order())
+
+    by_order = [["Z4", "Z2xZ2"], ["Z8", "Z2xZ4", "E(2,3)"],
+                ["Z9", "E(3,2)"], ["Z12", "Z2xZ6"],
+                ["Z16", "Z4xZ4", "Z2xZ8", "Z2xZ2xZ4", "E(2,4)"],
+                ["Z36", "Z6xZ6", "Z4xE(3,2)", "Z9xE(2,2)"]]
+    for names in by_order:
+        groups = [named_group(n) for n in names]
+        for g, h in itertools.product(groups, repeat=2):
+            assert _screen(g, h) == five_screens(g, h), (g.label, h.label)
+            assert _screen(g, h) == (find_isomorphism(g, h) is not None)

@@ -94,22 +94,93 @@ def test_mul_matches_generator_expression(rng):
         assert type(mul(p, q)) is tuple
 
 
+def bfs_closure(gens):
+    """Reference closure: breadth-first search over the Cayley graph, with
+    products taken from the definition x^(p*q) = (x^p)^q."""
+    ident = identity_perm(len(gens[0]))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(g[i] for i in x)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return frozenset(elems)
+
+
+CATALOG_NAMES = ["1", "Z12", "S4", "A5", "D12", "Q8", "F21", "E(3,2)",
+                 "Z2xZ4xZ8", "S3xZ4", "D8xQ8"]
+
+
+def _random_symmetric_gens(rng):
+    """1-3 random permutations of degree 5-7, the identity allowed."""
+    deg = rng.randint(5, 7)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        pts = list(range(deg))
+        rng.shuffle(pts)
+        gens.append(tuple(pts))
+    if rng.random() < 0.2:
+        gens.insert(rng.randrange(len(gens) + 1), identity_perm(deg))
+    return gens
+
+
+def test_closure_matches_breadth_first_search(rng):
+    from gcompat.catalog import named_group
+
+    cases = [_random_symmetric_gens(rng) for _ in range(30)]
+    for name in CATALOG_NAMES:
+        g = named_group(name)
+        gens = list(g.generators) or [g.identity]
+        cases += [gens, gens[::-1] + gens]
+    for gens in cases:
+        assert closure(gens) == bfs_closure(gens)
+
+
+def test_closure_bound_is_exact_and_never_partial(rng):
+    from gcompat.bounds import UndecidedError
+    from gcompat.catalog import named_group
+
+    cases = [_random_symmetric_gens(rng) for _ in range(15)]
+    cases += [list(named_group(n).generators) for n in CATALOG_NAMES[1:]]
+    for gens in cases:
+        group = bfs_closure(gens)
+        assert closure(gens, bound=len(group)) == group
+        assert closure(gens, bound=len(group) + 1) == group
+        below = range(len(group)) if len(group) <= 64 else \
+            [0, 1, len(group) // 2, len(group) - 1]
+        for bound in below:
+            with pytest.raises(UndecidedError, match="closure exceeded bound"):
+                closure(gens, bound=bound)
+    ident = identity_perm(4)
+    assert closure([ident], bound=1) == {ident}
+
+
 def test_dimino_extend_matches_closure(rng):
     from gcompat.sampling import medium_group_pool
 
     pool = medium_group_pool(60)
+    cases = []
     for _ in range(40):
         g = rng.choice(pool)
         elems = g.sorted_elements()
-        gens = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
-        closed = closure(gens[:-1]) if gens[:-1] else frozenset([g.identity])
-        grown = dimino_extend(closed, gens[:-1], gens[-1])
-        assert grown == closure(gens)
-        assert dimino_extend(closed, gens[:-1], gens[-1],
-                             limit=len(grown)) == grown
-        if len(grown) > len(closed):
-            assert dimino_extend(closed, gens[:-1], gens[-1],
-                                 limit=len(grown) - 1) is None
+        cases.append([g.identity] +
+                     [rng.choice(elems) for _ in range(rng.randint(1, 3))])
+    cases += [[identity_perm(len(gens[0]))] + gens
+              for gens in (_random_symmetric_gens(rng) for _ in range(30))]
+    for ident, *before, s in cases:
+        closed = bfs_closure([ident] + before)
+        grown = bfs_closure([ident] + before + [s])
+        assert dimino_extend(closed, before, s) == grown
+        # limit is at least |closed| in every use; None exactly past it
+        for limit in {len(closed), (len(closed) + len(grown)) // 2,
+                      len(grown) - 1, len(grown), len(grown) + 1}:
+            if limit >= len(closed):
+                result = dimino_extend(closed, before, s, limit=limit)
+                assert result == (None if len(grown) > limit else grown)
 
 
 def test_chain_rejects_non_permutations():
