@@ -19,11 +19,19 @@ offset. Block projections compose by offset arithmetic: block(b) after
 block(a) is the block at offset a + b, so `then` fuses a chain of them
 into one slice (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 2.1).
+
+Each map makes one pass over its source's elements: `fibers()` is kept on
+the map, and `kernel()`, `section()`, `preimage()` and the composed
+extendability evidence (`witness.ComposedExtendEvidence`) read it. The
+`ker-p{d}-matches` check of `witness.verify_witness` scans the witness
+afresh and never reads these memos (Holt, Eick and O'Brien 2005, section
+3.3).
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, cayley_graph
@@ -42,7 +50,9 @@ class Homomorphism:
         self.label = label
         self._table = dict(table) if table is not None else None
         self._rule = rule
-        self._kernel = None
+        self._then = None     # (inner, outer) of a rule composite from `then`
+        self._fibers = None   # memo of fibers(); read by kernel, section, ...
+        self._kernel = None   # memo of kernel()
         if check and self._table is not None:
             self.check_table_edges()
 
@@ -138,8 +148,10 @@ class Homomorphism:
             table = {x: other(y) for x, y in self._table.items()}
             return Homomorphism(self.source, other.target, table=table,
                                 label=name, check=False)
-        return Homomorphism.of_rule(self.source, other.target,
-                                    lambda x: other(self(x)), label=name)
+        out = Homomorphism.of_rule(self.source, other.target,
+                                   lambda x: other(self(x)), label=name)
+        out._then = (self, other)
+        return out
 
     def restrict(self, sub: Subgroup, target_sub: Subgroup, label=None):
         """Restriction to sub, landing in target_sub; containment is checked."""
@@ -170,19 +182,27 @@ class Homomorphism:
     # -- kernels and images --------------------------------------------------
 
     def kernel(self) -> Subgroup:
-        """The kernel, found by an element scan on the first call; later
-        calls return the same Subgroup, so the callers that need the
-        kernel of one map share it."""
+        """The kernel: the identity's fiber, read off `fibers()` on the
+        first call; later calls return the same Subgroup, so the callers
+        that need the kernel of one map share it. A rule composite whose
+        identity fiber is its inner map's, unmerged (the outer map sends
+        no other inner value to the identity), returns the inner map's
+        kernel Subgroup itself. `verify_witness` never reads this memo: its
+        `ker-p{d}-matches` check scans the witness afresh."""
         if self._kernel is None:
             if not self.source.is_enumerable():
                 raise UndecidedError(
                     f"kernel of {self.label}: source not enumerable (order "
                     f"{self.source.order()}, past the enumeration bound "
                     f"{DEFAULT_BOUNDS.enum})")
-            ident = self.target.identity
-            members = [x for x in self.source.elements() if self(x) == ident]
-            self._kernel = Subgroup(self.source, members=members,
-                                    label=f"ker({self.label})")
+            members = self.fibers().get(self.target.identity, [])
+            inner = self._then[0] if self._then is not None else None
+            if inner is not None and \
+                    members is inner.fibers().get(inner.target.identity):
+                self._kernel = inner.kernel()
+            else:
+                self._kernel = Subgroup(self.source, members=members,
+                                        label=f"ker({self.label})")
         return self._kernel
 
     def image(self) -> Subgroup:
@@ -199,19 +219,65 @@ class Homomorphism:
                 and self.is_surjective())
 
     def fibers(self):
-        """target element -> sorted list of preimages (source enumerable)."""
-        out = {}
-        for x in self.source.sorted_elements():
-            out.setdefault(self(x), []).append(x)
-        return out
+        """Target element -> sorted list of its preimages, the keys in the
+        order of their least preimage (source enumerable).
+
+        Computed in one pass on the first call and kept: a block map groups
+        the sorted elements by their raw slice and decodes each slice once;
+        a rule composite from `then` regroups its inner map's fibers by the
+        outer map's value, with one sort per merged fiber; any other map
+        evaluates itself once per element. `kernel()`, `section()`,
+        `preimage()` and `ComposedExtendEvidence.complement_for` read the
+        memo; `ker-p{d}-matches` in `verify_witness` never does. The dict
+        and its lists are shared with every caller: read them, never
+        change them."""
+        if self._fibers is None:
+            off = _block_offset(self)
+            if self._then is not None:
+                inner, outer = self._then
+                merged = {}
+                for y, xs in inner.fibers().items():
+                    merged.setdefault(outer(y), []).append(xs)
+                fibers = {z: parts[0] if len(parts) == 1
+                          else sorted(chain.from_iterable(parts))
+                          for z, parts in merged.items()}
+            elif off is not None:
+                end = off + self.target.degree
+                slices = {}
+                for x in self.source.sorted_elements():
+                    key = x[off:end]
+                    fiber = slices.get(key)
+                    if fiber is None:
+                        slices[key] = [x]
+                    else:
+                        fiber.append(x)
+                fibers = {tuple([v - off for v in key]): xs
+                          for key, xs in slices.items()}
+            else:
+                fibers = {}
+                for x in self.source.sorted_elements():
+                    fibers.setdefault(self(x), []).append(x)
+            self._fibers = fibers
+        return self._fibers
+
+    def preimage_members(self, members) -> frozenset:
+        """The elements mapped into `members`, as the union of their kept
+        fibers: a plain set, with no Subgroup and no generating set built.
+        `ComposedExtendEvidence.complement_for` reads it at verify time."""
+        fibers = self.fibers()
+        return frozenset(chain.from_iterable(
+            fibers.get(tuple(m), ()) for m in members))
 
     def preimage(self, members) -> Subgroup:
-        wanted = frozenset(tuple(m) for m in members)
-        elems = [x for x in self.source.elements() if self(x) in wanted]
-        return Subgroup(self.source, members=elems)
+        """The preimage of `members` (a subgroup's elements) as a Subgroup,
+        its elements read off the kept `fibers()` (`preimage_members`). The
+        series builders call it; `ker-p{d}-matches` in `verify_witness`
+        never reads the memo behind it."""
+        return Subgroup(self.source, members=self.preimage_members(members))
 
     def section(self):
-        """Canonical transversal: target element -> minimal preimage."""
+        """Canonical transversal: target element -> minimal preimage, read
+        off `fibers()`."""
         return {y: xs[0] for y, xs in self.fibers().items()}
 
     # -- validation ----------------------------------------------------------

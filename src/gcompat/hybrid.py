@@ -59,7 +59,7 @@ class HybridWreath:
         self.normal = image.is_normal()
 
         fibers = theta.fibers()
-        theta_section = {y: xs[0] for y, xs in fibers.items()}
+        theta_section = theta.section()
         elems = []
         p_theta_table = {}
         for h in h_group.sorted_elements():
@@ -209,8 +209,8 @@ def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):
     base_x1, top_x1 = hw1.iota.wreath.decode(x1)
     if top_x1 != hw1.iota.wreath.top_group.identity:
         raise HypothesisError("conjugator is not a base element")
-    fibers = hw1.theta.fibers()
-    f = tuple(fibers[base_x1[v]][0] for v in range(hw1.npoints))
+    section = hw1.theta.section()
+    f = tuple(section[base_x1[v]] for v in range(hw1.npoints))
     x = hw1.wreath.encode(f, hw1.wreath.top_group.identity)
     conj = {mul(mul(inv(x), w), x) for w in hw2.group.elements()}
     if conj != hw1.group.elements():

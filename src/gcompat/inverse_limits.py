@@ -150,7 +150,7 @@ class LimitGroup:
         self.group = group
         self.node_order = list(node_order)
         self.offsets = dict(offsets)
-        self.identities = {n: system.groups[n].identity for n in node_order}
+        self.frames = _identity_frames(system, self.node_order, self.offsets)
         # the block maps hold only their offsets, not self, so a dropped
         # limit is freed at once rather than left as a cycle for the collector
         self.projections = {
@@ -167,10 +167,11 @@ class LimitGroup:
         return tuple(out)
 
     def place(self, node, value) -> tuple:
-        """`value` at `node` and the identity at every other node, encoded."""
-        asg = dict(self.identities)
-        asg[node] = value
-        return self.encode(asg)
+        """`value` at `node` and the identity at every other node, encoded:
+        the node's kept identity head and tail around the shifted value."""
+        off = self.offsets[node]
+        head, tail = self.frames[node]
+        return head + tuple(map(off.__add__, value) if off else value) + tail
 
     def decode(self, perm, node) -> tuple:
         return decode_block(perm, self.offsets[node],
@@ -188,6 +189,15 @@ class LimitGroup:
             if self.system.maps[(i, j)](vals[j]) != vals[i]:
                 return False
         return True
+
+
+def _identity_frames(system, node_order, offsets):
+    """node -> (head, tail): the encoded identity before and after the
+    node's block. The identity at every node encodes as 0..degree-1."""
+    degree = sum(system.groups[n].degree for n in node_order)
+    return {n: (tuple(range(offsets[n])),
+                tuple(range(offsets[n] + system.groups[n].degree, degree)))
+            for n in node_order}
 
 
 def _layout(system):
@@ -257,7 +267,7 @@ class LimitGroupBuilder:
         self.system = system
         self.node_order = node_order
         self.offsets = offsets
-        self.identities = {n: system.groups[n].identity for n in node_order}
+        self.frames = _identity_frames(system, node_order, offsets)
 
 
 def star_system(root_group, branch_groups, branch_maps,

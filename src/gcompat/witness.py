@@ -175,12 +175,25 @@ class ComposedExtendEvidence(ExtendEvidence):
         self.inner_pi = pi
 
     def complement_for(self, members):
+        """Lift pi's complement of `members` through p's complement of
+        their preimage under pi. The preimage is a plain member set read
+        off pi's fibers, memoized on pi (`Homomorphism.preimage_members`);
+        no Subgroup is built for it. A wrong memo can only fail the check:
+        `check_extend_evidence` re-checks every complement from scratch,
+        and `ker-p{d}-matches` never reads the memo. HypothesisError when a
+        value of pi's complement has no lift, so the check reports a
+        missing complement instead of raising."""
         self._require_below(members)
-        pre = frozenset(self.inner_pi.preimage(members).members())
+        pre = self.inner_pi.preimage_members(members)
         c_outer = self.ev_p.complement_for(pre)
         by_value = {self.p(c): c for c in c_outer}
         c_inner = self.ev_pi.complement_for(members)
-        return frozenset(by_value[x] for x in c_inner)
+        try:
+            return frozenset(by_value[x] for x in c_inner)
+        except KeyError:
+            raise HypothesisError(
+                "a complement value has no lift through p's complement"
+            ) from None
 
 
 @dataclass
@@ -569,10 +582,8 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
     lim_z_members = {}
     for d in (1, 2):
         k_d = seqs[d].kernel(ell - 1)
-        root_proj = g_lims[d].projection("r")
-        lim_z_members[d] = frozenset(
-            w for w in g_lims[d].group.elements()
-            if k_d.contains(root_proj(w)))
+        lim_z_members[d] = g_lims[d].projection("r").preimage_members(
+            k_d.members())
 
     etas = {}
     for d in (1, 2):

@@ -21,7 +21,7 @@ from gcompat.homs import (
     quotient,
     restrict,
 )
-from gcompat.perms import closure, mul, perm_order
+from gcompat.perms import closure, inv, mul, perm_order
 
 
 def mod2_map():
@@ -409,3 +409,67 @@ def test_kernel_past_the_enumeration_bound_names_order_and_bound():
                        r"enumerable \(order 40320, past the enumeration "
                        r"bound 20000\)"):
         f.kernel()
+
+
+def _fibers_by_definition(f):
+    """Each value's preimages, sorted, keyed by least preimage first."""
+    elems = f.source.elements()
+    values = {f(x) for x in elems}
+    fibers = {y: sorted(x for x in elems if f(x) == y) for y in values}
+    return dict(sorted(fibers.items(), key=lambda kv: kv[1][0]))
+
+
+def _memo_maps():
+    """A table, a rule and a block map, and two rule composites from `then`:
+    one whose outer map merges fibers, one whose outer map is injective."""
+    s3, z2, z4 = symmetric(3), cyclic(2), cyclic(4)
+    prod, _, _, pr1, pr2 = direct_product_with_maps(s3, z4)
+    sign = Homomorphism.of_rule(
+        s3, z2, lambda x: z2.generators[0] if perm_order(x) == 2
+        else z2.identity, label="sign")
+    parity = Homomorphism.of_rule(
+        z4, z2, lambda x: z2.generators[0] if x[0] % 2 else z2.identity,
+        label="mod2")
+    negate = Homomorphism.of_rule(z4, z4, inv, label="neg")  # Z4 abelian
+    table = Homomorphism.of_rule(prod, z4, pr2, label="table", tabulate=True)
+    # pr2's fibers interleave in the canonical order, so merging them must sort
+    return {"table": table, "rule": sign, "block": pr1,
+            "merging": pr2.then(parity), "injective": pr2.then(negate)}
+
+
+def test_memoized_fibers_equal_fresh_element_scans():
+    from gcompat.groups import all_subgroups
+
+    maps = _memo_maps()
+    assert maps["table"]._table is not None and maps["rule"]._table is None
+    assert maps["merging"]._then is not None
+    for name, f in maps.items():
+        fresh = _fibers_by_definition(f)
+        assert list(f.fibers().items()) == list(fresh.items()), name
+        assert f.fibers() is f.fibers()
+        assert f.kernel().members() == frozenset(fresh[f.target.identity])
+        assert f.section() == {y: xs[0] for y, xs in fresh.items()}
+        for sub in all_subgroups(f.target):
+            want = {x for x in f.source.elements() if f(x) in sub.members()}
+            assert f.preimage_members(sub.members()) == want, name
+            assert f.preimage(sub.members()).members() == want, name
+    # the injective outer map keeps the inner identity fiber: one kernel
+    inner = maps["injective"]._then[0]
+    assert maps["injective"].kernel() is inner.kernel()
+    assert maps["merging"].kernel() is not maps["merging"]._then[0].kernel()
+    assert maps["merging"].kernel().order() == 12
+
+
+def test_kernel_past_the_enumeration_bound_is_undecided_for_every_form():
+    from gcompat.bounds import UndecidedError
+
+    s8, z2 = named_group("S8"), cyclic(2)
+    prod = direct_product(s8, z2)
+    block = Homomorphism.block(prod, z2, 8, label="Pi_1")
+    composite = block.then(Homomorphism.identity(z2), label="Pi_1")
+    for f in (block, composite):
+        with pytest.raises(UndecidedError, match=r"kernel of Pi_1: source "
+                           r"not enumerable \(order 80640, past the "
+                           r"enumeration bound 20000\)"):
+            f.kernel()
+        assert f._fibers is None

@@ -165,3 +165,20 @@ def test_screen_shortcut_on_abelian_pairs_matches_the_five_screens():
         for g, h in itertools.product(groups, repeat=2):
             assert _screen(g, h) == five_screens(g, h), (g.label, h.label)
             assert _screen(g, h) == (find_isomorphism(g, h) is not None)
+
+
+def test_screen_rejects_equal_histograms_by_center_and_derived_orders():
+    from gcompat.groups import FiniteGroup
+    from gcompat.isos import _screen
+
+    # two non-abelian groups of order 192 and degree 8 with equal order
+    # histograms: only the center and derived-subgroup screens tell them apart
+    a = FiniteGroup(8, [(0, 5, 3, 1, 6, 2, 4, 7), (1, 7, 6, 0, 3, 4, 2, 5)], "A")
+    b = FiniteGroup(8, [(4, 3, 7, 5, 2, 6, 1, 0), (6, 5, 1, 2, 0, 3, 7, 4)], "B")
+    assert a.order() == b.order() == 192
+    assert not a.is_abelian() and not b.is_abelian()
+    assert a.order_histogram() == b.order_histogram()
+    assert (a.center().order(), b.center().order()) == (1, 2)
+    assert (a.derived_subgroup().order(), b.derived_subgroup().order()) == (48, 96)
+    assert _screen(a, b) is False and _screen(b, a) is False
+    assert find_isomorphism(a, b) is None

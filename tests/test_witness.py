@@ -739,3 +739,72 @@ def test_verify_recomputes_kernels_past_the_memo():
     checks = {name: (ok, detail) for name, ok, detail
               in verdicts(replace(cert, ker1=wrong))}
     assert checks["ker-p1-matches"] == (False, f"order {cert.ker1.order()}")
+
+
+def _poison_identity_fiber(pi, n):
+    """Swap, in pi's kept fibers, the identity's fiber with the fiber of
+    the first other value in n: the preimage of the trivial subgroup then
+    lands on a coset of pi's kernel."""
+    fibers = dict(pi.fibers())
+    ident = pi.target.identity
+    other = next(y for y in fibers if y != ident and n.contains(y))
+    fibers[ident], fibers[other] = fibers[other], fibers[ident]
+    pi._fibers = fibers
+
+
+def _verdicts(cert, l1, l2, bounds=None):
+    return [(c.name, c.passed, c.detail)
+            for c in verify_witness(cert, l1, l2, bounds or Bounds()).checks]
+
+
+def _assert_poisoned_memo_fails_the_check(cert, l1, l2, bounds=None):
+    from gcompat.witness import ComposedExtendEvidence
+
+    genuine = _verdicts(cert, l1, l2, bounds)
+    assert all(ok for _, ok, _ in genuine)
+    ev = cert.evidence[0]
+    assert isinstance(ev, ComposedExtendEvidence)
+    _poison_identity_fiber(ev.inner_pi, ev.n)
+    poisoned = _verdicts(cert, l1, l2, bounds)  # reports, never raises
+    lost = "missing complement: a complement value has no lift"
+    assert [(n, ok) for n, ok, _ in poisoned] == [
+        (n, n != "good-at-1-extendable") for n, _, _ in genuine]
+    detail = dict((n, d) for n, _, d in poisoned)["good-at-1-extendable"]
+    assert detail.startswith(lost)
+
+
+def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
+    l1, l2 = named_group("D8"), named_group("Q8")
+    _assert_poisoned_memo_fails_the_check(witness_nilpotent(l1, l2), l1, l2)
+
+
+@pytest.mark.stretch
+def test_poisoned_fiber_memo_fails_the_stretch_extend_check():
+    b = Bounds().with_mode("stretch")
+    z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
+    cert = witness_square_free(z30, other, b)
+    _assert_poisoned_memo_fails_the_check(cert, z30, other, b)
+
+
+def test_wrong_map_memos_change_no_verdict():
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    genuine = _verdicts(cert, l1, l2)
+    p1, wrong = cert.p1, cert.witness.trivial_subgroup()
+    fibers = dict(p1.fibers())
+    first, second = list(fibers)[:2]
+    fibers[first], fibers[second] = fibers[second], fibers[first]
+    for memo in ({"_fibers": fibers}, {"_kernel": wrong},
+                 {"_fibers": fibers, "_kernel": wrong}):
+        p1._fibers = p1._kernel = None
+        for name, value in memo.items():
+            setattr(p1, name, value)
+        assert "_fibers" not in memo or p1.fibers() is fibers
+        assert "_kernel" not in memo or p1.kernel() is wrong
+        assert _verdicts(cert, l1, l2) == genuine
+    # a wrong certificate kernel still fails, whatever the memos hold
+    checks = {n: (ok, d) for n, ok, d
+              in _verdicts(replace(cert, ker1=wrong), l1, l2)}
+    assert checks["ker-p1-matches"] == (False, f"order {cert.ker1.order()}")
