@@ -181,8 +181,9 @@ def certificate_to_descriptor(cert: WitnessCertificate,
         },
         "good_at": [subgroup_to_descriptor(cert.good_at[0]),
                     subgroup_to_descriptor(cert.good_at[1])],
-        "evidence": [_evidence_to_descriptor(ev, bounds)
-                     for ev in cert.evidence],
+        "evidence": [_evidence_to_descriptor(ev, ker, bounds)
+                     for ev, ker in zip(cert.evidence,
+                                        (cert.ker1, cert.ker2))],
         "provenance": cert.provenance.to_dict(),
         "check_manifest": manifest,
     }
@@ -197,7 +198,10 @@ def _flatten_checks(node) -> list:
     return out
 
 
-def _evidence_to_descriptor(ev, bounds):
+def _evidence_to_descriptor(ev, ker, bounds):
+    """The evidence's complements over every subgroup of its n. The kernel
+    generators written beside them are the certificate kernel's, which the
+    extendability check reads."""
     complements = []
     for m_sub in all_subgroups(ev.n.group, bounds):
         comp = ev.complement_for(m_sub.members())
@@ -206,7 +210,7 @@ def _evidence_to_descriptor(ev, bounds):
     return {
         "kind": ev.kind,
         "n": subgroup_to_descriptor(ev.n),
-        "kernel_generators": [list(k) for k in ev.kernel_gens],
+        "kernel_generators": [list(k) for k in ker.group.generators],
         "complements": complements,
     }
 
@@ -240,12 +244,11 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup, l2: FiniteGroup,
     n1 = subgroup_from_descriptor(d["good_at"][0], l1)
     n2 = subgroup_from_descriptor(d["good_at"][1], l2)
     evidence = []
-    for ev_d, pi, n in zip(d["evidence"], (p1, p2), (n1, n2)):
+    for ev_d, n in zip(d["evidence"], (n1, n2)):
         comps = {frozenset(tuple(m) for m in ms):
                  frozenset(tuple(c) for c in cs)
                  for ms, cs in ev_d["complements"]}
-        kernel_gens = [tuple(k) for k in ev_d["kernel_generators"]]
-        evidence.append(EnumeratedExtendEvidence(pi, n, comps, kernel_gens))
+        evidence.append(EnumeratedExtendEvidence(n, comps))
     prov = _provenance_from_dict(d.get("provenance", {}))
     return WitnessCertificate(witness, p1, p2, ker1, ker2, kernel_iso,
                               (n1, n2), tuple(evidence), prov,

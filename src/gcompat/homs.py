@@ -21,11 +21,12 @@ into one slice (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 2.1).
 
 Each map makes one pass over its source's elements: `fibers()` is kept on
-the map, and `kernel()`, `section()`, `preimage()` and the composed
-extendability evidence (`witness.ComposedExtendEvidence`) read it. The
-`ker-p{d}-matches` check of `witness.verify_witness` scans the witness
-afresh and never reads these memos (Holt, Eick and O'Brien 2005, section
-3.3).
+the map, and `kernel()`, `section()` and `preimage()` read it. At verify
+time only the evidence of a hand-built composition
+(`witness.ComposedExtendEvidence`) reads fibers; the builders' evidence is
+placed at a block and reads none. The `ker-p{d}-matches` check of
+`witness.verify_witness` scans the witness afresh and never reads these
+memos (Holt, Eick and O'Brien 2005, section 3.3).
 """
 
 from __future__ import annotations
@@ -226,9 +227,10 @@ class Homomorphism:
         the sorted elements by their raw slice and decodes each slice once;
         a rule composite from `then` regroups its inner map's fibers by the
         outer map's value, with one sort per merged fiber; any other map
-        evaluates itself once per element. `kernel()`, `section()`,
-        `preimage()` and `ComposedExtendEvidence.complement_for` read the
-        memo; `ker-p{d}-matches` in `verify_witness` never does. The dict
+        evaluates itself once per element. `kernel()`, `section()` and
+        `preimage()` read the memo. At verify time only a hand-built
+        composition's `ComposedExtendEvidence.complement_for` does;
+        `ker-p{d}-matches` in `verify_witness` never does. The dict
         and its lists are shared with every caller: read them, never
         change them."""
         if self._fibers is None:
@@ -263,7 +265,8 @@ class Homomorphism:
     def preimage_members(self, members) -> frozenset:
         """The elements mapped into `members`, as the union of their kept
         fibers: a plain set, with no Subgroup and no generating set built.
-        `ComposedExtendEvidence.complement_for` reads it at verify time."""
+        At verify time only a hand-built composition's
+        `ComposedExtendEvidence.complement_for` reads it."""
         fibers = self.fibers()
         return frozenset(chain.from_iterable(
             fibers.get(tuple(m), ()) for m in members))
@@ -271,8 +274,9 @@ class Homomorphism:
     def preimage(self, members) -> Subgroup:
         """The preimage of `members` (a subgroup's elements) as a Subgroup,
         its elements read off the kept `fibers()` (`preimage_members`). The
-        series builders call it; `ker-p{d}-matches` in `verify_witness`
-        never reads the memo behind it."""
+        series builders call it; at verify time nothing does, and
+        `ker-p{d}-matches` in `verify_witness` never reads the memo behind
+        it."""
         return Subgroup(self.source, members=self.preimage_members(members))
 
     def section(self):

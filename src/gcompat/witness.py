@@ -24,7 +24,7 @@ from .groups import (
 )
 from .homs import Homomorphism, _block_offset, quotient
 from .hybrid import hybrid_wreath
-from .inverse_limits import LimitGroup, star_limit, star_system
+from .inverse_limits import star_limit, star_system
 from .isos import automorphism_set, enumerate_isomorphisms, find_isomorphism
 from .perms import closure, inv, mul
 from .sequences import GroupSequence, pad_to_length, series_to_sequence
@@ -83,14 +83,14 @@ class ProvenanceNode:
 
 class ExtendEvidence:
     """Proof material that a surjection pulls subgroups of n back to direct
-    products with its kernel: a complement for every subgroup below n."""
+    products with its kernel: a complement for every subgroup below n.
+    `check_extend_evidence` checks it against the certificate's own map and
+    kernel, never against a map or kernel the evidence holds."""
 
     kind = "abstract"
 
-    def __init__(self, pi: Homomorphism, n: Subgroup, kernel_gens):
-        self.pi = pi
+    def __init__(self, n: Subgroup):
         self.n = n
-        self.kernel_gens = tuple(kernel_gens)
 
     def complement_for(self, members) -> frozenset:
         raise NotImplementedError
@@ -100,17 +100,14 @@ class ExtendEvidence:
             if not self.n.contains(m):
                 raise HypothesisError("subgroup is not below the designated n")
 
-    def info(self):
-        return {"kind": self.kind, "n_order": self.n.order()}
-
 
 class EnumeratedExtendEvidence(ExtendEvidence):
     """Explicit complement table, e.g. found by search."""
 
     kind = "enumerated"
 
-    def __init__(self, pi, n, complements, kernel_gens):
-        super().__init__(pi, n, kernel_gens)
+    def __init__(self, n, complements):
+        super().__init__(n)
         self.complements = {frozenset(k): frozenset(v)
                             for k, v in complements.items()}
 
@@ -121,58 +118,47 @@ class EnumeratedExtendEvidence(ExtendEvidence):
         return self.complements[key]
 
 
-class StarExtendEvidence(ExtendEvidence):
-    """For a star-limit branch projection: the complement of a subgroup of
-    the branch-map kernel sits at the branch coordinate, identity elsewhere."""
+class PlacedExtendEvidence(ExtendEvidence):
+    """For a block map p: each value of a subgroup of n placed at p's block,
+    with the identity at every other point of p's source. A star-limit
+    branch projection has this evidence at its branch map's kernel, and so
+    has any fused chain of such projections, because one placement lifted
+    through another is the placement at the fused block. The complements
+    are built when asked for, from p's offset and the identity head and
+    tail around its block."""
 
-    kind = "star-projection"
-
-    def __init__(self, lim: LimitGroup, branch, n: Subgroup):
-        self.lim = lim
-        self.branch = branch
-        sysm = lim.system
-        root = sysm.poset.minimal_nodes()[0]
-        kernel_gens = [lim.place(b, k) for b in lim.node_order
-                       if b not in (root, branch)
-                       for k in sysm.maps[(root, b)].kernel().group.generators]
-        super().__init__(lim.projection(branch), n, kernel_gens)
+    def __init__(self, p: Homomorphism, n: Subgroup, kind: str):
+        super().__init__(n)
+        off = _block_offset(p)
+        if off is None:
+            raise HypothesisError(f"{p.label} is not a block map")
+        self.kind = kind
+        self.off = off
+        self.head = tuple(range(off))
+        self.tail = tuple(range(off + p.target.degree, p.source.degree))
 
     def complement_for(self, members):
         self._require_below(members)
-        return frozenset(self.place(m) for m in members)
-
-    def place(self, m):
-        """The complement element carrying a single kernel value."""
-        return self.lim.place(self.branch, m)
-
-
-class WrappedExtendEvidence(ExtendEvidence):
-    """Transport complements through an injective coordinate placement."""
-
-    kind = "wrapped"
-
-    def __init__(self, inner: ExtendEvidence, wrap, pi, kernel_gens):
-        super().__init__(pi, inner.n, kernel_gens)
-        self.inner = inner
-        self.wrap = wrap
-
-    def complement_for(self, members):
-        return frozenset(self.wrap(c) for c in self.inner.complement_for(members))
+        off, head, tail = self.off, self.head, self.tail
+        return frozenset(head + tuple([v + off for v in m]) + tail
+                         for m in members)
 
 
 class ComposedExtendEvidence(ExtendEvidence):
     """Evidence for pi o p from evidence for p (at a larger subgroup) and
-    evidence for pi: lift pi's complement through p's complement."""
+    evidence for pi: lift pi's complement through p's complement. Only
+    hand-built compositions, whose evidence is not all placed, need it: two
+    placed evidences compose to a `PlacedExtendEvidence`."""
 
     kind = "composed"
 
     def __init__(self, ev_p: ExtendEvidence, ev_pi: ExtendEvidence,
-                 p: Homomorphism, pi: Homomorphism, kernel_gens):
-        super().__init__(p.then(pi), ev_pi.n, kernel_gens)
+                 p: Homomorphism, pi: Homomorphism):
+        super().__init__(ev_pi.n)
         self.ev_p = ev_p
         self.ev_pi = ev_pi
         self.p = p
-        self.inner_pi = pi
+        self.pi = pi
 
     def complement_for(self, members):
         """Lift pi's complement of `members` through p's complement of
@@ -184,7 +170,7 @@ class ComposedExtendEvidence(ExtendEvidence):
         value of pi's complement has no lift, so the check reports a
         missing complement instead of raising."""
         self._require_below(members)
-        pre = self.inner_pi.preimage_members(members)
+        pre = self.pi.preimage_members(members)
         c_outer = self.ev_p.complement_for(pre)
         by_value = {self.p(c): c for c in c_outer}
         c_inner = self.ev_pi.complement_for(members)
@@ -218,8 +204,7 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
         raise UndecidedError("extendability search needs an enumerable source")
     if not pi.is_surjective():
         raise HypothesisError("extendability is defined for surjections")
-    kernel = pi.kernel()
-    kmembers = kernel.members()
+    kmembers = pi.kernel().members()
     fibers = pi.fibers()
     complements = {}
     for m_sub in all_subgroups(n.group, bounds):
@@ -227,9 +212,7 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
         if c is None:
             return ExtendReport(False, None, m_sub)
         complements[m_sub.members()] = c
-    ev = EnumeratedExtendEvidence(pi, n, complements,
-                                  kernel.group.generators)
-    return ExtendReport(True, ev, None)
+    return ExtendReport(True, EnumeratedExtendEvidence(n, complements), None)
 
 
 def _find_complement(pi, m_sub, kmembers, fibers, budget):
@@ -260,9 +243,14 @@ def _find_complement(pi, m_sub, kmembers, fibers, budget):
     return None
 
 
-def check_extend_evidence(ev: ExtendEvidence, bounds=DEFAULT_BOUNDS,
+def check_extend_evidence(ev: ExtendEvidence, p: Homomorphism, ker: Subgroup,
+                          bounds=DEFAULT_BOUNDS,
                           label="extendable") -> CheckResult:
-    """Re-check evidence from scratch over every subgroup of its n."""
+    """Re-check evidence from scratch over every subgroup of its n, against
+    the certificate's own map p and kernel ker, never against anything the
+    evidence carries: each complement has the subgroup's size, lies in p's
+    source, maps onto the subgroup under p, is a subgroup, and commutes
+    with ker's generators."""
     try:
         subs = all_subgroups(ev.n.group, bounds)
     except UndecidedError as e:
@@ -275,12 +263,14 @@ def check_extend_evidence(ev: ExtendEvidence, bounds=DEFAULT_BOUNDS,
             return CheckResult(label, False, f"missing complement: {e}")
         if len(comp) != len(members):
             return CheckResult(label, False, "complement has wrong size")
-        if {ev.pi(c) for c in comp} != set(members):
+        if not all(p.source.contains(c) for c in comp):
+            return CheckResult(label, False, "complement leaves the witness")
+        if {p(c) for c in comp} != set(members):
             return CheckResult(label, False, "complement does not cover the subgroup")
         if closure(list(comp)) != comp:
             return CheckResult(label, False, "complement is not a subgroup")
         for c in comp:
-            for k in ev.kernel_gens:
+            for k in ker.group.generators:
                 if mul(c, k) != mul(k, c):
                     return CheckResult(label, False,
                                        "complement does not centralize the kernel")
@@ -306,9 +296,6 @@ class CompData:
     kernel_isos: dict
     alphas: dict = field(default_factory=dict)
     taus: dict = field(default_factory=dict)
-
-    def sigma(self, i) -> Homomorphism:
-        return self.kernel_isos[i]
 
 
 def _sigma_power(comp_sigma: Homomorphism, delta: int, forward: bool):
@@ -476,10 +463,8 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     if len(set(kernel_iso.tabulated().values())) != k_pi22.order():
         raise HypothesisError("length-2 kernel identification not injective")
 
-    n1 = k_pi21
-    n2 = k_pi22
-    ev1 = StarExtendEvidence(lim, 0, n1)
-    ev2 = StarExtendEvidence(lim, 1, n2)
+    ev1 = PlacedExtendEvidence(p1, k_pi21, "star-projection")
+    ev2 = PlacedExtendEvidence(p2, k_pi22, "star-projection")
 
     prov = ProvenanceNode(
         "length2",
@@ -491,7 +476,7 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
                             * root.order() == s1.top.order() * s2.top.order())])
     mode = "enumerated" if lim.group.is_enumerable(bounds.enum) else "stretch"
     return WitnessCertificate(lim.group, p1, p2, ker1, ker2, kernel_iso,
-                              (n1, n2), (ev1, ev2), prov, mode)
+                              (k_pi21, k_pi22), (ev1, ev2), prov, mode)
 
 
 def _gen_image_list(h: Homomorphism):
@@ -691,9 +676,14 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
 
     new_evidence = []
     for d in (1, 2):
-        ev = ComposedExtendEvidence(
-            cert.evidence[d - 1], pi_evidence[d - 1], certs[d][0], pis[d],
-            kernel_gens=new_kers[d].group.generators)
+        ev_p, ev_pi = cert.evidence[d - 1], pi_evidence[d - 1]
+        if isinstance(ev_p, PlacedExtendEvidence) \
+                and isinstance(ev_pi, PlacedExtendEvidence):
+            # one placement lifted through another is the placement at
+            # the fused block of q_d
+            ev = PlacedExtendEvidence(q[d], ev_pi.n, "composed")
+        else:
+            ev = ComposedExtendEvidence(ev_p, ev_pi, certs[d][0], pis[d])
         new_evidence.append(ev)
 
     prov = ProvenanceNode(
@@ -760,12 +750,6 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
 
     # the explicit kernel isomorphism chain for the new top maps
     sigma_l = comp.kernel_isos[ell]
-    star_ev = {d: StarExtendEvidence(step.g_lims[d], 0, seqs[d].kernel(ell))
-               for d in (1, 2)}
-
-    def c_of(d, m):
-        return star_ev[d].place(m)
-
     eta1, eta2 = step.eta[1], step.eta[2]
     eta2_inv_table = {v: k for k, v in eta2.tabulated().items()}
     rho2 = step.rho[2]
@@ -777,9 +761,9 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         h = lw1.decode(w, 1)
         z2 = eta1(h)
         m2 = rho2(z2)
-        k2 = mul(inv(c_of(2, m2)), z2)
+        k2 = mul(inv(step.g_lims[2].place(0, m2)), z2)
         m1 = kappa_l_inv(m2)
-        z1 = mul(c_of(1, m1), g)
+        z1 = mul(step.g_lims[1].place(0, m1), g)
         h2 = eta2_inv_table[z1]
         asg = {n: lw2.system.groups[n].identity for n in lw2.node_order}
         asg[0] = k2
@@ -826,11 +810,8 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     inner = build_good_witness(new_seqs[1], new_seqs[2], new_comp, bounds)
 
     # evidence that the new top maps are trivially extendable at ker(pi_l)
-    pi_ev = []
-    for d in (1, 2):
-        pi_ev.append(WrappedExtendEvidence(
-            star_ev[d], partial(lims_w[d].place, 0), new_top_maps[d],
-            kernel_gens=ker_next[d].group.generators))
+    pi_ev = [PlacedExtendEvidence(new_top_maps[d], seqs[d].kernel(ell),
+                                  "wrapped") for d in (1, 2)]
 
     good_at = (seqs[1].kernel(ell), seqs[2].kernel(ell))
     step_prov = ProvenanceNode(
@@ -1085,7 +1066,8 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
         same = n_d.same_as(ev.n)
         rep.add(f"good-at-{d}-designated", same,
                 f"N_{d} order {n_d.order()}")
-        result = check_extend_evidence(ev, bounds,
+        p, ker = sides[d]
+        result = check_extend_evidence(ev, p, ker, bounds,
                                        label=f"good-at-{d}-extendable")
         rep.checks.append(result)
     return rep

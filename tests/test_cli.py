@@ -52,6 +52,26 @@ def test_witness_verify_tampered_exits_1(tmp_path, capsys):
                 "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
 
 
+def test_witness_verify_complement_outside_the_witness_fails(tmp_path,
+                                                          capsys):
+    # a complement element that is no element of the witness fails the
+    # extendability check instead of reaching the map's table
+    cert = tmp_path / "cert.json"
+    run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+         str(cert)])
+    data = json.loads(cert.read_text())
+    assert data["witness"]["degree"] == 10
+    complement = data["evidence"][0]["complements"][-1][1]
+    complement[-1] = [1, 0, 2, 3, 4, 5, 6, 7, 8, 9]
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] good-at-1-extendable  (complement leaves the witness)" \
+        in out.splitlines()
+
+
 def test_witness_build_hypothesis_refuted_exit_1(capsys):
     # non-square-free input to the square-free path
     assert run(["witness", "build", "--L1", "Z4", "--L2", "Z4",

@@ -462,31 +462,45 @@ def test_good_witness_z8_vs_e8():
     assert verify_witness(cert, z8, e8).passed
 
 
-def test_kernel_iso_respects_the_decomposition_links():
+def _d8_q8_with_its_composition(monkeypatch):
+    """The D8|Q8 certificate and the arguments (base certificate, pi1,
+    pi2) of the quotient composition that produced it."""
+    import gcompat.witness as witness
+
+    calls = []
+    compose = witness.compose_witness
+
+    def capture(base, pi1, pi2, *args, **kwargs):
+        calls.append((base, pi1, pi2))
+        return compose(base, pi1, pi2, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "compose_witness", capture)
+    cert = witness_nilpotent(named_group("D8"), quaternion())
+    return cert, calls[-1]
+
+
+def test_kernel_iso_respects_the_decomposition_links(monkeypatch):
     # stored kernel map sends the lifted complement onto the other side's
     # lifted complement and the inner kernel onto the inner kernel
-    d8, q8 = named_group("D8"), quaternion()
-    cert = witness_nilpotent(d8, q8)
-    ev1, ev2 = cert.evidence
-    pi1, pi2 = ev1.inner_pi, ev2.inner_pi
-    d_one = ev1.ev_p.complement_for(pi1.kernel().members())
-    d_two = ev2.ev_p.complement_for(pi2.kernel().members())
+    cert, (base, pi1, pi2) = _d8_q8_with_its_composition(monkeypatch)
+    d_one = base.evidence[0].complement_for(pi1.kernel().members())
+    d_two = base.evidence[1].complement_for(pi2.kernel().members())
     ki = cert.kernel_iso
     assert {ki(d) for d in d_one} == set(d_two)
-    inner_ker1 = {z for z in cert.ker1.members() if ev1.p(z) == ev1.p.target.identity}
-    inner_ker2 = {z for z in cert.ker2.members() if ev2.p(z) == ev2.p.target.identity}
+    inner_ker1 = {z for z in cert.ker1.members()
+                  if base.p1(z) == base.p1.target.identity}
+    inner_ker2 = {z for z in cert.ker2.members()
+                  if base.p2(z) == base.p2.target.identity}
     assert {ki(z) for z in inner_ker1} == inner_ker2
 
 
-def test_composed_kernel_is_internal_direct_product():
+def test_composed_kernel_is_internal_direct_product(monkeypatch):
     # ker(pi o p) = D x ker(p): trivial intersection, elementwise commuting,
     # full product
-    d8, q8 = named_group("D8"), quaternion()
-    cert = witness_nilpotent(d8, q8)
-    for ev, ker_sub in ((cert.evidence[0], cert.ker1),
-                        (cert.evidence[1], cert.ker2)):
-        p, pi = ev.p, ev.inner_pi
-        d_comp = ev.ev_p.complement_for(pi.kernel().members())
+    cert, (base, pi1, pi2) = _d8_q8_with_its_composition(monkeypatch)
+    for ev, p, pi, ker_sub in ((base.evidence[0], base.p1, pi1, cert.ker1),
+                               (base.evidence[1], base.p2, pi2, cert.ker2)):
+        d_comp = ev.complement_for(pi.kernel().members())
         inner = {z for z in ker_sub.members() if p(z) == p.target.identity}
         ident = cert.witness.identity
         assert set(d_comp) & inner == {ident}
@@ -721,6 +735,25 @@ def test_surjectivity_needs_images_inside_the_target():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("a,b", [("Z4", "Z2xZ2"), ("Z8", "Z4xZ2")])
+def test_evidence_for_a_different_map_fails_only_the_extend_check(a, b):
+    # p2 followed by an automorphism of L2 is still a surjection with the
+    # same kernel, but when the automorphism moves a subgroup of N_2 the
+    # evidence, kept as it was, no longer fits the certificate's map
+    from dataclasses import replace
+
+    from gcompat.isos import automorphism_set
+
+    l1, l2 = named_group(a), named_group(b)
+    cert = witness_nilpotent(l1, l2)
+    n2 = cert.good_at[1]
+    alpha = next(x for x in automorphism_set(l2)
+                 if not all(n2.contains(x(g)) for g in n2.group.generators))
+    moved = replace(cert, p2=cert.p2.then(alpha))
+    checks = verify_witness(moved, l1, l2).checks
+    assert [c.name for c in checks if not c.passed] == ["good-at-2-extendable"]
+
+
 def test_verify_recomputes_kernels_past_the_memo():
     from dataclasses import replace
 
@@ -757,15 +790,43 @@ def _verdicts(cert, l1, l2, bounds=None):
             for c in verify_witness(cert, l1, l2, bounds or Bounds()).checks]
 
 
-def _assert_poisoned_memo_fails_the_check(cert, l1, l2, bounds=None):
-    from gcompat.witness import ComposedExtendEvidence
-
+def _assert_bogus_map_memos_change_no_verdict(cert, l1, l2, bounds=None):
+    """Fibers and kernel memos that call both certificate maps injective
+    leave every verdict and detail as it was: no check reads them."""
     genuine = _verdicts(cert, l1, l2, bounds)
     assert all(ok for _, ok, _ in genuine)
-    ev = cert.evidence[0]
-    assert isinstance(ev, ComposedExtendEvidence)
-    _poison_identity_fiber(ev.inner_pi, ev.n)
-    poisoned = _verdicts(cert, l1, l2, bounds)  # reports, never raises
+    trivial = cert.witness.trivial_subgroup()
+    for p in (cert.p1, cert.p2):
+        p._fibers = {p.target.identity: [cert.witness.identity]}
+        p._kernel = trivial
+        assert p.kernel() is trivial
+    assert _verdicts(cert, l1, l2, bounds) == genuine
+
+
+def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
+    from gcompat.witness import ComposedExtendEvidence
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    _assert_bogus_map_memos_change_no_verdict(witness_nilpotent(l1, l2),
+                                              l1, l2)
+    # a hand composition with the identity maps lifts each complement
+    # through the inner map's fibers, which a poisoned memo misplaces
+    z4, chain = cyclic_tower(4, [2, 2])
+    v4 = named_group("Z2xZ2")
+    two = Subgroup(v4, members=closure([v4.generators[0]]))
+    s1 = seq_of(z4, chain)
+    s2 = seq_of(v4, [v4.trivial_subgroup(), two, v4.full_subgroup()])
+    base = build_witness_length2(s1, s2, comp_membership(s1, s2))
+    id1, id2 = Homomorphism.identity(z4), Homomorphism.identity(v4)
+    kappa = find_isomorphism(id1.kernel().group, id2.kernel().group)
+    ev1 = is_trivially_extendable(id1, base.good_at[0]).evidence
+    ev2 = is_trivially_extendable(id2, base.good_at[1]).evidence
+    cert = compose_witness(base, id1, id2, kappa, (ev1, ev2), base.good_at)
+    assert isinstance(cert.evidence[0], ComposedExtendEvidence)
+    genuine = _verdicts(cert, z4, v4)
+    assert all(ok for _, ok, _ in genuine)
+    _poison_identity_fiber(id1, cert.evidence[0].n)
+    poisoned = _verdicts(cert, z4, v4)  # reports, never raises
     lost = "missing complement: a complement value has no lift"
     assert [(n, ok) for n, ok, _ in poisoned] == [
         (n, n != "good-at-1-extendable") for n, _, _ in genuine]
@@ -773,17 +834,12 @@ def _assert_poisoned_memo_fails_the_check(cert, l1, l2, bounds=None):
     assert detail.startswith(lost)
 
 
-def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
-    l1, l2 = named_group("D8"), named_group("Q8")
-    _assert_poisoned_memo_fails_the_check(witness_nilpotent(l1, l2), l1, l2)
-
-
 @pytest.mark.stretch
-def test_poisoned_fiber_memo_fails_the_stretch_extend_check():
+def test_bogus_map_memos_change_no_stretch_verdict():
     b = Bounds().with_mode("stretch")
     z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
     cert = witness_square_free(z30, other, b)
-    _assert_poisoned_memo_fails_the_check(cert, z30, other, b)
+    _assert_bogus_map_memos_change_no_verdict(cert, z30, other, b)
 
 
 def test_wrong_map_memos_change_no_verdict():
