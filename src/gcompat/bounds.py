@@ -26,7 +26,6 @@ class Bounds:
     enum: int = 20000        # full element enumeration cap
     iso: int = 2000          # isomorphism / automorphism backtracking cap
     aut: int = 512           # automorphism-group enumeration cap (on |G|)
-    pair_check: int = 128    # exhaustive f(xy)=f(x)f(y) pair loop cap
     subgroups: int = 20000   # cap on the number of subgroups enumerated
     mode: str = ENUMERATED
 

@@ -259,7 +259,9 @@ class FiniteGroup:
         return True
 
     def small_generating_set(self, bound=None):
-        """Greedy canonical generating set, preferring high-order elements."""
+        """Greedy canonical generating set, preferring high-order elements.
+        ValueError when the elements are not the group the chosen
+        generators generate, i.e. an element set that is no group."""
         elems = self.sorted_elements(bound)
         if len(elems) == 1:
             return ()
@@ -274,6 +276,8 @@ class FiniteGroup:
                 gens.append(e)
                 if len(have) == len(elems):
                     break
+        if have != self.elements(bound):
+            raise ValueError(f"{self.label}: element set is not a group")
         return tuple(gens)
 
 
@@ -289,7 +293,8 @@ def cayley_graph(elems, gens):
 def from_elements(perms, label="G", generators=None):
     """Group from an explicit element set; finds small generators if needed.
 
-    Supplied generators must generate exactly the given set (checked).
+    Supplied generators must generate exactly the given set, and without
+    them the set must be a group (both checked, ValueError).
     """
     perms = [tuple(p) for p in perms]
     degree = len(perms[0])

@@ -10,8 +10,7 @@ keep, and any other rule out of a group past the enumeration bound is left
 undecided rather than sampled.
 Table checks run on element indices: the source's Cayley graph gives x*s
 as int columns, the table's distinct values are multiplied once per
-generator, and both sides of the law are compared as int lists; the pair
-check of tiny sources reads x*y off the graph's spanning tree.
+generator, and both sides of the law are compared as int lists.
 
 A block map projects a group acting on a disjoint union of domains (a
 direct product or an inverse limit) onto the block of points at one
@@ -25,8 +24,9 @@ the map, and `kernel()`, `section()` and `preimage()` read it. At verify
 time only the evidence of a hand-built composition
 (`witness.ComposedExtendEvidence`) reads fibers; the builders' evidence is
 placed at a block and reads none. The `ker-p{d}-matches` check of
-`witness.verify_witness` scans the witness afresh and never reads these
-memos (Holt, Eick and O'Brien 2005, section 3.3).
+`witness.verify_witness` evaluates the map on the kernel's generators
+only and never reads these memos (Holt, Eick and O'Brien 2005, section
+3.3).
 """
 
 from __future__ import annotations
@@ -189,7 +189,8 @@ class Homomorphism:
         identity fiber is its inner map's, unmerged (the outer map sends
         no other inner value to the identity), returns the inner map's
         kernel Subgroup itself. `verify_witness` never reads this memo: its
-        `ker-p{d}-matches` check scans the witness afresh."""
+        `ker-p{d}-matches` check evaluates the map on the certificate
+        kernel's generators."""
         if self._kernel is None:
             if not self.source.is_enumerable():
                 raise UndecidedError(
@@ -286,30 +287,30 @@ class Homomorphism:
 
     # -- validation ----------------------------------------------------------
 
-    def check_table_edges(self, pairs=False):
-        """Check f(x*s) = f(x)f(s) on every Cayley edge of the source or,
-        with `pairs`, f(x*y) = f(x)f(y) on all pairs, on element indices.
-        Edges run over the source's kept graph if it has the table's size,
-        else over the table's keys, which hold the whole source once they
-        hold the identity and are closed under the generators. Pairs read
-        x*y off a spanning tree of the source's graph: no multiplies there."""
+    def check_table_edges(self):
+        """Check f(x*s) = f(x)f(s) on every Cayley edge of the source, on
+        element indices: by induction on word length, the homomorphism law
+        for the whole table. Edges run over the source's kept graph if it
+        has the table's size, else over the table's keys, which hold the
+        whole source once they hold the identity and are closed under the
+        generators."""
         table = self._table
         if table.get(self.source.identity) != self.target.identity:
             raise HypothesisError(f"{self.label}: identity not preserved")
-        graph = self.source.cayley() if pairs else self.source._cayley
+        graph = self.source._cayley
         try:
-            if graph is None or not pairs and len(graph[0]) != len(table):
+            if graph is None or len(graph[0]) != len(table):
                 graph = cayley_graph(list(table), self.source.generators)
             images = list(map(table.__getitem__, graph[0]))
         except KeyError:
             raise HypothesisError(f"{self.label}: table not total") from None
-        elems, gens, cols = graph
+        _, gens, cols = graph
         number = {}  # the distinct image values, numbered as first seen
         f = [number.setdefault(v, len(number)) for v in images]
         values, right = list(number), {}
-        for y, col in _pair_columns(cols, len(f)) if pairs else zip(gens, cols):
-            b = f[y]
-            if b not in right:  # number of v*f(y) for each value v, or -1
+        for s, col in zip(gens, cols):
+            b = f[s]
+            if b not in right:  # number of v*f(s) for each value v, or -1
                 right[b] = [number.get(mul(v, values[b]), -1) for v in values]
             if list(map(f.__getitem__, col)) != list(map(right[b].__getitem__, f)):
                 raise HypothesisError(f"{self.label}: not a homomorphism")
@@ -321,8 +322,8 @@ class Homomorphism:
         every generator keeps is a homomorphism, so each generator must keep
         the block and send its image into the target (|gens| checks, nothing
         tabulated). A table map, or a map out of an enumerable source, gets
-        the complete Cayley-edge check, plus the full pair loop when tiny.
-        Any other map raises UndecidedError: nothing is sampled.
+        the complete Cayley-edge check. Any other map raises
+        UndecidedError: nothing is sampled.
         """
         gens = self.source.generators
         off = _block_offset(self)
@@ -349,11 +350,7 @@ class Homomorphism:
             self.source.cayley(bounds.enum)  # kept, shared by maps out of it
         n = len(self.tabulated())
         self.check_table_edges()
-        checked = n * max(1, len(gens))
-        if n <= bounds.pair_check:
-            self.check_table_edges(pairs=True)
-            checked += n * n
-        return checked
+        return n * max(1, len(gens))
 
     def check_generator_graph(self):
         """Prove that the generator images define a homomorphism, whatever
@@ -419,20 +416,6 @@ def extend_images(pairs, source_identity, target_identity):
             elif old != fy:
                 return None
     return table
-
-
-def _pair_columns(cols, n):
-    """(y, column x -> x*y) for every element index y < n, grown over a
-    breadth-first spanning tree by x*(z*s) = (x*z)*s: no multiplies."""
-    rows = [list(range(n))] + [None] * (n - 1)
-    reached = [0]
-    for z in reached:  # grows while it is scanned
-        yield z, rows[z]
-        for col in cols:
-            y = col[z]
-            if rows[y] is None:
-                rows[y] = list(map(col.__getitem__, rows[z]))
-                reached.append(y)
 
 
 def kernel(f: Homomorphism) -> Subgroup:

@@ -72,6 +72,29 @@ def test_witness_verify_complement_outside_the_witness_fails(tmp_path,
         in out.splitlines()
 
 
+def test_witness_verify_kernel_generator_outside_the_witness_fails(
+        tmp_path, capsys):
+    # containment in the witness is tested before the map is evaluated on
+    # the kernel generator, so the check fails (exit 1) instead of the
+    # map's table refusing the element as malformed input (exit 3)
+    cert = tmp_path / "cert.json"
+    run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+         str(cert)])
+    data = json.loads(cert.read_text())
+    assert data["format"] == "witness-certificate-v1"
+    swap = [1, 0, 2, 3, 4, 5, 6, 7, 8, 9]
+    witness = descriptors.group_from_descriptor(data["witness"])
+    assert not witness.contains(tuple(swap))
+    data["kernel1"]["generators"] = [swap]
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] ker-p1-matches  (a generator is not in G)" \
+        in out.splitlines()
+
+
 def test_witness_build_hypothesis_refuted_exit_1(capsys):
     # non-square-free input to the square-free path
     assert run(["witness", "build", "--L1", "Z4", "--L2", "Z4",

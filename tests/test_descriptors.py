@@ -150,9 +150,9 @@ def test_certificate_digest_is_pinned(series, a, b, digest):
 # maps the checks evaluate shows here even when the certificate does not
 GOLDEN_REPORTS = [
     ("Z30", "Z5xS3",
-     "1f2659fc28b5a429d4b40d2a93212b3bc7c22bafc4b93c029b112905be088f0c"),
+     "d22ba95932c5012df1686d0aa27a1512fe017433cd13d25b9ffbbe42b6e81289"),
     ("F21xZ2", "Z7xS3",
-     "c6da07e349704f0d7195718acf4f1a1e8b26b30cae2737826bf8a8590d2f435e"),
+     "a92ad2e4a04cf65cf3fdb18b86a4d01b4db0800a574fbfad9da6091f68f7b65d"),
 ]
 
 

@@ -572,6 +572,11 @@ def test_order_30_stretch_negative_controls():
         "p1: rule map out of a source of order 7031250, past the "
         "enumeration bound 20000; homomorphism not decided")
     assert "p1-surjective" not in checks and checks["p2-homomorphism"].passed
+    # nothing is derived from an unproved map
+    assert not checks["quotient-1-isomorphic"].passed
+    assert checks["quotient-1-isomorphic"].detail == (
+        "failed: p1-homomorphism; absent: p1-surjective, ker-p1-matches")
+    assert checks["quotient-2-isomorphic"].passed
     # an order-5 kernel generator sent to an order-15 element
     ki, gens = cert.kernel_iso, cert.ker1.group.generators
     five = next(g for g in gens if perm_order(g) == 5)
@@ -587,6 +592,88 @@ def test_order_30_stretch_negative_controls():
     with pytest.raises(HypothesisError, match="generator graph has order"):
         Homomorphism.of_rule(ki.source, ki.target, images.__getitem__,
                              label="kernel-iso").check_generator_graph()
+
+
+DERIVED = {d: f"from p{d}-homomorphism, p{d}-surjective, ker-p{d}-matches"
+           for d in (1, 2)}
+
+
+def test_quotient_checks_are_derived_past_the_isomorphism_bound():
+    # with the quotients' order past the isomorphism bound, the quotient
+    # checks still rest on proved checks and never on the bound
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    rep = verify_witness(cert, l1, l2, Bounds(iso=4))
+    assert rep.passed
+    details = {c.name: c.detail for c in rep.checks}
+    assert details["quotient-1-isomorphic"] == DERIVED[1]
+    assert details["quotient-2-isomorphic"] == DERIVED[2]
+    assert details["ker-p1-matches"] == "order 256 = |G|/|im p1|"
+    # a target that is not L_d itself rests on its type check as well,
+    # and the quotient check says when that check was skipped
+    copies = named_group("D8"), named_group("Q8")
+    for bounds, tail in ((Bounds(), ""), (Bounds(iso=4), " (skipped)")):
+        details = {c.name: c.detail
+                   for c in verify_witness(cert, *copies, bounds).checks}
+        assert details["quotient-1-isomorphic"] == (
+            DERIVED[1] + ", p1-target-type" + tail)
+    # with the targets swapped, each map lands on the other type
+    checks = {c.name: c for c in verify_witness(cert, l2, l1).checks}
+    assert checks["p1-surjective"].passed
+    assert checks["quotient-1-isomorphic"] == CheckResult(
+        "quotient-1-isomorphic", False, "failed: p1-target-type")
+
+
+def test_wrong_kernels_fail_the_kernel_and_quotient_checks():
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    ker1 = cert.ker1
+    smaller = Subgroup(cert.witness, gens=ker1.group.generators[:1])
+    assert smaller <= ker1 and smaller.order() < ker1.order()
+    assert not cert.ker2.same_as(ker1)
+    assert cert.ker2.order() == ker1.order()
+    for wrong, detail in [
+            (cert.ker2, "a generator is not in ker p1"),
+            (smaller, f"order {smaller.order()}, but |G|/|im p1| = 256")]:
+        checks = {c.name: c for c in verify_witness(
+            replace(cert, ker1=wrong), l1, l2).checks}
+        assert checks["ker-p1-matches"] == CheckResult(
+            "ker-p1-matches", False, detail)
+        assert checks["quotient-1-isomorphic"] == CheckResult(
+            "quotient-1-isomorphic", False, "failed: ker-p1-matches")
+        assert checks["quotient-2-isomorphic"].passed
+    # the kernel check trusts a kernel to be the group its generators
+    # generate: a member set of the kernel's size that is no group, whose
+    # greedy generators still generate ker p1, is refused when built
+    members = ker1.members()
+    outside = min(x for x in cert.witness.elements()
+                  if x not in members and perm_order(x) == 2)
+    inside = min(x for x in members
+                 if perm_order(x) == 2 and x not in ker1.group.generators)
+    with pytest.raises(ValueError, match="element set is not a group"):
+        Subgroup(cert.witness, members=(members - {inside}) | {outside})
+
+
+def test_verification_builds_no_quotient(monkeypatch):
+    import gcompat.homs
+    import gcompat.witness
+
+    targets = [(named_group(a), named_group(b))
+               for a, b in (("D8", "Q8"), ("Z4", "Z2xZ2"))]
+    certs = [witness_nilpotent(l1, l2) for l1, l2 in targets]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification built a quotient")
+
+    monkeypatch.setattr(gcompat.witness, "quotient", refuse)
+    monkeypatch.setattr(gcompat.homs, "action_on_cosets", refuse)
+    for cert, (l1, l2) in zip(certs, targets):
+        rep = verify_witness(cert, l1, l2)
+        assert rep.passed
+        details = {c.name: c.detail for c in rep.checks}
+        assert details["quotient-1-isomorphic"] == DERIVED[1]
 
 
 def test_generator_graph_rejects_what_generator_pairs_miss():
@@ -617,7 +704,7 @@ def test_generator_graph_rejects_what_generator_pairs_miss():
     assert genuine.passed
     details = {c.name: c.detail for c in genuine.checks}
     assert details["kernel-iso-homomorphism"] == (
-        "generator pairs + generator graph of order 3 = |ker1|")
+        "generator graph of order 3 = |ker1|")
     assert details["kernel-iso-independent-search"] == (
         "skipped: kernel order 3 past the enumeration bound 2")
 
@@ -771,7 +858,8 @@ def test_verify_recomputes_kernels_past_the_memo():
     # a wrong certificate kernel fails even when the memo agrees with it
     checks = {name: (ok, detail) for name, ok, detail
               in verdicts(replace(cert, ker1=wrong))}
-    assert checks["ker-p1-matches"] == (False, f"order {cert.ker1.order()}")
+    assert checks["ker-p1-matches"] == (
+        False, f"order 1, but |G|/|im p1| = {cert.ker1.order()}")
 
 
 def _poison_identity_fiber(pi, n):
@@ -863,4 +951,5 @@ def test_wrong_map_memos_change_no_verdict():
     # a wrong certificate kernel still fails, whatever the memos hold
     checks = {n: (ok, d) for n, ok, d
               in _verdicts(replace(cert, ker1=wrong), l1, l2)}
-    assert checks["ker-p1-matches"] == (False, f"order {cert.ker1.order()}")
+    assert checks["ker-p1-matches"] == (
+        False, f"order 1, but |G|/|im p1| = {cert.ker1.order()}")
