@@ -1,4 +1,4 @@
-"""Resource bounds, execution modes and the package's failure vocabulary.
+"""Resource bounds and the package's failure vocabulary.
 
 Operations that would need to enumerate past a bound raise UndecidedError
 ("don't know") instead of guessing; refuted mathematical preconditions raise
@@ -7,10 +7,7 @@ HypothesisError. Plain ValueError is reserved for malformed input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-ENUMERATED = "enumerated"
-STRETCH = "stretch"
+from dataclasses import dataclass
 
 
 class UndecidedError(Exception):
@@ -27,16 +24,13 @@ class Bounds:
     iso: int = 2000          # isomorphism / automorphism backtracking cap
     aut: int = 512           # automorphism-group enumeration cap (on |G|)
     subgroups: int = 20000   # cap on the number of subgroups enumerated
-    mode: str = ENUMERATED
 
     def with_mode(self, mode: str) -> "Bounds":
-        if mode not in (ENUMERATED, STRETCH):
+        """Returns self: every size is built the same way, from generators.
+        Kept only for the benchmark's workloads, which still call it."""
+        if mode not in ("enumerated", "stretch"):
             raise ValueError(f"unknown mode {mode!r}")
-        return replace(self, mode=mode)
-
-    @property
-    def stretch(self) -> bool:
-        return self.mode == STRETCH
+        return self
 
 
 DEFAULT_BOUNDS = Bounds()

@@ -25,6 +25,7 @@ from .sequences import series_to_sequence
 from .witness import (
     assemble_certificate,
     build_good_witness,
+    certificate_mode,
     comp_membership,
     compatible_central_series,
     is_trivially_extendable,
@@ -62,7 +63,7 @@ def _emit(args, payload: dict):
 
 def _bounds(args) -> Bounds:
     return Bounds(enum=args.bound_enum, iso=args.bound_iso,
-                  aut=args.bound_aut).with_mode(args.mode)
+                  aut=args.bound_aut)
 
 
 def cmd_group(args) -> int:
@@ -176,7 +177,7 @@ def cmd_witness_build(args) -> int:
         cert = build_good_witness(s1, s2, None, bounds)
     print(f"witness order: {cert.witness.order()}")
     print(f"kernel orders: {cert.ker1.order()}, {cert.ker2.order()}")
-    print(f"mode: {cert.mode}")
+    print(f"mode: {certificate_mode(cert, bounds)}")
     if args.out:
         report = verify_witness(cert, l1, l2, bounds)
         payload = descriptors.certificate_to_descriptor(cert, bounds, report)
@@ -410,8 +411,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bound-enum", type=int, default=20000)
     p.add_argument("--bound-iso", type=int, default=2000)
     p.add_argument("--bound-aut", type=int, default=512)
-    p.add_argument("--mode", choices=["enumerated", "stretch"],
-                   default="enumerated")
     p.add_argument("--seed", type=int, default=20240801)
     sub = p.add_subparsers(dest="command", required=True)
 

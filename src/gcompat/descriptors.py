@@ -21,6 +21,7 @@ from .witness import (
     ProvenanceNode,
     WitnessCertificate,
     all_subgroups,
+    certificate_mode,
 )
 
 _SIMPLE_KINDS = {"cyclic", "symmetric", "alternating", "dihedral",
@@ -166,7 +167,7 @@ def certificate_to_descriptor(cert: WitnessCertificate,
                      for c in report.checks]
     out = {
         "format": "witness-certificate-v1",
-        "mode": cert.mode,
+        "mode": certificate_mode(cert, bounds),
         "witness": group_to_descriptor(cert.witness),
         "p1": hom_to_descriptor(cert.p1, with_table=enumerable),
         "p2": hom_to_descriptor(cert.p2, with_table=enumerable),
@@ -251,8 +252,7 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup, l2: FiniteGroup,
         evidence.append(EnumeratedExtendEvidence(n, comps))
     prov = _provenance_from_dict(d.get("provenance", {}))
     return WitnessCertificate(witness, p1, p2, ker1, ker2, kernel_iso,
-                              (n1, n2), tuple(evidence), prov,
-                              d.get("mode", "enumerated"))
+                              (n1, n2), tuple(evidence), prov)
 
 
 def _provenance_from_dict(d: dict) -> ProvenanceNode:

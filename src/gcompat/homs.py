@@ -294,7 +294,7 @@ class Homomorphism:
         has the table's size, else over the table's keys, which hold the
         whole source once they hold the identity and are closed under the
         generators."""
-        table = self._table
+        table = self.tabulated()
         if table.get(self.source.identity) != self.target.identity:
             raise HypothesisError(f"{self.label}: identity not preserved")
         graph = self.source._cayley

@@ -292,7 +292,7 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     |root| * prod |ker b|, which is checked (HypothesisError otherwise).
     Within `bounds.enum` the group is closed once here and callers reuse
     its elements; past it, order and membership come from a stabilizer
-    chain, and outside stretch mode the limit is refused as undecided.
+    chain.
     """
     root = system.poset.minimal_nodes()
     if len(root) != 1:
@@ -324,11 +324,6 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     total = rg.order()
     for b in branches:
         total *= kernels[b].order()
-    if total > bounds.enum and not bounds.stretch:
-        raise UndecidedError(
-            f"star limit of order {total} exceeds bound {bounds.enum} "
-            "(stretch mode builds it from generators)")
-
     group = FiniteGroup(degree, gens, label="lim")
     if total <= bounds.enum:
         # closed once under the caller's bound: the order check then needs

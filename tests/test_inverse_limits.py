@@ -1,6 +1,6 @@
 import pytest
 
-from gcompat.bounds import Bounds, HypothesisError, UndecidedError
+from gcompat.bounds import Bounds, HypothesisError
 from gcompat.catalog import named_group
 from gcompat.groups import Subgroup, cyclic, symmetric, trivial_group
 from gcompat.homs import Homomorphism
@@ -73,9 +73,9 @@ def test_z6_s3_star_has_order_18():
 
 @pytest.mark.parametrize("stretch", [False, True])
 def test_star_limit_agrees_with_generic_limit(stretch, rng):
-    # a small enum bound in stretch mode leaves about half the limits
-    # unclosed, so their elements are closed only after star_limit returns
-    bounds = Bounds(enum=40).with_mode("stretch") if stretch else Bounds()
+    # a small enum bound leaves about half the limits unclosed, so their
+    # elements are closed only after star_limit returns
+    bounds = Bounds(enum=40) if stretch else Bounds()
     systems = [z4_star()[0]] + [
         random_surjective_system(rng, star_poset(rng.randint(1, 3)))
         for _ in range(24)]
@@ -283,14 +283,13 @@ def test_star_limit_requires_star():
         star_limit(system)
 
 
-def test_star_limit_gated_in_enumerated_mode():
+def test_star_limit_past_the_enumeration_bound_builds_from_generators():
     z = named_group("Z2xZ4xZ8")
     ident = Homomorphism.trivial(z, trivial_group())
     system = star_system(trivial_group(), [z, z, z], [ident, ident, ident])
-    with pytest.raises(UndecidedError):
-        star_limit(system, Bounds(enum=1000))
-    lim = star_limit(system, Bounds(enum=1000).with_mode("stretch"))
+    lim = star_limit(system, Bounds(enum=1000))
     assert lim.group.order() == 64 ** 3
+    assert lim.group._elements is None
 
 
 def test_universal_property_on_small_instance():
@@ -320,7 +319,7 @@ def test_universal_property_on_small_instance():
 def nested_star_limits(top_bounds=None):
     """lim1 = the Z4 star, lim2 a star over lim1, and a top star over lim2:
     small (order 32) by default, generator-based (order 65536) with
-    `top_bounds` in stretch mode."""
+    `top_bounds` below that order."""
     system, z4, z2, pi = z4_star()
     lim1 = limit(system)
     lim2 = star_limit(star_system(z2, [lim1.group, z4],
@@ -340,7 +339,7 @@ def nested_star_limits(top_bounds=None):
 def test_fused_limit_projections_equal_nested_decodes(stretch, rng):
     from gcompat.homs import _block_offset, decode_block
 
-    bounds = Bounds(enum=1000).with_mode("stretch") if stretch else None
+    bounds = Bounds(enum=1000) if stretch else None
     top, lim2, lim1 = nested_star_limits(bounds)
     two = top.projection(0).then(lim2.projection(1))
     three = top.projection(0).then(lim2.projection(0)).then(lim1.projection(1))

@@ -536,18 +536,9 @@ def test_length4_recursion_is_gated_honestly():
         witness_nilpotent(named_group("Z16"), named_group("E(2,4)"))
 
 
-def test_order_30_recursion_gated_without_stretch():
-    from gcompat.bounds import UndecidedError
-
-    z30 = cyclic(30)
-    other = direct_product(cyclic(5), named_group("S3"))
-    with pytest.raises(UndecidedError):
-        witness_square_free(z30, other)
-
-
 @pytest.mark.stretch
 def test_order_30_stretch_end_to_end():
-    b = Bounds().with_mode("stretch")
+    b = Bounds()
     z30 = cyclic(30)
     other = direct_product(cyclic(5), named_group("S3"))
     cert = witness_square_free(z30, other, b)
@@ -559,7 +550,7 @@ def test_order_30_stretch_end_to_end():
 def test_order_30_stretch_negative_controls():
     from dataclasses import replace
 
-    b = Bounds().with_mode("stretch")
+    b = Bounds()
     z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
     cert = witness_square_free(z30, other, b)
     # p1 as a rule rather than a block map: undecided, never sampled
@@ -622,6 +613,42 @@ def test_quotient_checks_are_derived_past_the_isomorphism_bound():
     assert checks["p1-surjective"].passed
     assert checks["quotient-1-isomorphic"] == CheckResult(
         "quotient-1-isomorphic", False, "failed: p1-target-type")
+
+
+def test_kernel_map_that_raises_fails_each_kernel_iso_check():
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    # a kernel with no closed element set takes the generator branch
+    ker1 = Subgroup(cert.witness, gens=cert.ker1.group.generators)
+    bounds = Bounds(enum=100)
+    assert verify_witness(replace(cert, ker1=ker1), l1, l2, bounds).passed
+    # a table map defined on the identity alone raises on every generator
+    identities = {ker1.group.identity: cert.ker2.group.identity}
+    partial = Homomorphism(ker1.group, cert.ker2.group, table=identities,
+                           label="kernel-iso", check=False)
+    rep = verify_witness(replace(cert, ker1=ker1, kernel_iso=partial),
+                         l1, l2, bounds)
+    assert len(rep.checks) == 18
+    error = "kernel-iso: element not in source table"
+    for name in ("homomorphism", "bijective", "lands-in-ker2"):
+        assert CheckResult(f"kernel-iso-{name}", False, error) in rep.checks
+
+
+def test_skipped_checks_print_skip():
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    rep = verify_witness(cert, l1, l2, Bounds(iso=4))
+    assert rep.passed
+    assert [c.name for c in rep.checks if c.skipped] == [
+        "kernel-iso-independent-search"]
+    assert ("[SKIP] kernel-iso-independent-search  (skipped: kernel order "
+            "256 past the isomorphism bound 4)") in rep.lines()
+    assert not any(line.startswith("[SKIP]")
+                   for line in verify_witness(cert, l1, l2).lines())
+    # a failed check is never read as skipped, whatever its detail says
+    assert not CheckResult("x", False, "skipped: by hand").skipped
 
 
 def test_wrong_kernels_fail_the_kernel_and_quotient_checks():
@@ -773,7 +800,7 @@ def test_tampered_kernel_iso_fails():
                        table=table, check=False)
     tampered = WitnessCertificate(cert.witness, cert.p1, cert.p2, cert.ker1,
                                   cert.ker2, bad, cert.good_at, cert.evidence,
-                                  cert.provenance, cert.mode)
+                                  cert.provenance)
     assert not verify_witness(tampered, l1, l2).passed
 
 
@@ -786,7 +813,7 @@ def test_tampered_projection_fails():
                        check=False)
     tampered = WitnessCertificate(cert.witness, bad, cert.p2, cert.ker1,
                                   cert.ker2, cert.kernel_iso, cert.good_at,
-                                  cert.evidence, cert.provenance, cert.mode)
+                                  cert.evidence, cert.provenance)
     assert not verify_witness(tampered, l1, l2).passed
 
 
@@ -813,7 +840,7 @@ def test_surjectivity_needs_images_inside_the_target():
                       label="p2")
     tampered = WitnessCertificate(cert.witness, cert.p1, p2, cert.ker1,
                                   cert.ker2, cert.kernel_iso, cert.good_at,
-                                  cert.evidence, cert.provenance, cert.mode)
+                                  cert.evidence, cert.provenance)
     rep = verify_witness(tampered, z4, v4)
     checks = {c.name: c for c in rep.checks}
     assert checks["p2-homomorphism"].passed
@@ -924,7 +951,7 @@ def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
 
 @pytest.mark.stretch
 def test_bogus_map_memos_change_no_stretch_verdict():
-    b = Bounds().with_mode("stretch")
+    b = Bounds()
     z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
     cert = witness_square_free(z30, other, b)
     _assert_bogus_map_memos_change_no_verdict(cert, z30, other, b)
