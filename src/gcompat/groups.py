@@ -149,9 +149,8 @@ class FiniteGroup:
         return self._order
 
     def is_enumerable(self, bound=None):
+        """Whether the order is within `bound`, cached elements or not."""
         limit = bound if bound is not None else DEFAULT_BOUNDS.enum
-        if self._elements is not None:
-            return True
         return self.order() <= limit
 
     def contains(self, p):

@@ -190,9 +190,11 @@ class Homomorphism:
         no other inner value to the identity), returns the inner map's
         kernel Subgroup itself. `verify_witness` never reads this memo: its
         `ker-p{d}-matches` check evaluates the map on the certificate
-        kernel's generators."""
+        kernel's generators. A source whose elements a builder closed
+        under a larger bound needs no further closure, so it is read."""
         if self._kernel is None:
-            if not self.source.is_enumerable():
+            if self.source._elements is None \
+                    and not self.source.is_enumerable():
                 raise UndecidedError(
                     f"kernel of {self.label}: source not enumerable (order "
                     f"{self.source.order()}, past the enumeration bound "

@@ -449,7 +449,19 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
 
     The star has root S_{1;2} with the side-1 branch twisted through the
     level-1 kernel isomorphism; kernels of the projections are the opposite
-    branch kernels, bridged by the level-2 kernel isomorphism.
+    branch kernels, bridged by the level-2 kernel isomorphism
+    z = place(1, y) -> place(0, kappa_2^-1(y)).
+
+    Within `bounds.enum` that map is tabulated over ker1 and edge-checked.
+    Past it the map is the rule z -> place(0, kappa_2^-1(decode(z, 1))),
+    with no table and no check: `compose_witness` reads it at a few points
+    and `verify_witness` proves the final kernel map by its generator
+    graph. The rule is a homomorphism by construction. `decode` at branch
+    1 inverts place(1, .) on ker1 = <place(1, k)>, whose order is checked
+    below. kappa_2^-1 is `inverse()` of a proved bijection, which raises
+    unless kappa_2 is bijective: a contracted kernel map is edge-checked
+    when `build_good_witness` builds it, and `comp_membership`'s maps
+    come from `extend_images`. place(0, .) is a homomorphism.
     """
     if s1.length != 2 or s2.length != 2:
         raise HypothesisError("length-2 builder needs length-2 sequences")
@@ -478,11 +490,17 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     if ker1.order() != k_pi22.order() or ker2.order() != k_pi21.order():
         raise HypothesisError("length-2 kernel generators have wrong order")
     kappa2_inv = comp.kernel_isos[2].inverse()
-    kernel_iso = Homomorphism(
-        ker1.group, ker2.group, label="kernel-iso",
-        table={embed1(y): embed0(kappa2_inv(y)) for y in k_pi22.members()})
-    if len(set(kernel_iso.tabulated().values())) != k_pi22.order():
-        raise HypothesisError("length-2 kernel identification not injective")
+    if lim.group.is_enumerable(bounds.enum):
+        kernel_iso = Homomorphism(
+            ker1.group, ker2.group, label="kernel-iso",
+            table={embed1(y): embed0(kappa2_inv(y)) for y in k_pi22.members()})
+        if len(set(kernel_iso.tabulated().values())) != k_pi22.order():
+            raise HypothesisError(
+                "length-2 kernel identification not injective")
+    else:
+        kernel_iso = Homomorphism.of_rule(
+            ker1.group, ker2.group,
+            lambda z: embed0(kappa2_inv(lim.decode(z, 1))), label="kernel-iso")
 
     ev1 = PlacedExtendEvidence(p1, k_pi21, "star-projection")
     ev2 = PlacedExtendEvidence(p2, k_pi22, "star-projection")
@@ -1050,15 +1068,22 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
     except ValueError as e:
         rep.add("kernel-iso-homomorphism", False, str(e))
     try:
-        # the table's values, or the images of ker1's generators and the
-        # order of the group they generate
-        values = (list(ki.tabulated().values()) if table
-                  else list(map(ki, ker1.group.generators)))
-        size = len(set(values)) if table else FiniteGroup(
-            ker2.group.degree, values, "im").order()
+        # a table keyed by ker1's elements and its values, or the images of
+        # ker1's generators and the order of the group they generate; the
+        # keys are tested one by one, so ker1's element set is not closed
+        if table:
+            keyed = ki.tabulated()
+            values = list(keyed.values())
+            size, detail = len(set(values)), ""
+            if len(keyed) != ker1.order() \
+                    or not all(map(ker1.contains, keyed)):
+                size, detail = -1, "table not keyed by ker1"
+        else:
+            values = list(map(ki, ker1.group.generators))
+            size = FiniteGroup(ker2.group.degree, values, "im").order()
+            detail = "image generates the full kernel (chain orders)"
         rep.add("kernel-iso-bijective", size == ker1.order() == ker2.order(),
-                "" if table else "image generates the full kernel "
-                "(chain orders)")
+                detail)
         rep.add("kernel-iso-lands-in-ker2", all(map(ker2.contains, values)))
     except ValueError as e:
         rep.add("kernel-iso-bijective", False, str(e))

@@ -309,6 +309,22 @@ def test_rule_map_past_the_enumeration_bound_is_undecided():
         Bounds(enum=5)) == 6 * 2
 
 
+def test_kernel_of_a_source_closed_past_the_default_bound():
+    # a builder run under a larger enumeration bound closes the source's
+    # elements; kernels are read off them instead of being refused
+    from gcompat.bounds import UndecidedError
+
+    s5, z2 = symmetric(5), cyclic(2)
+    g = direct_product(direct_product(s5, s5), z2)
+    assert g.degree == 12 and not g.is_enumerable()
+    fresh = FiniteGroup(g.degree, g.generators, "G")
+    with pytest.raises(UndecidedError, match="past the enumeration bound"):
+        Homomorphism.block(fresh, z2, 10).kernel()
+    g.elements(30000)
+    assert not g.is_enumerable()
+    assert Homomorphism.block(g, z2, 10).kernel().order() == 14400
+
+
 def test_generator_graph_decides_generator_images():
     z3, z2 = cyclic(3), cyclic(2)
     g, h = z3.generators[0], z2.generators[0]

@@ -585,6 +585,64 @@ def test_order_30_stretch_negative_controls():
                              label="kernel-iso").check_generator_graph()
 
 
+def _length2_builds(monkeypatch, build, *args):
+    """The result of `build(*args)` and, for each length-2 certificate
+    built on the way, (certificate, its CompData, its star limit, the
+    labels of the tables edge-checked while it was built)."""
+    import gcompat.witness as witness
+
+    limits, checked, calls = [], [], []
+    length2, star = witness.build_witness_length2, witness.star_limit
+    edges = Homomorphism.check_table_edges
+
+    def record_limit(*a, **kw):
+        limits.append(star(*a, **kw))
+        return limits[-1]
+
+    def record_edges(self):
+        checked.append(self.label)
+        return edges(self)
+
+    def capture(s1, s2, comp=None, bounds=Bounds()):
+        before, seen = len(limits), len(checked)
+        cert = length2(s1, s2, comp, bounds)
+        calls.append((cert, comp, limits[before], checked[seen:]))
+        return cert
+
+    monkeypatch.setattr(witness, "star_limit", record_limit)
+    monkeypatch.setattr(witness, "build_witness_length2", capture)
+    monkeypatch.setattr(Homomorphism, "check_table_edges", record_edges)
+    return build(*args), calls
+
+
+def _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim):
+    kappa2_inv = comp.kernel_isos[2].inverse()
+    expected = {lim.place(1, y): lim.place(0, kappa2_inv(y))
+                for y in kappa2_inv.source.elements()}
+    assert len(expected) == base.ker1.order()
+    table = {z: base.kernel_iso(z) for z in base.ker1.members()}
+    assert table == expected
+    Homomorphism(base.ker1.group, base.ker2.group, table=table,
+                 label="kernel-iso", check=False).check_table_edges()
+
+
+@pytest.mark.stretch
+def test_stretch_length2_kernel_iso_is_a_rule(monkeypatch):
+    # past the enumeration bound the length-2 kernel map is neither
+    # tabulated nor edge-checked when built; its generator graph proves it,
+    # and tabulated here it is the placed inverse, a homomorphism
+    b = Bounds()
+    z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
+    cert, calls = _length2_builds(monkeypatch, witness_square_free,
+                                  z30, other, b)
+    (base, comp, lim, checked), = calls
+    assert base.witness is cert.witness
+    assert not base.witness.is_enumerable(b.enum)
+    assert base.kernel_iso._table is None and "kernel-iso" not in checked
+    assert base.kernel_iso.check_generator_graph() == 1875
+    _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim)
+
+
 DERIVED = {d: f"from p{d}-homomorphism, p{d}-surjective, ker-p{d}-matches"
            for d in (1, 2)}
 
@@ -634,6 +692,81 @@ def test_kernel_map_that_raises_fails_each_kernel_iso_check():
     error = "kernel-iso: element not in source table"
     for name in ("homomorphism", "bijective", "lands-in-ker2"):
         assert CheckResult(f"kernel-iso-{name}", False, error) in rep.checks
+
+
+def test_enumerable_length2_kernel_iso_is_tabulated_and_checked(monkeypatch):
+    cert, calls = _length2_builds(monkeypatch, witness_nilpotent,
+                                  named_group("D8"), quaternion())
+    (base, comp, lim, checked), = calls
+    assert base.witness.is_enumerable()
+    assert len(base.kernel_iso._table) == base.ker1.order() == 32
+    assert checked == ["kernel-iso"]
+    _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim)
+
+
+def test_length2_kernel_iso_past_the_bound_is_a_rule(monkeypatch):
+    # one below the witness order: the same certificate, with the kernel
+    # map as a rule that is never tabulated or edge-checked when built
+    l1, l2 = named_group("Z6"), named_group("S3")
+    bounds = Bounds(enum=17)
+    full = witness_square_free(l1, l2)
+    cert, calls = _length2_builds(monkeypatch, witness_square_free,
+                                  l1, l2, bounds)
+    (base, comp, lim, checked), = calls
+    assert base is cert and cert.witness.order() == 18
+    assert cert.kernel_iso._table is None and checked == []
+    assert cert.kernel_iso.check_generator_graph() == 3
+    _assert_length2_kernel_iso_is_the_placed_inverse(cert, comp, lim)
+    assert cert.kernel_iso.tabulated() == full.kernel_iso.tabulated()
+    assert verify_witness(cert, l1, l2, bounds).lines() \
+        == verify_witness(full, l1, l2, bounds).lines()
+
+
+def test_enumerability_ignores_cached_elements():
+    # a kernel whose elements were closed while building takes the same
+    # path past the bound as the same kernel rebuilt from its generators
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    assert cert.ker1.group._elements is not None
+    assert not cert.ker1.group.is_enumerable(100)
+    fresh = replace(cert, ker1=Subgroup(cert.witness,
+                                        gens=cert.ker1.group.generators),
+                    ker2=Subgroup(cert.witness,
+                                  gens=cert.ker2.group.generators))
+    bounds = Bounds(enum=100)
+    lines = [[line for line in verify_witness(c, l1, l2, bounds).lines()
+              if "kernel-iso-" in line] for c in (cert, fresh)]
+    assert lines[0] == lines[1]
+    assert ("[SKIP] kernel-iso-independent-search  (skipped: kernel order "
+            "256 past the enumeration bound 100)") in lines[0]
+
+
+def test_kernel_iso_keyed_outside_ker1_is_not_bijective():
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    table = dict(cert.kernel_iso.tabulated())
+    # two values swapped, same keys: only the homomorphism check fails
+    keys = sorted(table)
+    table[keys[1]], table[keys[2]] = table[keys[2]], table[keys[1]]
+    swapped = Homomorphism(cert.ker1.group, cert.ker2.group, table=table,
+                           label="kernel-iso", check=False)
+    failed = [c.name for c in verify_witness(
+        replace(cert, kernel_iso=swapped), l1, l2).checks if not c.passed]
+    assert failed == ["kernel-iso-homomorphism"]
+    # the inverse table, keyed by ker2's elements: as many distinct values
+    # as ker1 has elements, yet not a map on ker1
+    rekeyed = Homomorphism(cert.ker1.group, cert.ker2.group,
+                           table={cert.kernel_iso(x): x
+                                  for x in cert.ker1.members()},
+                           label="kernel-iso", check=False)
+    checks = {c.name: c for c in verify_witness(
+        replace(cert, kernel_iso=rekeyed), l1, l2).checks}
+    assert checks["kernel-iso-bijective"] == CheckResult(
+        "kernel-iso-bijective", False, "table not keyed by ker1")
 
 
 def test_skipped_checks_print_skip():
