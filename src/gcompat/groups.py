@@ -153,6 +153,12 @@ class FiniteGroup:
         limit = bound if bound is not None else DEFAULT_BOUNDS.enum
         return self.order() <= limit
 
+    def can_enumerate(self, bound=None):
+        """Whether the elements are at hand: cached already, closed under
+        whatever bound the caller that closed them had, or of an order
+        within `bound`."""
+        return self._elements is not None or self.is_enumerable(bound)
+
     def contains(self, p):
         if len(p) != self.degree:
             return False

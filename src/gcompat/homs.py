@@ -161,7 +161,7 @@ class Homomorphism:
                 raise HypothesisError(
                     f"{self.label}: image of restriction not inside target")
         name = label or f"{self.label}|"
-        if self._table is not None and sub.group.is_enumerable():
+        if self._table is not None and sub.group.can_enumerate():
             table = {x: self(x) for x in sub.members()}
             return Homomorphism(sub.group, target_sub.group, table=table,
                                 label=name, check=False)
@@ -191,10 +191,9 @@ class Homomorphism:
         kernel Subgroup itself. `verify_witness` never reads this memo: its
         `ker-p{d}-matches` check evaluates the map on the certificate
         kernel's generators. A source whose elements a builder closed
-        under a larger bound needs no further closure, so it is read."""
+        under a larger bound is read (`FiniteGroup.can_enumerate`)."""
         if self._kernel is None:
-            if self.source._elements is None \
-                    and not self.source.is_enumerable():
+            if not self.source.can_enumerate():
                 raise UndecidedError(
                     f"kernel of {self.label}: source not enumerable (order "
                     f"{self.source.order()}, past the enumeration bound "

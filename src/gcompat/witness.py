@@ -452,16 +452,17 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     branch kernels, bridged by the level-2 kernel isomorphism
     z = place(1, y) -> place(0, kappa_2^-1(y)).
 
-    Within `bounds.enum` that map is tabulated over ker1 and edge-checked.
-    Past it the map is the rule z -> place(0, kappa_2^-1(decode(z, 1))),
-    with no table and no check: `compose_witness` reads it at a few points
-    and `verify_witness` proves the final kernel map by its generator
-    graph. The rule is a homomorphism by construction. `decode` at branch
-    1 inverts place(1, .) on ker1 = <place(1, k)>, whose order is checked
-    below. kappa_2^-1 is `inverse()` of a proved bijection, which raises
-    unless kappa_2 is bijective: a contracted kernel map is edge-checked
-    when `build_good_witness` builds it, and `comp_membership`'s maps
-    come from `extend_images`. place(0, .) is a homomorphism.
+    That map is the rule z -> place(0, kappa_2^-1(decode(z, 1))) at every
+    size, with no table and no check here: `compose_witness` reads it at a
+    few points, and `verify_witness` proves the final kernel map, by its
+    table's edges when ker1 is enumerable and by its generator graph
+    otherwise. The rule is a homomorphism by construction. `decode` at
+    branch 1 inverts place(1, .) on ker1 = <place(1, k)>, whose order is
+    checked below. kappa_2^-1 is `inverse()` of a proved bijection, which
+    raises unless kappa_2 is bijective: a contracted kernel map is
+    edge-checked when `build_good_witness` builds it, and
+    `comp_membership`'s maps come from `extend_images`. place(0, .) is a
+    homomorphism.
     """
     if s1.length != 2 or s2.length != 2:
         raise HypothesisError("length-2 builder needs length-2 sequences")
@@ -490,17 +491,9 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     if ker1.order() != k_pi22.order() or ker2.order() != k_pi21.order():
         raise HypothesisError("length-2 kernel generators have wrong order")
     kappa2_inv = comp.kernel_isos[2].inverse()
-    if lim.group.is_enumerable(bounds.enum):
-        kernel_iso = Homomorphism(
-            ker1.group, ker2.group, label="kernel-iso",
-            table={embed1(y): embed0(kappa2_inv(y)) for y in k_pi22.members()})
-        if len(set(kernel_iso.tabulated().values())) != k_pi22.order():
-            raise HypothesisError(
-                "length-2 kernel identification not injective")
-    else:
-        kernel_iso = Homomorphism.of_rule(
-            ker1.group, ker2.group,
-            lambda z: embed0(kappa2_inv(lim.decode(z, 1))), label="kernel-iso")
+    kernel_iso = Homomorphism.of_rule(
+        ker1.group, ker2.group,
+        lambda z: embed0(kappa2_inv(lim.decode(z, 1))), label="kernel-iso")
 
     ev1 = PlacedExtendEvidence(p1, k_pi21, "star-projection")
     ev2 = PlacedExtendEvidence(p2, k_pi22, "star-projection")

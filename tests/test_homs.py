@@ -309,20 +309,31 @@ def test_rule_map_past_the_enumeration_bound_is_undecided():
         Bounds(enum=5)) == 6 * 2
 
 
-def test_kernel_of_a_source_closed_past_the_default_bound():
+def test_maps_out_of_a_source_closed_past_the_default_bound():
     # a builder run under a larger enumeration bound closes the source's
-    # elements; kernels are read off them instead of being refused
+    # elements; kernels are read off them instead of being refused, and a
+    # table map restricts to a table on them instead of to a rule
     from gcompat.bounds import UndecidedError
 
     s5, z2 = symmetric(5), cyclic(2)
     g = direct_product(direct_product(s5, s5), z2)
     assert g.degree == 12 and not g.is_enumerable()
     fresh = FiniteGroup(g.degree, g.generators, "G")
+    assert not fresh.can_enumerate()
     with pytest.raises(UndecidedError, match="past the enumeration bound"):
         Homomorphism.block(fresh, z2, 10).kernel()
     g.elements(30000)
-    assert not g.is_enumerable()
+    assert not g.is_enumerable() and g.can_enumerate()
     assert Homomorphism.block(g, z2, 10).kernel().order() == 14400
+
+    whole = Subgroup(g, gens=g.generators)
+    onto = Subgroup(z2, gens=z2.generators)
+    table = Homomorphism(g, z2, table=Homomorphism.block(g, z2, 10)
+                         .tabulated(), check=False)
+    assert table.restrict(whole, onto)._table is None
+    whole.members(30000)
+    restricted = table.restrict(whole, onto)
+    assert restricted._table == table.tabulated()
 
 
 def test_generator_graph_decides_generator_images():

@@ -694,32 +694,42 @@ def test_kernel_map_that_raises_fails_each_kernel_iso_check():
         assert CheckResult(f"kernel-iso-{name}", False, error) in rep.checks
 
 
-def test_enumerable_length2_kernel_iso_is_tabulated_and_checked(monkeypatch):
+def test_length2_kernel_iso_is_a_rule_at_every_size(monkeypatch):
+    # within the enumeration bound and one below the witness order, the
+    # length-2 kernel map is a rule its builder never tabulates or
+    # edge-checks; verify_witness edge-checks it over ker1, of order 3
+    l1, l2 = named_group("Z6"), named_group("S3")
+    edges = Homomorphism.check_table_edges
+    for bounds in (Bounds(), Bounds(enum=17)):
+        cert, calls = _length2_builds(monkeypatch, witness_square_free,
+                                      l1, l2, bounds)
+        (base, comp, lim, checked), = calls
+        assert base is cert and cert.witness.order() == 18
+        assert not cert.witness.is_enumerable(17)
+        assert cert.kernel_iso._table is None and checked == []
+        assert cert.kernel_iso.check_generator_graph() == 3
+        _assert_length2_kernel_iso_is_the_placed_inverse(cert, comp, lim)
+        seen = []
+        monkeypatch.setattr(Homomorphism, "check_table_edges",
+                            lambda self: seen.append(self.label)
+                            or edges(self))
+        rep = verify_witness(cert, l1, l2, bounds)
+        assert all(c.passed for c in rep.checks) and "kernel-iso" in seen
+        assert CheckResult("kernel-iso-homomorphism", True,
+                           "complete edge check") in rep.checks
+
+
+def test_composed_kernel_iso_reads_the_length2_rule(monkeypatch):
+    # D8|Q8 composes its length-2 witness: the composed kernel map is
+    # tabulated from the length-2 rule, which itself is never tabulated or
+    # edge-checked
     cert, calls = _length2_builds(monkeypatch, witness_nilpotent,
                                   named_group("D8"), quaternion())
     (base, comp, lim, checked), = calls
-    assert base.witness.is_enumerable()
-    assert len(base.kernel_iso._table) == base.ker1.order() == 32
-    assert checked == ["kernel-iso"]
+    assert base.witness is cert.witness and base.ker1.order() == 32
+    assert base.kernel_iso._table is None and checked == []
+    assert len(cert.kernel_iso._table) == cert.ker1.order() == 256
     _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim)
-
-
-def test_length2_kernel_iso_past_the_bound_is_a_rule(monkeypatch):
-    # one below the witness order: the same certificate, with the kernel
-    # map as a rule that is never tabulated or edge-checked when built
-    l1, l2 = named_group("Z6"), named_group("S3")
-    bounds = Bounds(enum=17)
-    full = witness_square_free(l1, l2)
-    cert, calls = _length2_builds(monkeypatch, witness_square_free,
-                                  l1, l2, bounds)
-    (base, comp, lim, checked), = calls
-    assert base is cert and cert.witness.order() == 18
-    assert cert.kernel_iso._table is None and checked == []
-    assert cert.kernel_iso.check_generator_graph() == 3
-    _assert_length2_kernel_iso_is_the_placed_inverse(cert, comp, lim)
-    assert cert.kernel_iso.tabulated() == full.kernel_iso.tabulated()
-    assert verify_witness(cert, l1, l2, bounds).lines() \
-        == verify_witness(full, l1, l2, bounds).lines()
 
 
 def test_enumerability_ignores_cached_elements():
