@@ -453,8 +453,9 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     z = place(1, y) -> place(0, kappa_2^-1(y)).
 
     That map is the rule z -> place(0, kappa_2^-1(decode(z, 1))) at every
-    size, with no table and no check here: `compose_witness` reads it at a
-    few points, and `verify_witness` proves the final kernel map, by its
+    size, with no table and no check here: `compose_witness` reads it into
+    the composed map, which it edge-checks when the new kernel is
+    enumerable, and `verify_witness` proves a final kernel map by its
     table's edges when ker1 is enumerable and by its generator graph
     otherwise. The rule is a homomorphism by construction. `decode` at
     branch 1 inverts place(1, .) on ker1 = <place(1, k)>, whose order is
