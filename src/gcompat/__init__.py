@@ -18,7 +18,7 @@ from .groups import (
     direct_product,
     elementary_abelian,
     from_elements,
-    normal_sylow_and_complement,
+    normal_sylow,
     symmetric,
     trivial_group,
 )

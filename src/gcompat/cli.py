@@ -23,13 +23,13 @@ from .inverse_limits import limit
 from .isos import find_isomorphism
 from .sequences import series_to_sequence
 from .witness import (
+    SERIES,
     assemble_certificate,
     build_good_witness,
     certificate_mode,
     comp_membership,
     compatible_central_series,
     is_trivially_extendable,
-    square_free_series,
     verify_witness,
     witness_nilpotent,
     witness_square_free,
@@ -72,9 +72,9 @@ def cmd_group(args) -> int:
     print(f"group {g.label}: order {g.order()}, degree {g.degree}")
     print(f"abelian: {g.is_abelian()}")
     if g.is_enumerable(bounds.enum):
-        print(f"exponent: {g.exponent()}")
-        print(f"nilpotent: {g.is_nilpotent()}")
-        print(f"center order: {g.center().order()}")
+        print(f"exponent: {g.exponent(bounds.enum)}")
+        print(f"nilpotent: {g.is_nilpotent(bounds.enum)}")
+        print(f"center order: {g.center(bounds.enum).order()}")
     _emit(args, descriptors.group_to_descriptor(g))
     return 0
 
@@ -154,12 +154,9 @@ def _chain_from_file(path: str, l1, l2):
 
 
 def _sequences_for(args, l1, l2, bounds):
-    if args.series == "auto-central":
-        c1 = compatible_central_series(l1, bounds)
-        c2 = compatible_central_series(l2, bounds)
-    elif args.series == "auto-squarefree":
-        c1 = square_free_series(l1, bounds)
-        c2 = square_free_series(l2, bounds)
+    if args.series in SERIES:
+        series, _ = SERIES[args.series]
+        c1, c2 = series(l1, bounds), series(l2, bounds)
     else:
         c1, c2 = _chain_from_file(args.series, l1, l2)
     return series_to_sequence(l1, c1), series_to_sequence(l2, c2)
@@ -168,10 +165,9 @@ def _sequences_for(args, l1, l2, bounds):
 def cmd_witness_build(args) -> int:
     bounds = _bounds(args)
     l1, l2 = _group_arg(args.L1), _group_arg(args.L2)
-    if args.series == "auto-central":
-        cert = witness_nilpotent(l1, l2, bounds)
-    elif args.series == "auto-squarefree":
-        cert = witness_square_free(l1, l2, bounds)
+    if args.series in SERIES:
+        _, witness = SERIES[args.series]
+        cert = witness(l1, l2, bounds)
     else:
         s1, s2 = _sequences_for(args, l1, l2, bounds)
         cert = build_good_witness(s1, s2, None, bounds)
@@ -443,7 +439,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--L1", required=True)
     sp.add_argument("--L2", required=True)
     sp.add_argument("--series", default="auto-central",
-                    help="auto-central | auto-squarefree | FILE")
+                    help=" | ".join(SERIES) + " | FILE")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_witness_build)
     sp = wsub.add_parser("verify")

@@ -488,13 +488,15 @@ def semidirect(p_group, q_group, twist, label=None):
 # -- structure operations ----------------------------------------------------
 
 
-def central_subgroup_of_order_p(g, p, bound=None):
-    """An order-p subgroup inside the computed center.
+def central_subgroup_of_order_p(g, p=None, bound=None):
+    """An order-p subgroup inside the computed center; p defaults to the
+    smallest prime dividing |G|.
 
     The center is computed directly rather than trusted from a nilpotency
     claim; absence of an order-p central element is reported as a refuted
     hypothesis.
     """
+    p = p or _smallest_prime(g.order())
     if g.order() % p:
         raise HypothesisError(f"{p} does not divide |{g.label}| = {g.order()}")
     z = g.center(bound)
@@ -506,6 +508,29 @@ def central_subgroup_of_order_p(g, p, bound=None):
             return Subgroup(g, members=closure([x]), label=f"Z_{p}")
     raise HypothesisError(
         f"no central element of order {p} in {g.label} (non-nilpotent input?)")
+
+
+def normal_sylow(g, bound=None):
+    """For square-free |G|: the Sylow subgroup for the largest prime p,
+    generated by the elements of order p. It is refused unless it has
+    order p; it is then the only Sylow p-subgroup, so it is normal."""
+    n = g.order()
+    if not _is_square_free(n):
+        raise HypothesisError(f"|{g.label}| = {n} is not square-free")
+    p = _largest_prime_factor(n)
+    orders = g.element_orders(bound)
+    p_elems = [e for e in g.elements(bound) if orders[e] == p]
+    members = closure(p_elems, bound=bound or DEFAULT_BOUNDS.enum)
+    if len(members) != p:
+        raise HypothesisError(f"Sylow {p}-subgroup of {g.label} is not normal")
+    return Subgroup(g, members=members, label=f"P{p}")
+
+
+def _smallest_prime(n):
+    d = 2
+    while n % d and d < n:  # 2 for n = 1, which no prime divides
+        d += 1
+    return d
 
 
 def _is_square_free(n):
@@ -527,58 +552,6 @@ def _largest_prime_factor(n):
             best, n = d, n // d
         d += 1
     return max(best, n) if n > 1 else best
-
-
-def normal_sylow_and_complement(g, bound=None):
-    """For square-free |G|: the normal Sylow subgroup for the largest prime
-    and a complement found by exhaustive subgroup search."""
-    n = g.order()
-    if not _is_square_free(n):
-        raise HypothesisError(f"|{g.label}| = {n} is not square-free")
-    p = _largest_prime_factor(n)
-    orders = g.element_orders(bound)
-    p_elems = [e for e in g.elements(bound) if orders[e] == p]
-    members = closure(p_elems, bound=bound or DEFAULT_BOUNDS.enum)
-    if len(members) != p:
-        raise HypothesisError(f"Sylow {p}-subgroup of {g.label} is not normal")
-    sylow = Subgroup(g, members=members, label=f"P{p}")
-    if not sylow.is_normal():
-        raise HypothesisError(f"Sylow {p}-subgroup of {g.label} is not normal")
-    m = n // p
-    comp = _find_subgroup_of_order(g, m, orders, avoid=sylow, bound=bound)
-    if comp is None:
-        raise HypothesisError(f"no complement of order {m} found in {g.label}")
-    return sylow, comp
-
-
-def _find_subgroup_of_order(g, m, orders, avoid=None, bound=None):
-    """Exhaustive search for a subgroup of order m meeting `avoid` trivially;
-    `orders` is g's `element_orders()`."""
-    if m == 1:
-        return g.trivial_subgroup()
-    elems = [e for e in g.sorted_elements(bound)
-             if orders[e] != 1 and m % orders[e] == 0]
-
-    def extend(current_gens, current_members, pool_start):
-        if len(current_members) == m:
-            if avoid is not None:
-                if any(x != g.identity and avoid.contains(x) for x in current_members):
-                    return None
-            return Subgroup(g, gens=current_gens, members=current_members)
-        for idx in range(pool_start, len(elems)):
-            e = elems[idx]
-            if e in current_members:
-                continue
-            new_members = dimino_extend(current_members, current_gens, e,
-                                        limit=m)
-            if new_members is None or m % len(new_members):
-                continue
-            found = extend(current_gens + [e], new_members, idx + 1)
-            if found is not None:
-                return found
-        return None
-
-    return extend([], frozenset([g.identity]), 0)
 
 
 def all_subgroups(g, bound=None):

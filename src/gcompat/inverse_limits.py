@@ -37,7 +37,7 @@ class InverseSystem:
             self.validate()
 
     @classmethod
-    def from_cover_maps(cls, poset: Poset, groups, cover_maps, *, check=True):
+    def from_cover_maps(cls, poset: Poset, groups, cover_maps):
         """Fill composite transitions from cover maps (in-forest posets)."""
         if not poset.is_in_forest():
             raise HypothesisError("cover-map construction needs an in-forest poset")
@@ -53,7 +53,7 @@ class InverseSystem:
                     continue
                 if poset.le(i, j) and (i, j) not in maps:
                     maps[(i, j)] = maps[(c, j)].then(maps[(i, c)])
-        return cls(poset, groups, maps, check=check)
+        return cls(poset, groups, maps)
 
     def transition(self, i, j) -> Homomorphism:
         if i == j:
@@ -117,14 +117,13 @@ class SystemMorphism:
     """Level maps source -> target over one poset, commuting with transitions."""
 
     def __init__(self, source: InverseSystem, target: InverseSystem,
-                 level_map, *, check=True):
+                 level_map):
         if source.poset.nodes != target.poset.nodes:
             raise ValueError("systems live over different posets")
         self.source = source
         self.target = target
         self.level_map = dict(level_map)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         for (i, j) in self.source.poset.comparable_pairs():

@@ -16,18 +16,17 @@ from .inverse_limits import star_limit, star_system
 class GroupSequence:
     """groups[0] = 1, maps[i-1]: groups[i] -> groups[i-1] for 1 <= i <= l."""
 
-    def __init__(self, groups, maps, *, check=True):
+    def __init__(self, groups, maps):
         self.groups = list(groups)
         self.maps = list(maps)
         if len(self.groups) != len(self.maps) + 1:
             raise ValueError("need one map per step")
         if self.groups[0].order() != 1:
             raise ValueError("sequence must end at the trivial group")
-        if check:
-            for i, f in enumerate(self.maps, start=1):
-                if f.source.degree != self.groups[i].degree \
-                        or f.target.degree != self.groups[i - 1].degree:
-                    raise ValueError(f"map {i} endpoints mismatch")
+        for i, f in enumerate(self.maps, start=1):
+            if f.source.degree != self.groups[i].degree \
+                    or f.target.degree != self.groups[i - 1].degree:
+                raise ValueError(f"map {i} endpoints mismatch")
 
     @property
     def length(self):
@@ -65,7 +64,7 @@ class GroupSequence:
         return f"GroupSequence({orders})"
 
 
-def series_to_sequence(l_group: FiniteGroup, chain, *, check=True) -> GroupSequence:
+def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
     """Sequence of the normal series 1 = chain[0] <= ... <= chain[l] = L.
 
     S_i = L / chain[l-i] with the induced maps between successive quotients.
@@ -73,13 +72,12 @@ def series_to_sequence(l_group: FiniteGroup, chain, *, check=True) -> GroupSeque
     chain = list(chain)
     if chain[0].order() != 1 or chain[-1].order() != l_group.order():
         raise HypothesisError("series must run from 1 to the whole group")
-    if check:
-        for i in range(len(chain) - 1):
-            if not (chain[i] <= chain[i + 1]):
-                raise HypothesisError(f"series term {i} not below term {i + 1}")
-        for term in chain:
-            if not Subgroup(l_group, members=term.members()).is_normal():
-                raise HypothesisError("series term is not normal in the group")
+    for i in range(len(chain) - 1):
+        if not (chain[i] <= chain[i + 1]):
+            raise HypothesisError(f"series term {i} not below term {i + 1}")
+    for term in chain:
+        if not Subgroup(l_group, members=term.members()).is_normal():
+            raise HypothesisError("series term is not normal in the group")
     ell = len(chain) - 1
     groups = [trivial_group()]
     quots: list[Homomorphism] = []

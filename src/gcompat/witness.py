@@ -28,7 +28,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     central_subgroup_of_order_p,
-    normal_sylow_and_complement,
+    normal_sylow,
 )
 from .homs import Homomorphism, _block_offset, quotient
 from .hybrid import hybrid_wreath
@@ -520,15 +520,12 @@ class RecursionStep:
     """The per-side objects of one unfolding of the recursion."""
 
     n: int
-    x_lists: dict           # delta -> canonical elements of S_{l-2;delta}
     g_lims: dict            # delta -> LimitGroup (star of twisted top copies)
     rho: dict               # delta -> Homomorphism G_delta -> S_{l;delta}
-    t_subs: dict            # delta -> Subgroup of S_{l;delta}
     thetas: dict            # delta -> Homomorphism
     hybrids: dict           # delta -> HybridWreath
     phis: dict              # delta -> standard maps
     eta: dict               # delta -> Homomorphism BW_delta -> limZ_{bar} <= G_bar
-    lim_z_members: dict     # delta -> frozenset inside G_delta
     checks: list = field(default_factory=list)
 
 
@@ -636,8 +633,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         if not ok:
             raise HypothesisError(f"kernel square {d} does not commute")
 
-    return RecursionStep(n, x_lists, g_lims, rhos, t_subs, thetas, hybrids,
-                         phis, etas, lim_z_members, checks)
+    return RecursionStep(n, g_lims, rhos, thetas, hybrids, phis, etas, checks)
 
 
 def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
@@ -865,69 +861,71 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
 # series builders and the top-level entry points
 
 
-def compatible_central_series(l_group: FiniteGroup, bounds=DEFAULT_BOUNDS):
-    """A central series with cyclic prime factors, smallest prime first.
+def normal_series(l_group: FiniteGroup, pick, bounds=DEFAULT_BOUNDS):
+    """A normal series 1 = N_0 < N_1 < ... < N_l = L with prime factors,
+    built bottom-up.
 
-    Two groups of the same order get series with matching factor lists, so
-    the derived sequences are compatible level by level.
+    N_1 = pick(L, bound=bounds.enum) is a normal subgroup of prime order;
+    the terms above it are the preimages of the series of L/N_1 under the
+    quotient map, built by the same pick.
     """
     chain = [l_group.trivial_subgroup()]
     if l_group.order() == 1:
         return chain
-    p = _smallest_prime(l_group.order())
-    c = central_subgroup_of_order_p(l_group, p, bounds.enum)
-    q, pi = quotient(l_group, c)
-    upper = compatible_central_series(q, bounds)
-    chain.append(c)
-    for term in upper[1:]:
-        chain.append(pi.preimage(term.members()))
-    return chain
+    n = pick(l_group, bound=bounds.enum)
+    q, pi = quotient(l_group, n)
+    upper = normal_series(q, pick, bounds)
+    return chain + [n] + [pi.preimage(t.members()) for t in upper[1:]]
 
 
-def _smallest_prime(n):
-    d = 2
-    while n % d:
-        d += 1
-    return d
+def compatible_central_series(l_group: FiniteGroup, bounds=DEFAULT_BOUNDS):
+    """A central series with cyclic prime factors, smallest prime first
+    (each pick is central of the smallest prime order in its quotient).
+
+    Two groups of the same order get series with matching factor lists, so
+    the derived sequences are compatible level by level.
+    """
+    return normal_series(l_group, central_subgroup_of_order_p, bounds)
 
 
 def square_free_series(l_group: FiniteGroup, bounds=DEFAULT_BOUNDS):
-    """Normal series with cyclic factors of decreasing primes, via the
-    normal Sylow subgroup for the largest prime at each stage."""
-    chain = [l_group.trivial_subgroup()]
-    if l_group.order() == 1:
-        return chain
-    sylow, _comp = normal_sylow_and_complement(l_group, bounds.enum)
-    q, pi = quotient(l_group, sylow)
-    upper = square_free_series(q, bounds)
-    chain.append(sylow)
-    for term in upper[1:]:
-        chain.append(pi.preimage(term.members()))
-    return chain
+    """Normal series with cyclic factors of decreasing primes: each pick is
+    the normal Sylow subgroup for the largest prime of its quotient. Two
+    groups of the same square-free order get the same factor list."""
+    return normal_series(l_group, normal_sylow, bounds)
+
+
+def _witness_from_series(l1: FiniteGroup, l2: FiniteGroup, series,
+                         bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
+    """Witness for two groups of the same order from the sequences of
+    `series(L_d, bounds)`: the shared tail of the entry points below."""
+    if l1.order() != l2.order():
+        raise HypothesisError("groups have different orders")
+    s1 = series_to_sequence(l1, series(l1, bounds))
+    s2 = series_to_sequence(l2, series(l2, bounds))
+    return build_good_witness(s1, s2, None, bounds)
 
 
 def witness_nilpotent(l1: FiniteGroup, l2: FiniteGroup,
                       bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Witness for two nilpotent groups of the same order, via compatible
     central series (the restriction condition is vacuous there)."""
-    if l1.order() != l2.order():
-        raise HypothesisError("groups have different orders")
-    for g in (l1, l2):
-        if not g.is_nilpotent(bounds.enum):
-            raise HypothesisError(f"{g.label} is not nilpotent")
-    s1 = series_to_sequence(l1, compatible_central_series(l1, bounds))
-    s2 = series_to_sequence(l2, compatible_central_series(l2, bounds))
-    return build_good_witness(s1, s2, None, bounds)
+    if l1.order() == l2.order():  # unequal orders are refused by the tail
+        for g in (l1, l2):
+            if not g.is_nilpotent(bounds.enum):
+                raise HypothesisError(f"{g.label} is not nilpotent")
+    return _witness_from_series(l1, l2, compatible_central_series, bounds)
 
 
 def witness_square_free(l1: FiniteGroup, l2: FiniteGroup,
                         bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Witness for two groups of the same square-free order."""
-    if l1.order() != l2.order():
-        raise HypothesisError("groups have different orders")
-    s1 = series_to_sequence(l1, square_free_series(l1, bounds))
-    s2 = series_to_sequence(l2, square_free_series(l2, bounds))
-    return build_good_witness(s1, s2, None, bounds)
+    return _witness_from_series(l1, l2, square_free_series, bounds)
+
+
+# `--series` name -> (series of one group, witness entry point)
+SERIES = {"auto-central": (compatible_central_series, witness_nilpotent),
+          "auto-squarefree": (square_free_series, witness_square_free)}
 
 
 def assemble_certificate(witness: FiniteGroup, p1: Homomorphism,

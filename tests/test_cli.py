@@ -15,6 +15,16 @@ def test_group_command(capsys):
     assert "order 6" in out
 
 
+def test_group_command_reads_bound_enum(capsys):
+    # A8 (order 20160) is past the default enumeration bound, within 20160
+    assert run(["group", "A8"]) == 0
+    assert "exponent" not in capsys.readouterr().out
+    assert run(["--bound-enum", "20160", "group", "A8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == ["exponent: 420", "nilpotent: False",
+                         "center order: 1"]
+
+
 def test_group_bad_spec_exits_3(capsys):
     assert run(["group", "Zx--"]) == 3
 
@@ -52,6 +62,25 @@ def test_witness_verify_tampered_exits_1(tmp_path, capsys):
     cert.write_text(json.dumps(data))
     assert run(["witness", "verify", "--cert", str(cert),
                 "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+
+
+def test_witness_verify_tampered_p1_table_fails_its_check(tmp_path, capsys):
+    # the loader takes the p1 table as given; the verifier's edge check is
+    # its only proof, so the report is printed with that check failed
+    cert = tmp_path / "cert.json"
+    run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+         str(cert)])
+    data = json.loads(cert.read_text())
+    tab = data["p1"]["table"]  # sorted: tab[0] is the identity's entry
+    i = next(i for i, (_, y) in enumerate(tab) if y != tab[1][1])
+    tab[1][1], tab[i][1] = tab[i][1], tab[1][1]
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[FAIL] p1-homomorphism  (p_0: not a homomorphism)" in lines
+    assert lines[-1] == "verdict: FAILED"
 
 
 def test_witness_verify_complement_outside_the_witness_fails(tmp_path,
@@ -135,6 +164,11 @@ def test_comp_check_length2_member(capsys):
                 "--series", "auto-squarefree"]) == 0
     out = capsys.readouterr().out
     assert "member of Comp_2" in out
+
+
+def test_comp_check_auto_central_member(capsys):
+    assert run(["comp", "check", "--L1", "D8", "--L2", "Q8"]) == 0
+    assert "member of Comp_3" in capsys.readouterr().out
 
 
 def test_series_central_command(capsys):

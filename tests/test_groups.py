@@ -14,7 +14,7 @@ from gcompat.groups import (
     direct_product,
     elementary_abelian,
     from_elements,
-    normal_sylow_and_complement,
+    normal_sylow,
     symmetric,
     trivial_group,
 )
@@ -123,25 +123,32 @@ def test_central_subgroup_of_order_p():
         central_subgroup_of_order_p(cyclic(8), 3)  # p does not divide
 
 
+def test_central_subgroup_defaults_to_the_smallest_prime():
+    assert central_subgroup_of_order_p(cyclic(12)).order() == 2
+    assert central_subgroup_of_order_p(elementary_abelian(3, 2)).order() == 3
+    with pytest.raises(HypothesisError):
+        central_subgroup_of_order_p(trivial_group())
+
+
 def test_normal_sylow_and_complement_s3():
-    p, q = normal_sylow_and_complement(symmetric(3))
-    assert p.order() == 3 and q.order() == 2
+    p = normal_sylow(symmetric(3))
+    assert p.order() == 3
     assert p.is_normal()
 
 
 def test_normal_sylow_and_complement_f21():
-    p, q = normal_sylow_and_complement(frobenius21())
-    assert p.order() == 7 and q.order() == 3
+    p = normal_sylow(frobenius21())
+    assert p.order() == 7
 
 
 def test_normal_sylow_and_complement_z30():
-    p, q = normal_sylow_and_complement(cyclic(30))
-    assert p.order() == 5 and q.order() == 6
+    p = normal_sylow(cyclic(30))
+    assert p.order() == 5
 
 
 def test_normal_sylow_rejects_non_square_free():
     with pytest.raises(HypothesisError):
-        normal_sylow_and_complement(cyclic(4))
+        normal_sylow(cyclic(4))
 
 
 def test_subgroup_normality_and_membership():

@@ -528,6 +528,38 @@ def test_witness_square_free_rejects_non_square_free():
         witness_square_free(named_group("Z4"), named_group("Z4"))
 
 
+@pytest.mark.parametrize("series, name, orders", [
+    (compatible_central_series, "Q8", [1, 2, 4, 8]),
+    (compatible_central_series, "D8", [1, 2, 4, 8]),
+    (square_free_series, "Z30", [1, 5, 15, 30]),
+    (square_free_series, "F21xZ2", [1, 7, 21, 42]),
+    (square_free_series, "Z7xS3", [1, 7, 21, 42]),
+])
+def test_series_term_orders_and_normality(series, name, orders):
+    # central picks climb by the smallest prime, Sylow picks by the largest
+    g = named_group(name)
+    chain = series(g)
+    assert [t.order() for t in chain] == orders
+    assert all(a <= b for a, b in zip(chain, chain[1:]))
+    assert all(t.parent is g and t.is_normal() for t in chain)
+
+
+def test_entry_point_hypothesis_messages():
+    def refusal(build, a, b):
+        with pytest.raises(HypothesisError) as e:
+            build(named_group(a), named_group(b))
+        return str(e.value)
+
+    # unequal orders are refused before nilpotency is looked at
+    assert refusal(witness_nilpotent, "D8", "S3xZ2") \
+        == "groups have different orders"
+    assert refusal(witness_nilpotent, "S3", "Z6") == "S3 is not nilpotent"
+    assert refusal(witness_square_free, "Z6", "Z4") \
+        == "groups have different orders"
+    assert refusal(witness_square_free, "A4", "Z12") \
+        == "|A4| = 12 is not square-free"
+
+
 def test_length4_recursion_is_gated_honestly():
     # intermediate fibers at length 4 outgrow desk scale; no silent numbers
     from gcompat.bounds import UndecidedError
