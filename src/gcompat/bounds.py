@@ -23,7 +23,6 @@ class Bounds:
     enum: int = 20000        # full element enumeration cap
     iso: int = 2000          # isomorphism / automorphism backtracking cap
     aut: int = 512           # automorphism-group enumeration cap (on |G|)
-    subgroups: int = 20000   # cap on the number of subgroups enumerated
 
     def with_mode(self, mode: str) -> "Bounds":
         """Returns self: every size is built the same way, from generators.

@@ -81,7 +81,7 @@ def frobenius21(label="F21") -> FiniteGroup:
     return g
 
 
-def construct(kind, *params, bounds=DEFAULT_BOUNDS):
+def construct(kind, *params):
     """Build a group by kind.
 
     kinds: cyclic n | symmetric n | alternating n | dihedral m (order m) |
@@ -174,7 +174,7 @@ def surjection_onto_subgroup(g: FiniteGroup, h: FiniteGroup, sub: Subgroup,
     target_order = sub.order()
     if g.order() % target_order:
         raise HypothesisError("no surjection: order obstruction")
-    for cand in all_subgroups(g, bounds):
+    for cand in all_subgroups(g):
         if cand.order() * target_order != g.order():
             continue
         if not cand.is_normal():

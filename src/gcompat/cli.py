@@ -81,7 +81,7 @@ def cmd_group(args) -> int:
 
 def cmd_limit(args) -> int:
     data = json.loads(Path(args.system).read_text())
-    system = descriptors.system_from_descriptor(data, _bounds(args))
+    system = descriptors.system_from_descriptor(data)
     lim = limit(system, _bounds(args))
     print(f"limit order: {lim.group.order()}")
     for n in lim.node_order:
@@ -105,7 +105,7 @@ def cmd_wreath(args) -> int:
 
 def _find_image_subgroup(h, image_spec, bounds):
     wanted = named_group(image_spec)
-    for sub in all_subgroups(h, bounds):
+    for sub in all_subgroups(h):
         if sub.order() != wanted.order():
             continue
         if find_isomorphism(sub.group, wanted, bounds) is not None:
@@ -189,7 +189,7 @@ def cmd_witness_verify(args) -> int:
     bounds = _bounds(args)
     l1, l2 = _group_arg(args.L1), _group_arg(args.L2)
     data = json.loads(Path(args.cert).read_text())
-    cert = descriptors.certificate_from_descriptor(data, l1, l2, bounds)
+    cert = descriptors.certificate_from_descriptor(data, l1, l2)
     rep = verify_witness(cert, l1, l2, bounds)
     for line in rep.lines():
         print(line)

@@ -37,14 +37,14 @@ def group_to_descriptor(g: FiniteGroup) -> dict:
     }
 
 
-def group_from_descriptor(d: dict, bounds=DEFAULT_BOUNDS) -> FiniteGroup:
+def group_from_descriptor(d: dict) -> FiniteGroup:
     if "kind" in d:
         kind = d["kind"]
         params = d.get("params", [])
         if kind == "named":
             return named_group(params[0])
         if kind == "direct_product":
-            parts = [group_from_descriptor(p, bounds) for p in params]
+            parts = [group_from_descriptor(p) for p in params]
             return construct("direct_product", *parts)
         if kind in _SIMPLE_KINDS:
             return construct(kind, *params)
@@ -71,14 +71,13 @@ def hom_to_descriptor(f: Homomorphism, *, with_table=False) -> dict:
     return out
 
 
-def hom_from_descriptor(d: dict, source=None, target=None,
-                        bounds=DEFAULT_BOUNDS) -> Homomorphism:
-    """A map from its generator images, which must extend to a
-    homomorphism, or from its table, loaded as given (`validate` proves
-    it)."""
-    src = source or group_from_descriptor(d["source"], bounds)
-    tgt = target or group_from_descriptor(d["target"], bounds)
-    if "table" in d:
+def hom_from_descriptor(d: dict, source=None, target=None) -> Homomorphism:
+    """A map from its table, loaded as given (`validate` proves it), or,
+    when the table is absent or null, from its generator images, which
+    must extend to a homomorphism."""
+    src = source or group_from_descriptor(d["source"])
+    tgt = target or group_from_descriptor(d["target"])
+    if d.get("table") is not None:
         table = {tuple(x): tuple(y) for x, y in d["table"]}
         return Homomorphism(src, tgt, table=table, label=d.get("label", "f"),
                             check=False)
@@ -115,9 +114,9 @@ def system_to_descriptor(s: InverseSystem) -> dict:
     }
 
 
-def system_from_descriptor(d: dict, bounds=DEFAULT_BOUNDS) -> InverseSystem:
+def system_from_descriptor(d: dict) -> InverseSystem:
     poset = poset_from_descriptor(d["poset"])
-    defs = {gid: group_from_descriptor(gd, bounds)
+    defs = {gid: group_from_descriptor(gd)
             for gid, gd in d.get("group_defs", {}).items()}
     groups = {}
     for n, ref in d["groups"]:
@@ -125,7 +124,7 @@ def system_from_descriptor(d: dict, bounds=DEFAULT_BOUNDS) -> InverseSystem:
         if isinstance(ref, str):
             groups[n] = defs[ref]
         else:
-            groups[n] = group_from_descriptor(ref, bounds)  # inline form
+            groups[n] = group_from_descriptor(ref)  # inline form
     maps = {}
     for i, j, gen_images in d["transitions"]:
         i, j = _node_key(i, poset), _node_key(j, poset)
@@ -186,7 +185,7 @@ def certificate_to_descriptor(cert: WitnessCertificate,
         },
         "good_at": [subgroup_to_descriptor(cert.good_at[0]),
                     subgroup_to_descriptor(cert.good_at[1])],
-        "evidence": [_evidence_to_descriptor(ev, ker, bounds)
+        "evidence": [_evidence_to_descriptor(ev, ker)
                      for ev, ker in zip(cert.evidence,
                                         (cert.ker1, cert.ker2))],
         "provenance": cert.provenance.to_dict(),
@@ -203,12 +202,12 @@ def _flatten_checks(node) -> list:
     return out
 
 
-def _evidence_to_descriptor(ev, ker, bounds):
+def _evidence_to_descriptor(ev, ker):
     """The evidence's complements over every subgroup of its n. The kernel
     generators written beside them are the certificate kernel's, which the
     extendability check reads."""
     complements = []
-    for m_sub in all_subgroups(ev.n.group, bounds):
+    for m_sub in all_subgroups(ev.n.group):
         comp = ev.complement_for(m_sub.members())
         complements.append([sorted(list(m) for m in m_sub.members()),
                             sorted(list(c) for c in comp)])
@@ -220,8 +219,8 @@ def _evidence_to_descriptor(ev, ker, bounds):
     }
 
 
-def certificate_from_descriptor(d: dict, l1: FiniteGroup, l2: FiniteGroup,
-                                bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
+def certificate_from_descriptor(d: dict, l1: FiniteGroup,
+                                l2: FiniteGroup) -> WitnessCertificate:
     """Rebuild an enumerable certificate for independent re-verification."""
     if d.get("format") != "witness-certificate-v1":
         raise ValueError("not a witness certificate")
@@ -231,21 +230,15 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup, l2: FiniteGroup,
         raise UndecidedError(
             "generator-based certificate: maps carry generator images only, "
             "re-verification runs in-process at build time")
-    witness = group_from_descriptor(d["witness"], bounds)
-    # p1 and p2 are loaded as given: verify_witness gives their only proof
-    p1 = hom_from_descriptor(d["p1"], source=witness, target=l1, bounds=bounds)
-    p2 = hom_from_descriptor(d["p2"], source=witness, target=l2, bounds=bounds)
+    witness = group_from_descriptor(d["witness"])
+    # the tables of p1, p2 and the kernel map are loaded as given:
+    # verify_witness gives their only proof
+    p1 = hom_from_descriptor(d["p1"], source=witness, target=l1)
+    p2 = hom_from_descriptor(d["p2"], source=witness, target=l2)
     ker1 = subgroup_from_descriptor(d["kernel1"], witness)
     ker2 = subgroup_from_descriptor(d["kernel2"], witness)
-    ki = d["kernel_iso"]
-    if ki.get("table"):
-        table = {tuple(x): tuple(y) for x, y in ki["table"]}
-        kernel_iso = Homomorphism(ker1.group, ker2.group, table=table,
-                                  label="kernel-iso", check=False)
-    else:
-        images = {tuple(g): tuple(v) for g, v in ki["gen_images"]}
-        kernel_iso = Homomorphism.from_gen_images(ker1.group, ker2.group,
-                                                  images, label="kernel-iso")
+    kernel_iso = hom_from_descriptor(dict(d["kernel_iso"], label="kernel-iso"),
+                                     source=ker1.group, target=ker2.group)
     n1 = subgroup_from_descriptor(d["good_at"][0], l1)
     n2 = subgroup_from_descriptor(d["good_at"][1], l2)
     evidence = []
@@ -276,7 +269,3 @@ def dumps(obj) -> str:
     a time: a certificate's hundreds of thousands never all live at once."""
     chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj)
     return "".join(iter(lambda: "".join(islice(chunks, 4096)), ""))
-
-
-def loads(text: str):
-    return json.loads(text)

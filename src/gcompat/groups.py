@@ -75,9 +75,6 @@ class FiniteGroup:
     def identity(self):
         return identity_perm(self.degree)
 
-    def mul(self, a, b):
-        return mul(a, b)
-
     def inv(self, a):
         return inv(a)
 
@@ -208,9 +205,6 @@ class FiniteGroup:
 
     # -- subgroups -----------------------------------------------------------
 
-    def subgroup(self, gens=None, members=None, label=None):
-        return Subgroup(self, gens=gens, members=members, label=label)
-
     def trivial_subgroup(self):
         return Subgroup(self, members=[self.identity], label="1")
 
@@ -228,7 +222,9 @@ class FiniteGroup:
         return Subgroup(self, members=members, label=f"Z({self.label})")
 
     def normal_closure(self, seed, bound=None):
-        """Smallest normal subgroup containing `seed` elements."""
+        """Smallest normal subgroup containing `seed` elements: generated
+        by the seed's conjugates under the generators, closed once under
+        `bound`, and kept with those generators."""
         limit = bound if bound is not None else DEFAULT_BOUNDS.enum
         gens = list(dict.fromkeys(tuple(s) for s in seed))
         while True:
@@ -243,8 +239,9 @@ class FiniteGroup:
             gens.extend(extra)
             if len(gens) > limit:
                 raise UndecidedError("normal closure generator blow-up")
-        members = closure(gens or [self.identity], bound=limit)
-        return Subgroup(self, gens=gens, members=members)
+        sub = Subgroup(self, gens=gens)
+        sub.members(limit)
+        return sub
 
     def derived_subgroup(self, bound=None):
         comms = [self.commutator(a, b)
@@ -295,33 +292,29 @@ def cayley_graph(elems, gens):
                   for s in gens))
 
 
-def from_elements(perms, label="G", generators=None):
-    """Group from an explicit element set; finds small generators if needed.
-
-    Supplied generators must generate exactly the given set, and without
-    them the set must be a group (both checked, ValueError).
-    """
+def from_elements(perms, label="G"):
+    """Group from an explicit element set, with the canonical small
+    generating set (`small_generating_set`); ValueError unless the set is
+    a group. A group known by its generators is built from them instead
+    (`FiniteGroup`)."""
     perms = [tuple(p) for p in perms]
     degree = len(perms[0])
-    g = FiniteGroup(degree, generators or (), label, elements=perms)
-    if generators is None:
-        g = FiniteGroup(degree, g.small_generating_set(), label, elements=perms)
-    elif g.generators and closure(g.generators) != g.elements():
-        raise ValueError(f"{label}: generators do not span the element set")
-    return g
+    g = FiniteGroup(degree, (), label, elements=perms)
+    return FiniteGroup(degree, g.small_generating_set(), label, elements=perms)
 
 
 class Subgroup:
-    """A subgroup presented inside a parent group (same permutation domain)."""
+    """A subgroup presented inside a parent group (same permutation domain),
+    given either by generators, closed when its elements are first asked
+    for, or by its members, whose generators `from_elements` picks."""
 
     def __init__(self, parent, gens=None, members=None, label=None):
-        if gens is None and members is None:
-            raise ValueError("need generators or members")
+        if (gens is None) == (members is None):
+            raise ValueError("need generators or members, not both")
         self.parent = parent
         name = label or f"{parent.label}-sub"
         if members is not None:
-            members = frozenset(tuple(m) for m in members)
-            sub = from_elements(members, name, generators=gens)
+            sub = from_elements(members, name)
         else:
             sub = FiniteGroup(parent.degree, gens, name)
         if sub.degree != parent.degree:
@@ -554,14 +547,15 @@ def _largest_prime_factor(n):
     return max(best, n) if n > 1 else best
 
 
-def all_subgroups(g, bound=None):
+SUBGROUP_CAP = 20000  # subgroups `all_subgroups` lists before giving up
+
+
+def all_subgroups(g):
     """Every subgroup of g, as a list of Subgroups in a deterministic order.
 
     Breadth-first over one-generator extensions; intended for small groups
-    (the count is capped by the `subgroups` bound).
+    (UndecidedError past `SUBGROUP_CAP` subgroups).
     """
-    cap = (bound.subgroups if hasattr(bound, "subgroups") else bound) \
-        or DEFAULT_BOUNDS.subgroups
     elems = g.sorted_elements()
     seen = {frozenset([g.identity])}
     queue = [frozenset([g.identity])]
@@ -576,9 +570,10 @@ def all_subgroups(g, bound=None):
                 seen.add(new)
                 out.append(new)
                 queue.append(new)
-                if len(out) > cap:
+                if len(out) > SUBGROUP_CAP:
                     raise UndecidedError(
-                        f"subgroup enumeration of {g.label} exceeded {cap}")
+                        f"subgroup enumeration of {g.label} exceeded "
+                        f"{SUBGROUP_CAP}")
     out.sort(key=lambda s: (len(s), sorted(s)))
     return [Subgroup(g, members=s) for s in out]
 

@@ -2,17 +2,24 @@
 
 For a homomorphism theta: G -> H, the carrier lives in G wr rho(H) over the
 coset space of theta(G) and consists of the pairs whose base tuple pushes
-through theta onto the embedded copy of H. The base subgroup of a normal
-hybrid is an inverse limit of twisted copies of G over the image, which is
-what the witness recursion consumes.
+through theta onto the embedded copy of H. It is built from generators: a
+lift of each generator of H (its embedded image pulled back through theta's
+section) and the generators of ker theta placed at each of the n points.
+They generate the carrier exactly when their closure has order
+|H| * |ker theta|^n, which is checked; the closure is made once, within the
+enumeration bound. The standard map p_theta sends each lift to its
+generator and the placed kernel to 1; `Homomorphism.from_gen_images`
+propagates those images, which tabulates p_theta and proves it a
+homomorphism in one pass. The base subgroup BW is read off p_theta's
+fibers over theta(G); for a normal hybrid it is an inverse limit of
+twisted copies of G over the image, which is what the witness recursion
+consumes.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import Subgroup, from_elements
+from .groups import FiniteGroup, Subgroup
 from .homs import Homomorphism, action_on_cosets
 from .inverse_limits import star_limit, star_system
 from .perms import inv, mul
@@ -58,43 +65,31 @@ class HybridWreath:
                                      bounds=bounds)
         self.normal = image.is_normal()
 
-        fibers = theta.fibers()
+        # generator -> its p_theta image: lifts, then placed kernel generators
         theta_section = theta.section()
-        elems = []
-        p_theta_table = {}
-        for h in h_group.sorted_elements():
-            base_h, top_h = self.iota.wreath.decode(self.iota(h))
-            fiber_lists = []
-            for v in range(self.npoints):
-                fiber_lists.append(fibers[base_h[v]])
-            for combo in itertools.product(*fiber_lists):
-                w = self.wreath.encode(tuple(combo), top_h)
-                elems.append(w)
-                p_theta_table[w] = h
-
-        gens = []
+        images = {}
         for h in h_group.generators:
             base_h, top_h = self.iota.wreath.decode(self.iota(h))
             f = tuple(theta_section[base_h[v]] for v in range(self.npoints))
-            gens.append(self.wreath.encode(f, top_h))
+            images[self.wreath.encode(f, top_h)] = h
         ident_f = [g_group.identity] * self.npoints
         for v in range(self.npoints):
             for k in ker_theta.group.generators:
                 f = list(ident_f)
                 f[v] = k
-                gens.append(self.wreath.encode(tuple(f),
-                                               s_group.identity))
+                images[self.wreath.encode(tuple(f), s_group.identity)] = \
+                    h_group.identity
 
         name = label or f"HW({g_group.label},{h_group.label})"
-        group = from_elements(elems, name, generators=gens or None)
-        if group.order() != size:
+        group = FiniteGroup(self.wreath.carrier.degree, images, name)
+        if len(group.elements(bounds.enum)) != size:
             raise HypothesisError("hybrid carrier has unexpected order")
         self.group = group
-        self.standard_map = Homomorphism(group, h_group, table=p_theta_table,
-                                         label="p_theta", check=False)
-        bw_members = [w for w, h in p_theta_table.items()
-                      if image.contains(h)]
-        self.base = Subgroup(group, members=bw_members, label="BW")
+        self.standard_map = Homomorphism.from_gen_images(
+            group, h_group, images, label="p_theta")
+        self.base = Subgroup(
+            group, members=self.standard_map.preimage_members(image.members()),
+            label="BW")
 
     # -- structure -----------------------------------------------------------
 

@@ -269,16 +269,15 @@ class LimitGroupBuilder:
         self.frames = _identity_frames(system, node_order, offsets)
 
 
-def star_system(root_group, branch_groups, branch_maps,
-                root_name="r") -> InverseSystem:
-    """System over a star poset: root below branches 0..n-1."""
+def star_system(root_group, branch_groups, branch_maps) -> InverseSystem:
+    """System over a star poset: root "r" below branches 0..n-1."""
     n = len(branch_groups)
-    poset = star_poset(n, root=root_name)
-    groups = {root_name: root_group}
+    poset = star_poset(n)
+    groups = {"r": root_group}
     maps = {}
     for i, (bg, bm) in enumerate(zip(branch_groups, branch_maps)):
         groups[i] = bg
-        maps[(root_name, i)] = bm
+        maps[("r", i)] = bm
     return InverseSystem(poset, groups, maps)
 
 
@@ -424,7 +423,7 @@ def section_of_set_system(poset: Poset, sets, maps):
     return chosen
 
 
-def projection_system(system: InverseSystem, i0, bounds=DEFAULT_BOUNDS):
+def projection_system(system: InverseSystem, i0):
     """The node-i0 comparison system and the morphism whose limit is p_i0.
 
     Returns (target_system, morphism). Nodes with no meet with i0 carry the

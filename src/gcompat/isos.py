@@ -32,7 +32,7 @@ def _screen(g, h):
     return True
 
 
-def _iso_search(g, h, *, find_all=False, limit=None):
+def _iso_search(g, h, *, find_all=False):
     """Backtracking over generator images; yields full isomorphism tables."""
     gens = g.small_generating_set()
     if not gens:
@@ -72,8 +72,6 @@ def _iso_search(g, h, *, find_all=False, limit=None):
             yield from extend(k + 1, trial, grown, table)
             if results and not find_all:
                 return
-            if limit is not None and results >= limit:
-                return
 
     try:
         yield from extend(0, [], frozenset([h.identity]), None)
@@ -99,18 +97,14 @@ def find_isomorphism(g, h, bounds=DEFAULT_BOUNDS):
     return None
 
 
-def enumerate_isomorphisms(g, h, bounds=DEFAULT_BOUNDS, limit=None):
-    """All isomorphisms g -> h in canonical order (possibly truncated)."""
+def enumerate_isomorphisms(g, h, bounds=DEFAULT_BOUNDS):
+    """All isomorphisms g -> h in canonical order."""
     if g.order() != h.order() or not _screen(g, h):
         return []
     if g.order() > bounds.iso:
         raise UndecidedError("isomorphism enumeration bound exceeded")
-    out = []
-    for table in _iso_search(g, h, find_all=True, limit=limit):
-        out.append(Homomorphism(g, h, table=table, label="iso", check=False))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return [Homomorphism(g, h, table=table, label="iso", check=False)
+            for table in _iso_search(g, h, find_all=True)]
 
 
 class AutomorphismSet:

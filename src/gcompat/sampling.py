@@ -206,7 +206,7 @@ def random_normal_hybrid(rng: random.Random, max_h=24, max_kernel=8,
     pool = small_group_pool(max_h)
     for _ in range(60):
         h = rng.choice(pool)
-        normals = [s for s in all_subgroups(h, bounds)
+        normals = [s for s in all_subgroups(h)
                    if s.is_normal() and h.order() // s.order() <= max_points]
         if not normals:
             continue

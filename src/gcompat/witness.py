@@ -221,7 +221,7 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
     kmembers = pi.kernel().members()
     fibers = pi.fibers()
     complements = {}
-    for m_sub in all_subgroups(n.group, bounds):
+    for m_sub in all_subgroups(n.group):
         c = _find_complement(pi, m_sub, kmembers, fibers, COMPLEMENT_BUDGET)
         if c is None:
             return ExtendReport(False, None, m_sub)
@@ -258,7 +258,6 @@ def _find_complement(pi, m_sub, kmembers, fibers, budget):
 
 
 def check_extend_evidence(ev: ExtendEvidence, p: Homomorphism, ker: Subgroup,
-                          bounds=DEFAULT_BOUNDS,
                           label="extendable") -> CheckResult:
     """Re-check evidence from scratch over every subgroup of its n, against
     the certificate's own map p and kernel ker, never against anything the
@@ -266,7 +265,7 @@ def check_extend_evidence(ev: ExtendEvidence, p: Homomorphism, ker: Subgroup,
     source, maps onto the subgroup under p, is a subgroup, and commutes
     with ker's generators."""
     try:
-        subs = all_subgroups(ev.n.group, bounds)
+        subs = all_subgroups(ev.n.group)
     except UndecidedError as e:
         return CheckResult(label, False, f"cannot enumerate subgroups: {e}")
     for m_sub in subs:
@@ -535,7 +534,8 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
 
     Asserts: the branch projections are surjective and trivially extendable
     at the top kernel, the base-subgroup identifications are bijective, and
-    the two kernel squares commute.
+    the two kernel squares commute. Each identification eta_d is given by
+    its values at BW_d's generators (`Homomorphism.from_gen_images`).
     """
     ell = s1.length
     if ell < 3:
@@ -605,15 +605,16 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         hw = hybrids[d]
         fwd = _sigma_power(sigma, d, forward=True)    # K_d -> K_bar
         lim_bar = g_lims[bar]
-        table = {}
-        for w in hw.base.members():
+        images = {}
+        for w in hw.base.group.generators:
             base, _ = hw.decode(w)
             asg = {"r": fwd(phis[d](w))}
             for k in range(n):
                 asg[k] = base[k]
-            table[w] = lim_bar.encode(asg)
-        eta = Homomorphism(hw.base.group, lim_bar.group, table=table,
-                           label=f"eta_{d}")
+            images[w] = lim_bar.encode(asg)
+        eta = Homomorphism.from_gen_images(hw.base.group, lim_bar.group,
+                                           images, label=f"eta_{d}")
+        table = eta.tabulated()
         image = set(table.values())
         if len(image) != len(table) or image != lim_z_members[bar]:
             raise HypothesisError("eta is not a bijection onto the kernel system")
@@ -798,11 +799,12 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         asg[1] = h2
         return lw2.encode(asg)
 
-    kappa_next_table = {w: kappa_next_rule(w) for w in ker_next[1].members()}
-    kappa_next = Homomorphism(ker_next[1].group, ker_next[2].group,
-                              table=kappa_next_table, label="kappa_next")
-    if len(set(kappa_next_table.values())) != len(kappa_next_table):
-        raise HypothesisError("new top kernel map is not injective")
+    # propagating its generator images tabulates and proves it;
+    # compose_witness's is_bijective proves it one-to-one
+    kappa_next = Homomorphism.from_gen_images(
+        ker_next[1].group, ker_next[2].group,
+        {w: kappa_next_rule(w) for w in ker_next[1].group.generators},
+        label="kappa_next")
 
     # contracted pair for the recursive call
     new_seqs, kappa_contracted = {}, None
@@ -824,10 +826,10 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         return lw2.encode(asg)
 
     kappa_big_table = {w: kappa_big_rule(w) for w in ker_pi_big[1].members()}
+    # tabulated, since the next level inverts it, and edge-checked; that
+    # inverse() refuses it unless it is one-to-one
     kappa_big = Homomorphism(ker_pi_big[1].group, ker_pi_big[2].group,
                              table=kappa_big_table, label="kappa_contracted")
-    if len(set(kappa_big_table.values())) != len(kappa_big_table):
-        raise HypothesisError("contracted kernel map is not injective")
 
     new_isos = {i: comp.kernel_isos[i] for i in range(1, ell - 2 + 1)}
     new_isos[ell - 1] = kappa_big
@@ -929,20 +931,18 @@ SERIES = {"auto-central": (compatible_central_series, witness_nilpotent),
 
 
 def assemble_certificate(witness: FiniteGroup, p1: Homomorphism,
-                         p2: Homomorphism, good_at, kernel_iso=None,
-                         bounds=DEFAULT_BOUNDS,
-                         kind="hand") -> WitnessCertificate:
+                         p2: Homomorphism, good_at,
+                         bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Package explicitly given maps as a certificate.
 
-    Kernels are computed, the kernel isomorphism is searched when not given,
-    and extendability evidence at the designated subgroups is found by the
-    complement search. Intended for hand-built witnesses and imports.
+    Kernels are computed, the kernel isomorphism is searched, and
+    extendability evidence at the designated subgroups is found by the
+    complement search. Intended for hand-built witnesses.
     """
     ker1, ker2 = p1.kernel(), p2.kernel()
+    kernel_iso = find_isomorphism(ker1.group, ker2.group, bounds)
     if kernel_iso is None:
-        kernel_iso = find_isomorphism(ker1.group, ker2.group, bounds)
-        if kernel_iso is None:
-            raise HypothesisError("kernels are not isomorphic")
+        raise HypothesisError("kernels are not isomorphic")
     evidence = []
     for p, n in ((p1, good_at[0]), (p2, good_at[1])):
         report = is_trivially_extendable(p, n, bounds)
@@ -951,7 +951,7 @@ def assemble_certificate(witness: FiniteGroup, p1: Homomorphism,
                 f"{p.label} is not trivially extendable at the designated "
                 f"subgroup (fails at order {report.failing.order()})")
         evidence.append(report.evidence)
-    prov = ProvenanceNode(kind, info={
+    prov = ProvenanceNode("hand", info={
         "witness_order": witness.order(),
         "targets": [p1.target.order(), p2.target.order()]})
     return WitnessCertificate(witness, p1, p2, ker1, ker2, kernel_iso,
@@ -1103,7 +1103,7 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
         rep.add(f"good-at-{d}-designated", same,
                 f"N_{d} order {n_d.order()}")
         p, ker = sides[d]
-        result = check_extend_evidence(ev, p, ker, bounds,
+        result = check_extend_evidence(ev, p, ker,
                                        label=f"good-at-{d}-extendable")
         rep.checks.append(result)
     return rep

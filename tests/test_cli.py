@@ -41,6 +41,17 @@ def test_hybrid_command_reproduces_headline(capsys):
     assert "BW: order 147" in out
 
 
+def test_hybrid_carrier_descriptor_digest_is_pinned(tmp_path):
+    # the carrier's generators and order, as `hybrid --out` writes them
+    import hashlib
+
+    out = tmp_path / "hw.json"
+    assert run(["hybrid", "--G", "F21", "--H", "S3", "--theta-image", "Z3",
+                "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1afebe2ace0954ff47f21aa08a09e69298e323c78b563bc77b102daafa437e88")
+
+
 def test_witness_build_verify_cycle(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2",

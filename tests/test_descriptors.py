@@ -108,12 +108,29 @@ def test_dumps_matches_json_dumps_on_a_certificate():
 
 # sha256 of the canonical JSON of each certificate: a change in any
 # generator choice, kernel or table shows here as a changed digest, which a
-# speed-up must never cause
+# speed-up must never cause. All ten pairs of the order-8 groups Z8, Z4xZ2,
+# E(2,3), D8 and Q8 are pinned, so every recursion step they build is.
 GOLDEN = [
     ("auto-central", "Z4", "Z2xZ2",
      "ec4ff14192ac59b51511cfb64334a48b17fc60f430ca588dd40b16ffd532b5bf"),
     ("auto-central", "Z8", "Z4xZ2",
      "dffb57d38a8e469172e55b5ee8d88bfa94a826e144c3177cf2f41cb84953820f"),
+    ("auto-central", "Z8", "E(2,3)",
+     "e8a061787c08305a38db1c08b79de59eb7f9b6a6a860bbefefe269a269c1f814"),
+    ("auto-central", "Z8", "D8",
+     "84f0af85989a2b4c8a954c1945a9d5333544149907339a4a4214cef582f229ca"),
+    ("auto-central", "Z8", "Q8",
+     "8990142066a3ec88cb667f5c15bff971624fd9c8b55b04011d0701b0a1aa4032"),
+    ("auto-central", "Z4xZ2", "E(2,3)",
+     "58bf288fab547186c55e9c5c60c5302ccd9d426e9e394b7af06fabb16299553b"),
+    ("auto-central", "Z4xZ2", "D8",
+     "42f6ec27f58ba788550c5b30a66edeeec4b46f2f3474c6649111eeea2ab8b843"),
+    ("auto-central", "Z4xZ2", "Q8",
+     "41da39861010948bd99362239f8e9eb8331cf265fd2624d6fe18988992d7f757"),
+    ("auto-central", "E(2,3)", "D8",
+     "5673b235969a254dc8b08e91e6dfcf8483d44d750f038e363025440c18737a17"),
+    ("auto-central", "E(2,3)", "Q8",
+     "da9afb7e81d1421888148f9ef8b12422423df94fcd9a13cd2848138b4ab8442c"),
     ("auto-central", "D8", "Q8",
      "d3f10c39b9ba4b772a8312b27c6d2a90f6471d2757aaf4643ec2e6658010fdc1"),
     ("auto-squarefree", "Z6", "S3",

@@ -161,6 +161,37 @@ def test_subgroup_normality_and_membership():
     assert not two.is_normal()
 
 
+def test_subgroup_is_given_by_generators_or_by_members():
+    s3 = symmetric(3)
+    gens = list(s3.generators)
+    with pytest.raises(ValueError):
+        Subgroup(s3)
+    with pytest.raises(ValueError):
+        Subgroup(s3, gens=gens, members=s3.elements())
+    assert Subgroup(s3, gens=gens).members() == s3.elements()
+
+
+def test_normal_closure_keeps_its_generators_and_closes_once(monkeypatch):
+    import gcompat.groups as groups
+
+    calls = []
+
+    def counted(gens, bound=None):
+        calls.append(len(gens))
+        return closure(gens, bound=bound)
+
+    monkeypatch.setattr(groups, "closure", counted)
+    s3 = symmetric(3)
+    a = s3.generators[0]
+    n = s3.normal_closure([a])
+    # the seed and its conjugates generate it, and it is closed once
+    assert n.group.generators[0] == a
+    assert all(s3.conjugate(a, g) in n.group.generators
+               for g in s3.generators)
+    assert len(n.members()) == 6
+    assert len(calls) == 1
+
+
 def test_all_subgroups_counts():
     # oracle: known subgroup counts
     assert len(all_subgroups(cyclic(12))) == 6      # divisors of 12

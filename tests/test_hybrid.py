@@ -41,6 +41,19 @@ def test_f21_s3_hybrid_headline_numbers():
     assert hw.standard_map.is_surjective()
 
 
+def test_f21_s3_carrier_is_closed_from_lifts_and_placed_kernel():
+    # generators: one lift of each generator of H, then ker theta's
+    # generators at each coset; p_theta sends them to H's generators and 1
+    g, h, theta = f21_s3_theta()
+    hw = hybrid_wreath(g, h, theta)
+    p = hw.standard_map
+    n_placed = len(hw.ker_theta.group.generators) * hw.npoints
+    assert [p(x) for x in hw.group.generators] == \
+        list(h.generators) + [h.identity] * n_placed
+    assert set(p.tabulated()) == hw.group.elements()
+    assert hw.base.members() == p.preimage_members(hw.image.members())
+
+
 def test_f21_s3_base_is_proper_subdirect_with_inverse_pairing():
     g, h, theta = f21_s3_theta()
     hw = hybrid_wreath(g, h, theta)

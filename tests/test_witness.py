@@ -297,6 +297,22 @@ def test_compose_length2_with_own_top_maps():
     assert verify_witness(cert2, bottom, bottom).passed
 
 
+def test_compose_refuses_a_kernel_map_that_is_not_bijective():
+    # the builders' kernel maps carry no injectivity check of their own:
+    # compose_witness's is_bijective is what refuses a collapsing one
+    z4, chain = cyclic_tower(4, [2, 2])
+    s1 = seq_of(z4, chain)
+    cert = build_witness_length2(s1, s1, comp_membership(s1, s1))
+    pi = s1.map(2)
+    kpi = pi.kernel().group
+    collapse = Homomorphism.trivial(kpi, kpi)
+    bottom = s1.group(1)
+    ev = is_trivially_extendable(pi, bottom.trivial_subgroup()).evidence
+    with pytest.raises(HypothesisError, match="not an isomorphism"):
+        compose_witness(cert, pi, pi, collapse, (ev, ev),
+                        (bottom.trivial_subgroup(), bottom.trivial_subgroup()))
+
+
 # ---------------------------------------------------------------------------
 # recursion step
 
@@ -313,6 +329,45 @@ def test_recursion_step_order8():
         assert step.g_lims[d].group.order() == 16
         assert step.hybrids[d].order() == 16
     assert all(c.passed for c in step.checks)
+
+
+def test_eta_from_generator_images_is_the_base_identification():
+    # eta_d is given by its values at BW's generators; at every member it
+    # is the assignment (sigma^(dbar-d)(phi_d(w)), w's base entries)
+    z8, v8 = named_group("Z8"), named_group("E(2,3)")
+    s1 = seq_of(z8, compatible_central_series(z8))
+    s2 = seq_of(v8, compatible_central_series(v8))
+    comp = comp_membership(s1, s2)
+    step = build_recursion_step(s1, s2, comp)
+    sigma = comp.kernel_isos[2]
+    for d, fwd in ((1, sigma), (2, sigma.inverse())):
+        hw, lim_bar = step.hybrids[d], step.g_lims[3 - d]
+        for w in hw.base.members():
+            base, _ = hw.decode(w)
+            asg = {"r": fwd(step.phis[d](w)), **dict(enumerate(base))}
+            assert step.eta[d](w) == lim_bar.encode(asg)
+
+
+def test_kappa_next_is_a_bijection_of_the_new_top_kernels(monkeypatch):
+    # given by generator images, kappa_next is tabulated over all of
+    # ker(pi1) and sends it one-to-one onto ker(pi2)
+    import gcompat.witness as witness
+
+    calls = []
+    compose = witness.compose_witness
+
+    def capture(base, pi1, pi2, kappa_pi, *args, **kwargs):
+        calls.append((pi1, pi2, kappa_pi))
+        return compose(base, pi1, pi2, kappa_pi, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "compose_witness", capture)
+    witness_nilpotent(named_group("Z8"), named_group("E(2,3)"))
+    (pi1, pi2, kappa), = calls
+    assert kappa.label == "kappa_next"
+    table = kappa.tabulated()
+    assert set(table) == pi1.kernel().members()
+    assert len(set(table.values())) == len(table)
+    assert set(table.values()) == pi2.kernel().members()
 
 
 def test_recursion_step_order42():
