@@ -3,17 +3,24 @@
 For a homomorphism theta: G -> H, the carrier lives in G wr rho(H) over the
 coset space of theta(G) and consists of the pairs whose base tuple pushes
 through theta onto the embedded copy of H. It is built from generators: a
-lift of each generator of H (its embedded image pulled back through theta's
-section) and the generators of ker theta placed at each of the n points.
-They generate the carrier exactly when their closure has order
-|H| * |ker theta|^n, which is checked; the closure is made once, within the
-enumeration bound. The standard map p_theta sends each lift to its
-generator and the placed kernel to 1; `Homomorphism.from_gen_images`
-propagates those images, which tabulates p_theta and proves it a
-homomorphism in one pass. The base subgroup BW is read off p_theta's
-fibers over theta(G); for a normal hybrid it is an inverse limit of
-twisted copies of G over the image, which is what the witness recursion
-consumes.
+lift of each generator h of H and the generators of ker theta placed at
+each of the n points. The lift is read off the coset action: with coset
+representatives t_v (t_0 = 1) and v.h the coset of t_v h, its base tuple is
+f(v) = section(t_v h t_{v.h}^-1) through theta's section and its top is
+rho(h), which is the standard embedding of h pulled back through theta,
+computed for the generators only. The factor t_v h t_{v.h}^-1 lies in
+theta(G) because t_v h and t_{v.h} share a coset; a transversal that breaks
+this fails at the section lookup. The generators span the carrier exactly
+when their closure has order |H| * |ker theta|^n, which is checked; the
+closure is made once, within the enumeration bound. The ambient wreath
+G wr rho(H) serves as the encoder of (base tuple, top) pairs only; its
+carrier is never closed, so its order |G|^n * |rho(H)| bounds nothing here.
+The standard map p_theta sends each lift to its generator and the placed
+kernel to 1; `Homomorphism.from_gen_images` propagates those images, which
+tabulates p_theta and proves it a homomorphism in one pass. The base
+subgroup BW is read off p_theta's fibers over theta(G); for a normal hybrid
+it is an inverse limit of twisted copies of G over the image, which is
+what the witness recursion consumes.
 """
 
 from __future__ import annotations
@@ -23,17 +30,12 @@ from .groups import FiniteGroup, Subgroup
 from .homs import Homomorphism, action_on_cosets
 from .inverse_limits import star_limit, star_system
 from .perms import inv, mul
-from .wreath import (
-    GroupAction,
-    PermutationTransversal,
-    StandardEmbedding,
-    natural_action,
-    wreath_product,
-)
+from .wreath import GroupAction, WreathProduct, natural_action
 
 
 class HybridWreath:
-    """HW(G, H, theta) with its standard map, base subgroup and transversal."""
+    """HW(G, H, theta) with its standard map, base subgroup and coset
+    action (`action.labels` is the transversal)."""
 
     def __init__(self, g_group, h_group, theta, transversal_elems=None,
                  bounds=DEFAULT_BOUNDS, label=None):
@@ -56,22 +58,18 @@ class HybridWreath:
             raise HypothesisError("transversal must start with the identity")
         self.action = GroupAction(h_group, len(reps), rho, labels=reps)
         self.npoints = self.action.npoints
-        self.transversal = PermutationTransversal(
-            self.action, 0, {i: reps[i] for i in range(self.npoints)})
-        self.iota = StandardEmbedding(self.action, self.transversal,
-                                      bounds=bounds)
         s_group = self.action.image_group()
-        self.wreath = wreath_product(g_group, natural_action(s_group),
-                                     bounds=bounds)
+        self.wreath = WreathProduct(g_group, natural_action(s_group))
         self.normal = image.is_normal()
 
         # generator -> its p_theta image: lifts, then placed kernel generators
         theta_section = theta.section()
         images = {}
         for h in h_group.generators:
-            base_h, top_h = self.iota.wreath.decode(self.iota(h))
-            f = tuple(theta_section[base_h[v]] for v in range(self.npoints))
-            images[self.wreath.encode(f, top_h)] = h
+            rho_h = rho(h)
+            f = tuple(theta_section[mul(mul(t, h), inv(reps[rho_h[v]]))]
+                      for v, t in enumerate(reps))
+            images[self.wreath.encode(f, rho_h)] = h
         ident_f = [g_group.identity] * self.npoints
         for v in range(self.npoints):
             for k in ker_theta.group.generators:
@@ -111,19 +109,22 @@ def hybrid_wreath(g_group, h_group, theta, transversal_elems=None,
 
 
 def evaluation_maps(hw: HybridWreath):
-    """The coordinate surjections of the base subgroup onto G (normal case)."""
+    """The coordinate surjections of the base subgroup onto G (normal case).
+
+    A base element with trivial top acts on the block of point v as its
+    coordinate f(v), so evaluation at v is the block map at v * deg G. Tops
+    multiply, so BW has trivial tops once its generators do.
+    """
     if not hw.normal:
         raise HypothesisError("evaluation maps require a normal hybrid")
+    bw = hw.base.group
+    top_identity = hw.wreath.top_group.identity
+    if any(hw.decode(w)[1] != top_identity for w in bw.generators):
+        raise HypothesisError("base element with nontrivial top part")
     out = {}
     for v in range(hw.npoints):
-        table = {}
-        for w in hw.base.members():
-            base, top = hw.decode(w)
-            if top != hw.wreath.top_group.identity:
-                raise HypothesisError("base element with nontrivial top part")
-            table[w] = base[v]
-        p = Homomorphism(hw.base.group, hw.g_group, table=table,
-                         label=f"p_{v}", check=False)
+        p = Homomorphism.block(bw, hw.g_group, v * hw.g_group.degree,
+                               label=f"p_{v}")
         if not p.is_surjective():
             raise HypothesisError(f"evaluation at point {v} is not surjective")
         out[v] = p
@@ -133,17 +134,25 @@ def evaluation_maps(hw: HybridWreath):
 def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     """The base subgroup as the limit of twisted copies of G over the image.
 
-    Returns (limit, identification) where the identification is a verified
-    isomorphism BW -> limit commuting with every evaluation map and with the
-    standard map.
+    Returns (limit, identification). The limit is the star limit of G at
+    each point v over theta(G), with branch map x -> t_v^-1 theta(x) t_v.
+    The identification sends each generator w of BW to the limit element
+    with root p_theta(w) and coordinate f(v) at branch v, and
+    `Homomorphism.from_gen_images` propagates it over BW, which proves it a
+    homomorphism. Its values are checked to be exactly the limit's elements,
+    |BW| of them, so it is an isomorphism. It commutes with every evaluation
+    map and with the standard map: the limit's projections, the evaluation
+    maps and p_theta are homomorphisms that agree on BW's generators by
+    construction. The twisted-cone identity t_v^-1 theta(f(v)) t_v =
+    p_theta(w) is the coherence of the limit's elements: `star_limit`
+    checks its generators coherent, and coherent tuples form a subgroup
+    because the branch maps are homomorphisms.
     """
     if not hw.normal:
         raise HypothesisError("the limit description requires a normal hybrid")
     root = hw.image.group
-    t = hw.transversal
     branch_maps = []
-    for v in range(hw.npoints):
-        tv = t[v]
+    for v, tv in enumerate(hw.action.labels):
 
         def twisted(x, tv=tv):
             return mul(mul(inv(tv), hw.theta(x)), tv)
@@ -154,40 +163,27 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     lim = star_limit(system, bounds)
 
     evals = evaluation_maps(hw)
-    table = {}
-    for w in hw.base.members():
-        base, _top = hw.decode(w)
+    images = {}
+    for w in hw.base.group.generators:
         asg = {"r": hw.standard_map(w)}
         for v in range(hw.npoints):
-            asg[v] = base[v]
-        table[w] = lim.encode(asg)
-    if set(table.values()) != set(lim.group.elements()):
-        raise HypothesisError("base subgroup does not fill the limit")
-    if len(set(table.values())) != len(table):
-        raise HypothesisError("identification is not injective")
-    ident = Homomorphism(hw.base.group, lim.group, table=table,
-                         label="bw-as-lim")
-    for v in range(hw.npoints):
-        proj = lim.projection(v)
-        for w in hw.base.members():
-            if proj(ident(w)) != evals[v](w):
-                raise HypothesisError("identification breaks an evaluation map")
-    root_proj = lim.projection("r")
-    for w in hw.base.members():
-        if root_proj(ident(w)) != hw.standard_map(w):
-            raise HypothesisError("identification breaks the standard map")
-        for v in range(hw.npoints):
-            lhs = mul(mul(inv(t[v]), hw.theta(evals[v](w))), t[v])
-            if lhs != hw.standard_map(w):
-                raise HypothesisError("twisted cone identity fails")
+            asg[v] = evals[v](w)
+        images[w] = lim.encode(asg)
+    ident = Homomorphism.from_gen_images(hw.base.group, lim.group, images,
+                                         label="bw-as-lim")
+    values = set(ident.tabulated().values())
+    if values != lim.group.elements() or len(values) != hw.base.order():
+        raise HypothesisError("base subgroup is not identified with the limit")
     return lim, ident
 
 
 def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):
     """A base-group conjugator moving one carrier onto the other.
 
-    Both hybrids must share (G, H, theta) and the same coset ordering; the
-    returned x satisfies carrier(hw1) = x^-1 carrier(hw2) x, verified setwise.
+    Both hybrids must share (G, H, theta) and the same coset ordering; with
+    t_v, s_v their representatives of coset v, x has coordinates
+    section(s_v t_v^-1) (s_v t_v^-1 lies in theta(G)) and satisfies
+    carrier(hw1) = x^-1 carrier(hw2) x, verified setwise.
     """
     if hw1.theta is not hw2.theta and hw1.theta.gen_images() != hw2.theta.gen_images():
         raise HypothesisError("hybrids have different defining maps")
@@ -198,14 +194,9 @@ def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):
             for a, b in zip(hw1.action.labels, hw2.action.labels)]
         if not all(same_cosets):
             raise HypothesisError("hybrids enumerate the cosets differently")
-    from .wreath import embedding_conjugator
-
-    x1 = embedding_conjugator(hw1.iota, hw2.iota)
-    base_x1, top_x1 = hw1.iota.wreath.decode(x1)
-    if top_x1 != hw1.iota.wreath.top_group.identity:
-        raise HypothesisError("conjugator is not a base element")
     section = hw1.theta.section()
-    f = tuple(section[base_x1[v]] for v in range(hw1.npoints))
+    f = tuple(section[mul(s, inv(t))]
+              for t, s in zip(hw1.action.labels, hw2.action.labels))
     x = hw1.wreath.encode(f, hw1.wreath.top_group.identity)
     conj = {mul(mul(inv(x), w), x) for w in hw2.group.elements()}
     if conj != hw1.group.elements():

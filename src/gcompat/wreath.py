@@ -114,10 +114,12 @@ class WreathProduct:
 
     Points: for each w in Omega a copy of G's domain, then H's own domain.
     encode/decode convert between (base tuple, top element) and permutations.
+    The carrier is given by its generators and known order; it is closed
+    only when its elements are asked for.
     """
 
     def __init__(self, base_group: FiniteGroup, action: GroupAction,
-                 label=None, bounds=DEFAULT_BOUNDS):
+                 label=None):
         self.base_group = base_group
         self.action = action
         self.npoints = action.npoints
@@ -140,10 +142,6 @@ class WreathProduct:
         name = label or f"{base_group.label}wr{self.top_group.label}"
         self.carrier = FiniteGroup(degree, gens, name)
         self.carrier._order = order
-        if order <= bounds.enum:
-            elems = self.carrier.elements(order)
-            if len(elems) != order:
-                raise HypothesisError("wreath realization has wrong order")
 
     # -- element conversion ----------------------------------------------------
 
@@ -214,7 +212,7 @@ def wreath_product(base_group, action, label=None,
     size = base_group.order() ** action.npoints * action.group.order()
     if size > max(bounds.enum, 10 ** 9):
         raise UndecidedError(f"wreath product of order {size} is out of range")
-    return WreathProduct(base_group, action, label=label, bounds=bounds)
+    return WreathProduct(base_group, action, label=label)
 
 
 class StandardEmbedding:

@@ -1,5 +1,6 @@
 import pytest
 
+from gcompat.bounds import HypothesisError
 from gcompat.catalog import frobenius21, named_group, surjection_onto_subgroup
 from gcompat.groups import Subgroup, cyclic, direct_product, symmetric
 from gcompat.homs import Homomorphism, quotient
@@ -226,3 +227,71 @@ def test_hybrid_coset_action_follows_the_transversal(rng, coset_table):
         assert hw.action.labels == reps
         expect = coset_table(h, k, reps)
         assert list(hw.action.rho.tabulated().items()) == list(expect.items())
+
+
+def test_hybrid_past_its_ambient_wreath_range():
+    # the ambient Z5 wr E(2,4) on 16 points has order 5^16 * 16, past the
+    # range of `wreath_product`; the hybrid itself has order 80
+    h = named_group("Z5xE(2,4)")
+    z5 = Subgroup(h, gens=[h.generators[0]])
+    assert z5.order() == 5
+    hw = hybrid_wreath(z5.group, h, Homomorphism.inclusion(z5))
+    assert hw.order() == 80
+    assert hw.npoints == 16
+    lim, _ = bw_as_limit(hw)
+    assert lim.group.order() == 5
+
+
+def test_hybrid_never_closes_its_ambient_wreath():
+    # the ambient F21 wr Z2 (882 elements) only encodes and decodes, and
+    # no standard embedding of H is built
+    g, h, theta = f21_s3_theta()
+    hw = hybrid_wreath(g, h, theta)
+    assert hw.order() == 294
+    assert hw.wreath.carrier._elements is None
+    assert not hasattr(hw, "iota")
+
+
+def test_evaluation_maps_agree_with_decode_on_all_of_bw():
+    g, h, theta = f21_s3_theta()
+    hw = hybrid_wreath(g, h, theta)
+    evals = evaluation_maps(hw)
+    for w in hw.base.members():
+        base, _top = hw.decode(w)
+        for v in range(hw.npoints):
+            assert evals[v](w) == base[v]
+
+
+def s3_transposition_hybrid(order=(0, 1, 2)):
+    # <(0 1)> <= S3 is not normal: three cosets, numbered by `order`
+    s3 = symmetric(3)
+    two = Subgroup(s3, gens=[(1, 0, 2)])
+    first = hybrid_wreath(two.group, s3, Homomorphism.inclusion(two))
+    reps = [first.action.labels[i] for i in order]
+    return hybrid_wreath(two.group, s3, Homomorphism.inclusion(two),
+                         transversal_elems=reps)
+
+
+def test_hybrid_refuses_a_transversal_not_starting_at_the_identity():
+    with pytest.raises(HypothesisError, match="start with the identity"):
+        s3_transposition_hybrid(order=(1, 0, 2))
+
+
+def test_evaluation_maps_refuse_a_non_normal_hybrid():
+    hw = s3_transposition_hybrid()
+    assert not hw.normal
+    with pytest.raises(HypothesisError, match="normal hybrid"):
+        evaluation_maps(hw)
+
+
+def test_bw_as_limit_refuses_a_non_normal_hybrid():
+    hw = s3_transposition_hybrid()
+    with pytest.raises(HypothesisError, match="normal hybrid"):
+        bw_as_limit(hw)
+
+
+def test_transversal_independence_refuses_a_different_coset_numbering():
+    hw1 = s3_transposition_hybrid()
+    hw2 = s3_transposition_hybrid(order=(0, 2, 1))
+    with pytest.raises(HypothesisError, match="cosets differently"):
+        transversal_independence(hw1, hw2)
