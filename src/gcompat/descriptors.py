@@ -2,7 +2,9 @@
 
 All dumps are canonical (sorted keys, deterministic ordering) so identical
 objects serialize byte-identically. Certificates carry full map tables when
-the witness is enumerable and generator images otherwise.
+the witness is enumerable and generator images otherwise. Map tables and
+generator images hold the maps' own permutation tuples, which `json` writes
+exactly as it writes lists, so no permutation is copied to serialize it.
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ def hom_to_descriptor(f: Homomorphism, *, with_table=False) -> dict:
     out = {
         "source": group_to_descriptor(f.source),
         "target": group_to_descriptor(f.target),
-        "gen_images": [[list(g), list(f(g))] for g in f.source.generators],
+        "gen_images": [[g, f(g)] for g in f.source.generators],
         "label": f.label,
     }
     if with_table:
-        out["table"] = sorted([list(x), list(y)]
-                              for x, y in f.tabulated().items())
+        out["table"] = sorted(f.tabulated().items())
     return out
 
 
@@ -177,10 +178,9 @@ def certificate_to_descriptor(cert: WitnessCertificate,
         "kernel1": subgroup_to_descriptor(cert.ker1),
         "kernel2": subgroup_to_descriptor(cert.ker2),
         "kernel_iso": {
-            "table": sorted([list(x), list(y)]
-                            for x, y in cert.kernel_iso.tabulated().items())
+            "table": sorted(cert.kernel_iso.tabulated().items())
             if cert.ker1.group.is_enumerable(bounds.enum) else None,
-            "gen_images": [[list(g), list(cert.kernel_iso(g))]
+            "gen_images": [[g, cert.kernel_iso(g)]
                            for g in cert.ker1.group.generators],
         },
         "good_at": [subgroup_to_descriptor(cert.good_at[0]),

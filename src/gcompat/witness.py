@@ -4,16 +4,21 @@ A witness certificate is a group G with surjections p1, p2 onto the two
 targets, an explicit isomorphism between their kernels, trivially-extendable
 evidence at the designated normal subgroups, and a provenance tree. The
 builders realize every kernel isomorphism as an explicit composite of maps
-produced by the construction itself; brute-force isomorphism search is kept
-for independent cross-checking only.
+produced by the construction itself.
 
 `verify_witness` proves each property once, on one path for enumerable and
-generator-based witnesses alike. Two of its checks are derived from the
-proved maps: `ker-p{d}-matches` from `p{d}-homomorphism` (the kernel's
+generator-based witnesses alike. Three of its checks are derived from
+proved checks: `ker-p{d}-matches` from `p{d}-homomorphism` (the kernel's
 generators lie in G and go to the identity, and |ker_d| = |G|/|im p_d|),
 and `quotient-{d}-isomorphic` from `p{d}-homomorphism`, `p{d}-surjective`,
 `ker-p{d}-matches` and, when p_d's target is not L_d itself,
-`p{d}-target-type`, by the first isomorphism theorem. No quotient is built.
+`p{d}-target-type`, by the first isomorphism theorem (no quotient is
+built); and `kernel-iso-independent-search` from
+`kernel-iso-homomorphism`, `kernel-iso-bijective` and
+`kernel-iso-lands-in-ker2`: the certificate's map is an isomorphism from
+ker1 onto ker2. The brute-force search runs only when one of them failed,
+so that a failing certificate still reports whether its kernels are
+isomorphic at all.
 """
 
 from __future__ import annotations
@@ -971,11 +976,14 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
     samples, and enumerable and generator-based witnesses take the same
     path, apart from the kernel isomorphism: p1 and p2 are proved from
     their blocks (or their tables), and a generator-based kernel
-    isomorphism from its generator graph. Two checks are derived:
+    isomorphism from its generator graph. Three checks are derived:
     `ker-p{d}-matches` from p_d's proof, the kernel's generators and
     |ker_d| = |G|/|im p_d|; `quotient-{d}-isomorphic`, by the first
-    isomorphism theorem, from the checks its detail names. `rng` is
-    accepted for old callers and unused.
+    isomorphism theorem, from the checks its detail names; and
+    `kernel-iso-independent-search` from the three kernel-iso checks when
+    all pass. When one fails, that check is a brute-force search of ker1
+    against ker2; for a kernel past `bounds.iso` or `bounds.enum` it is
+    skipped either way. `rng` is accepted for old callers and unused.
     """
     rep = VerificationReport()
     targets = {1: l1, 2: l2}
@@ -1041,8 +1049,8 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
             rep.add(f"quotient-{d}-isomorphic", True, "from " + ", ".join(
                 n + " (skipped)" if done[n].skipped else n for n in basis))
 
-    # kernel isomorphism: the certificate's map, then an independent search
-    # (each check fails on its own, with the error, if evaluating it raises)
+    # kernel isomorphism: the certificate's map (each check fails on its
+    # own, with the error, if evaluating it raises)
     ki, ker1, ker2 = cert.kernel_iso, cert.ker1, cert.ker2
     table = ker1.group.is_enumerable(bounds.enum)
     try:
@@ -1081,7 +1089,12 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
         rep.add("kernel-iso-bijective", False, str(e))
         rep.add("kernel-iso-lands-in-ker2", False, str(e))
 
+    # ker1 ~ ker2: derived when the three checks above prove the map an
+    # isomorphism; searched for when they do not, so a failing certificate
+    # still reports whether its kernels are isomorphic at all
     k_order = ker1.order()
+    basis = ["kernel-iso-homomorphism", "kernel-iso-bijective",
+             "kernel-iso-lands-in-ker2"]
     if k_order > bounds.iso:
         rep.add("kernel-iso-independent-search", True,
                 f"skipped: kernel order {k_order} past the isomorphism "
@@ -1090,6 +1103,9 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
         rep.add("kernel-iso-independent-search", True,
                 f"skipped: kernel order {k_order} past the enumeration "
                 f"bound {bounds.enum}")
+    elif all(c.passed for c in rep.checks if c.name in basis):
+        rep.add("kernel-iso-independent-search", True,
+                "from " + ", ".join(basis))
     else:
         found = find_isomorphism(ker1.group, ker2.group, bounds)
         rep.add("kernel-iso-independent-search", found is not None,

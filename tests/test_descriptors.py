@@ -106,6 +106,24 @@ def test_dumps_matches_json_dumps_on_a_certificate():
     assert descriptors.dumps(d) == json.dumps(d, sort_keys=True, indent=1)
 
 
+def test_descriptors_hold_the_maps_own_permutations():
+    # tables and generator images are the maps' tuples, not copies; json
+    # writes them as it writes the lists they load back as
+    l1, l2 = named_group("Z4"), named_group("Z2xZ2")
+    cert = witness_nilpotent(l1, l2)
+    report = verify_witness(cert, l1, l2)
+    d = descriptors.certificate_to_descriptor(cert, report=report)
+    text = descriptors.dumps(d)
+    assert text == descriptors.dumps(json.loads(text))
+    f = cert.p1
+    table = f.tabulated()
+    hd = descriptors.hom_to_descriptor(f, with_table=True)
+    assert all(table[x] is y for x, y in hd["table"])
+    back = descriptors.hom_from_descriptor(
+        json.loads(descriptors.dumps(hd)))
+    assert back.tabulated() == table
+
+
 # sha256 of the canonical JSON of each certificate: a change in any
 # generator choice, kernel or table shows here as a changed digest, which a
 # speed-up must never cause. All ten pairs of the order-8 groups Z8, Z4xZ2,

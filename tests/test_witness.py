@@ -507,7 +507,8 @@ def test_good_witness_d8_q8_order_2048():
     assert cert.ker1.order() == cert.ker2.order() == 256
     rep = verify_witness(cert, d8, q8)
     assert rep.passed
-    # independent kernel isomorphism by brute force, as its own check
+    # the verifier derives the kernels' isomorphism from the certificate's
+    # map; this brute-force search is the suite's independent cross-check
     assert find_isomorphism(cert.ker1.group, cert.ker2.group) is not None
 
 
@@ -851,9 +852,12 @@ def test_kernel_iso_keyed_outside_ker1_is_not_bijective():
     table[keys[1]], table[keys[2]] = table[keys[2]], table[keys[1]]
     swapped = Homomorphism(cert.ker1.group, cert.ker2.group, table=table,
                            label="kernel-iso", check=False)
-    failed = [c.name for c in verify_witness(
-        replace(cert, kernel_iso=swapped), l1, l2).checks if not c.passed]
-    assert failed == ["kernel-iso-homomorphism"]
+    checks = verify_witness(replace(cert, kernel_iso=swapped), l1, l2).checks
+    assert [c.name for c in checks if not c.passed] == [
+        "kernel-iso-homomorphism"]
+    # the kernels are still isomorphic, and the search that says so runs
+    assert CheckResult("kernel-iso-independent-search", True,
+                       "brute force at order 256") in checks
     # the inverse table, keyed by ker2's elements: as many distinct values
     # as ker1 has elements, yet not a map on ker1
     rekeyed = Homomorphism(cert.ker1.group, cert.ker2.group,
@@ -864,6 +868,44 @@ def test_kernel_iso_keyed_outside_ker1_is_not_bijective():
         replace(cert, kernel_iso=rekeyed), l1, l2).checks}
     assert checks["kernel-iso-bijective"] == CheckResult(
         "kernel-iso-bijective", False, "table not keyed by ker1")
+
+
+def test_kernel_iso_search_is_derived_from_the_proved_map(monkeypatch):
+    from dataclasses import replace
+
+    import gcompat.witness as witness
+
+    l1, l2 = named_group("Z4"), named_group("Z2xZ2")
+    cert = witness_nilpotent(l1, l2)
+    kernels = (cert.ker1.group, cert.ker2.group)
+    searched = []
+    search = witness.find_isomorphism
+
+    def counted(a, b, *args, **kwargs):
+        searched.append((a, b) == kernels)
+        return search(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "find_isomorphism", counted)
+    rep = verify_witness(cert, l1, l2)
+    assert rep.passed
+    assert CheckResult(
+        "kernel-iso-independent-search", True,
+        "from kernel-iso-homomorphism, kernel-iso-bijective, "
+        "kernel-iso-lands-in-ker2") in rep.checks
+    assert True not in searched
+    # the identity and the involution swap values: a bijection onto ker2
+    # that is no homomorphism, so the kernels are searched
+    table = dict(cert.kernel_iso.tabulated())
+    a, b = sorted(table)
+    table[a], table[b] = table[b], table[a]
+    swapped = Homomorphism(*kernels, table=table, label="kernel-iso",
+                           check=False)
+    checks = verify_witness(replace(cert, kernel_iso=swapped), l1, l2).checks
+    assert [c.name for c in checks if not c.passed] == [
+        "kernel-iso-homomorphism"]
+    assert CheckResult("kernel-iso-independent-search", True,
+                       "brute force at order 2") in checks
+    assert searched.count(True) == 1
 
 
 def test_skipped_checks_print_skip():
