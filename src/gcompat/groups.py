@@ -15,7 +15,6 @@ subgroup searches below each read their orders from one such sweep.
 
 from __future__ import annotations
 
-import threading
 from array import array
 from collections import Counter
 from math import gcd
@@ -56,7 +55,6 @@ class FiniteGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self.label = str(label)
-        self._lock = threading.Lock()
         self._elements = None
         self._sorted = None
         self._chain = None
@@ -97,27 +95,18 @@ class FiniteGroup:
     def elements(self, bound=None):
         """The full element set (frozenset), closed from the generators by
         Dimino's method (`perms.closure`); UndecidedError past `bound`.
-
-        The cache is populated once behind a lock; values are immutable
-        afterwards, so concurrent reads are safe.
         """
         if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    limit = bound if bound is not None else DEFAULT_BOUNDS.enum
-                    elems = closure(self.generators or [self.identity],
-                                    bound=limit)
-                    self._order = len(elems)
-                    self._elements = elems
+            limit = bound if bound is not None else DEFAULT_BOUNDS.enum
+            self._elements = closure(self.generators or [self.identity],
+                                     bound=limit)
+            self._order = len(self._elements)
         return self._elements
 
     def sorted_elements(self, bound=None):
         """Elements in canonical (lexicographic) order."""
         if self._sorted is None:
-            elems = sorted(self.elements(bound))
-            with self._lock:
-                if self._sorted is None:
-                    self._sorted = elems
+            self._sorted = sorted(self.elements(bound))
         return self._sorted
 
     def cayley(self, bound=None):
@@ -125,18 +114,13 @@ class FiniteGroup:
         computed once (|G|*|gens| multiplies) and kept, so every map out of
         the group is checked on the same int columns."""
         if self._cayley is None:
-            graph = cayley_graph(self.sorted_elements(bound), self.generators)
-            with self._lock:
-                if self._cayley is None:
-                    self._cayley = graph
+            self._cayley = cayley_graph(self.sorted_elements(bound),
+                                        self.generators)
         return self._cayley
 
     def chain(self):
         if self._chain is None:
-            built = StabilizerChain(self.degree, self.generators)
-            with self._lock:
-                if self._chain is None:
-                    self._chain = built
+            self._chain = StabilizerChain(self.degree, self.generators)
         return self._chain
 
     def order(self):

@@ -100,9 +100,7 @@ def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
         table = {x: lo(section[x]) for x in groups[i].elements()}
         maps.append(Homomorphism(groups[i], groups[i - 1], table=table,
                                  label=f"pi_{i}"))
-    seq = GroupSequence(groups, maps)
-    seq.quotient_maps = quots  # L -> S_i, kept for round trips
-    return seq
+    return GroupSequence(groups, maps)
 
 
 def sequence_to_series(seq: GroupSequence):

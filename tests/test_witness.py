@@ -251,8 +251,9 @@ def test_goodwit_hand_certificate_passes():
     assert rep.passed
 
 
-def test_goodwit_compose_to_quotients():
-    g, l1, l2, cert = goodwit_certificate()
+def goodwit_compose_to_quotients(cert, l1, l2):
+    """`cert` composed onto E(2,2) and Z4: (composed certificate, E(2,2),
+    Z4)."""
     x1, x2, x3 = l1.generators
     y = l2.generators[0]
     l1p, l2p = named_group("E(2,2)"), named_group("Z4")
@@ -265,6 +266,12 @@ def test_goodwit_compose_to_quotients():
     ev2 = is_trivially_extendable(pi2, l2p.trivial_subgroup()).evidence
     cert2 = compose_witness(cert, pi1, pi2, kappa, (ev1, ev2),
                             (l1p.trivial_subgroup(), l2p.trivial_subgroup()))
+    return cert2, l1p, l2p
+
+
+def test_goodwit_compose_to_quotients():
+    g, l1, l2, cert = goodwit_certificate()
+    cert2, l1p, l2p = goodwit_compose_to_quotients(cert, l1, l2)
     assert cert2.ker1.order() == cert.ker1.order() * 2
     assert verify_witness(cert2, l1p, l2p).passed
 
@@ -297,9 +304,31 @@ def test_compose_length2_with_own_top_maps():
     assert verify_witness(cert2, bottom, bottom).passed
 
 
+def test_compose_hands_on_a_kernel_map_that_breaks_the_law():
+    # compose_witness does not check its composed kernel map: a certificate
+    # map whose images of the identity and of ker1's least other element
+    # are swapped composes, and the verifier's edge check alone refuses it
+    from dataclasses import replace
+
+    g, l1, l2, cert = goodwit_certificate()
+    table = dict(cert.kernel_iso.tabulated())
+    e = cert.ker1.group.identity
+    least = min(x for x in table if x != e)
+    table[e], table[least] = table[least], table[e]
+    swapped = Homomorphism(cert.ker1.group, cert.ker2.group, table=table,
+                           label="kernel-iso", check=False)
+    cert2, l1p, l2p = goodwit_compose_to_quotients(
+        replace(cert, kernel_iso=swapped), l1, l2)
+    checks = verify_witness(cert2, l1p, l2p).checks
+    assert [c.name for c in checks if not c.passed] == [
+        "kernel-iso-homomorphism"]
+    assert CheckResult("kernel-iso-independent-search", True,
+                       "brute force at order 16") in checks
+
+
 def test_compose_refuses_a_kernel_map_that_is_not_bijective():
-    # the builders' kernel maps carry no injectivity check of their own:
-    # compose_witness's is_bijective is what refuses a collapsing one
+    # the builders check no kernel map of their own: compose_witness's
+    # is_bijective on kappa_pi is what refuses a collapsing one
     z4, chain = cyclic_tower(4, [2, 2])
     s1 = seq_of(z4, chain)
     cert = build_witness_length2(s1, s1, comp_membership(s1, s1))
@@ -805,6 +834,26 @@ def test_length2_kernel_iso_is_a_rule_at_every_size(monkeypatch):
         assert all(c.passed for c in rep.checks) and "kernel-iso" in seen
         assert CheckResult("kernel-iso-homomorphism", True,
                            "complete edge check") in rep.checks
+
+
+def test_kernel_maps_are_proved_by_the_verifier_alone(monkeypatch):
+    # D8|Q8 builds a contracted kernel map and a composed one: neither is
+    # edge-checked while it is built, and verify_witness edge-checks the
+    # certificate's map exactly once
+    l1, l2 = named_group("D8"), quaternion()
+    edges = Homomorphism.check_table_edges
+    seen = []
+    monkeypatch.setattr(Homomorphism, "check_table_edges",
+                        lambda self: seen.append(self.label) or edges(self))
+    cert = witness_nilpotent(l1, l2)
+    assert [c.kind for c in cert.provenance.children] == [
+        "length2", "recursion-step"]
+    assert "kernel-iso" not in seen and "kappa_contracted" not in seen
+    del seen[:]
+    rep = verify_witness(cert, l1, l2)
+    assert rep.passed and seen.count("kernel-iso") == 1
+    assert CheckResult("kernel-iso-homomorphism", True,
+                       "complete edge check") in rep.checks
 
 
 def test_composed_kernel_iso_reads_the_length2_rule(monkeypatch):
