@@ -55,10 +55,14 @@ def _group_arg(spec: str):
     return named_group(spec)
 
 
-def _emit(args, payload: dict):
+def _emit(args, payload: dict, note: str = ""):
+    """Write `payload` to `--out`, when given, as canonical JSON and a
+    newline, then report the file (and `note`) on stdout."""
     if getattr(args, "out", None):
-        Path(args.out).write_text(descriptors.dumps(payload) + "\n")
-        print(f"wrote {args.out}")
+        with open(args.out, "w") as f:
+            f.write(descriptors.dumps(payload))
+            f.write("\n")
+        print(f"wrote {args.out}{note}")
 
 
 def _bounds(args) -> Bounds:
@@ -177,9 +181,8 @@ def cmd_witness_build(args) -> int:
     if args.out:
         report = verify_witness(cert, l1, l2, bounds)
         payload = descriptors.certificate_to_descriptor(cert, bounds, report)
-        Path(args.out).write_text(descriptors.dumps(payload) + "\n")
-        print(f"wrote {args.out} "
-              f"({'all checks passed' if report.passed else 'CHECKS FAILED'})")
+        _emit(args, payload, " (all checks passed)" if report.passed
+              else " (CHECKS FAILED)")
         if not report.passed:
             return 1
     return 0

@@ -3,14 +3,19 @@
 All dumps are canonical (sorted keys, deterministic ordering) so identical
 objects serialize byte-identically. Certificates carry full map tables when
 the witness is enumerable and generator images otherwise. Map tables and
-generator images hold the maps' own permutation tuples, which `json` writes
-exactly as it writes lists, so no permutation is copied to serialize it.
+generator images hold the maps' own permutation tuples, written exactly as
+lists are, so no permutation is copied to serialize it.
+
+`dumps` writes the same bytes as `json.dumps(obj, sort_keys=True,
+indent=1)` for the types descriptors hold (dicts with str keys, lists,
+tuples, str, int, bool, None) and raises TypeError on any other. It writes
+each sequence of ints in one join and reuses, within a call, the text of
+a sequence of ints it has already written at the same depth.
 """
 
 from __future__ import annotations
 
-import json
-from itertools import islice
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .bounds import DEFAULT_BOUNDS
 from .catalog import construct, named_group
@@ -265,7 +270,77 @@ def _provenance_from_dict(d: dict) -> ProvenanceNode:
 
 
 def dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=1), its chunks joined 4096 at
-    a time: a certificate's hundreds of thousands never all live at once."""
-    chunks = json.JSONEncoder(sort_keys=True, indent=1).iterencode(obj)
-    return "".join(iter(lambda: "".join(islice(chunks, 4096)), ""))
+    """The bytes of `json.dumps(obj, sort_keys=True, indent=1)` for the
+    types descriptors hold: dicts with str keys, lists, tuples, str, int,
+    bool and None. Any other type raises TypeError.
+
+    Two mechanisms make it fast where the stdlib's indented encoder (pure
+    Python, one generator frame per item) is slow. A list or tuple of
+    ints only, such as every permutation, is written by one join. Its
+    text is kept for the rest of the call, keyed by its depth and values:
+    map tables send many keys onto few values, and evidence lists the
+    same elements under many subgroups.
+    """
+    out = []
+    _encode(obj, "\n", out.append, {})
+    return "".join(out)
+
+
+_INTS = {int}
+
+
+def _encode(o, nl, emit, memo):
+    """Emit the text of `o`, whose closing bracket goes after `nl`: a
+    newline and the indent of `o`'s own depth."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = nl + " "
+        if set(map(type, o)) == _INTS:  # bool is not int here
+            key = (nl, tuple(o))
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "".join((
+                    "[", inner, ("," + inner).join(map(int.__repr__, o)),
+                    nl, "]"))
+            emit(text)
+            return
+        sep, comma = inner, "," + inner
+        emit("[")
+        for x in o:
+            emit(sep)
+            _encode(x, inner, emit, memo)
+            sep = comma
+        emit(nl + "]")
+    elif isinstance(o, str):
+        emit(_encode_str(o))
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        for k in o:
+            if not isinstance(k, str):
+                raise TypeError(
+                    f"descriptor keys must be str, not {type(k).__name__}")
+        inner = nl + " "
+        sep, comma = inner, "," + inner
+        emit("{")
+        for k in sorted(o):
+            emit(sep)
+            emit(_encode_str(k))
+            emit(": ")
+            _encode(o[k], inner, emit, memo)
+            sep = comma
+        emit(nl + "}")
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    else:
+        raise TypeError(
+            f"{type(o).__name__} is not a descriptor type")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcompat import descriptors
 from gcompat.catalog import named_group
@@ -104,6 +106,104 @@ def test_dumps_matches_json_dumps_on_a_certificate():
     cert = witness_nilpotent(named_group("Z8"), named_group("Z4xZ2"))
     d = descriptors.certificate_to_descriptor(cert)
     assert descriptors.dumps(d) == json.dumps(d, sort_keys=True, indent=1)
+
+
+def _json(obj):
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+_ints = st.integers(min_value=-2**70, max_value=2**70)
+_int_tuples = st.lists(_ints, min_size=1, max_size=6).map(tuple)
+# one int tuple at several depths, where the writer's memo must not mix
+# up the indent of one depth with another's
+_shared = _int_tuples.map(lambda t: [t, [t, (t,)], {"t": [t]}])
+_leaves = (st.none() | st.booleans() | _ints | st.text(max_size=8)
+           | _int_tuples | _shared
+           | st.lists(_ints | st.booleans(), max_size=4).map(tuple))
+_trees = st.recursive(
+    _leaves,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert descriptors.dumps(obj) == _json(obj)
+
+
+def test_dumps_keys_the_tuple_memo_on_depth():
+    t = (3, 1, 2)
+    obj = {"a": t, "b": [t, [t]], "c": [[[t]]], "d": t}
+    assert descriptors.dumps(obj) == _json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [(1, 1), (1, True)],
+    [(1, True), (1, 1)],
+    [[0, False], (0, 0), (False,), (0,)],
+])
+def test_dumps_writes_bools_as_json_bools(obj):
+    # (1, True) == (1, 1) with the same hash: a bool must not take the
+    # int path, nor reuse the text of an equal int tuple
+    assert descriptors.dumps(obj) == _json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, 1.5, [1, 2.0], {"a": (1, {2})}, {1: "a"}, frozenset(),
+])
+def test_dumps_refuses_non_descriptor_types(obj):
+    with pytest.raises(TypeError):
+        descriptors.dumps(obj)
+
+
+def _hybrid_carrier():
+    from gcompat.catalog import frobenius21, surjection_onto_subgroup
+    from gcompat.groups import Subgroup, symmetric
+    from gcompat.hybrid import hybrid_wreath
+    from gcompat.perms import perm_order
+
+    g, h = frobenius21(), symmetric(3)
+    a3 = Subgroup(h, members=[e for e in h.elements()
+                              if perm_order(e) in (1, 3)])
+    hw = hybrid_wreath(g, h, surjection_onto_subgroup(g, h, a3))
+    return descriptors.group_to_descriptor(hw.group)
+
+
+def _z4_to_z2():
+    z4, z2 = cyclic(4), cyclic(2)
+    return Homomorphism.from_gen_images(z4, z2,
+                                        {z4.generators[0]: z2.generators[0]})
+
+
+def _z4_system():
+    pi = _z4_to_z2()
+    system = star_system(pi.target, [pi.source, pi.source], [pi, pi])
+    return descriptors.system_to_descriptor(system)
+
+
+def _z6_s3_certificate_with_report():
+    from gcompat.witness import witness_square_free
+
+    l1, l2 = named_group("Z6"), named_group("S3")
+    cert = witness_square_free(l1, l2)
+    report = verify_witness(cert, l1, l2)
+    return descriptors.certificate_to_descriptor(cert, report=report)
+
+
+@pytest.mark.parametrize("produce", [
+    lambda: descriptors.group_to_descriptor(named_group("D8")),
+    lambda: descriptors.hom_to_descriptor(_z4_to_z2()),
+    lambda: descriptors.hom_to_descriptor(_z4_to_z2(), with_table=True),
+    _z4_system,
+    _hybrid_carrier,
+    _z6_s3_certificate_with_report,
+], ids=["group", "hom", "hom-table", "system", "hybrid", "certificate"])
+def test_dumps_matches_json_dumps_on_each_producer(produce):
+    d = produce()
+    assert descriptors.dumps(d) == _json(d)
 
 
 def test_descriptors_hold_the_maps_own_permutations():
