@@ -182,7 +182,7 @@ class Homomorphism:
 
     # -- kernels and images --------------------------------------------------
 
-    def kernel(self) -> Subgroup:
+    def kernel(self, bound=None) -> Subgroup:
         """The kernel: the identity's fiber, read off `fibers()` on the
         first call; later calls return the same Subgroup, so the callers
         that need the kernel of one map share it. A rule composite whose
@@ -190,19 +190,23 @@ class Homomorphism:
         no other inner value to the identity), returns the inner map's
         kernel Subgroup itself. `verify_witness` never reads this memo: its
         `ker-p{d}-matches` check evaluates the map on the certificate
-        kernel's generators. A source whose elements a builder closed
-        under a larger bound is read (`FiniteGroup.can_enumerate`)."""
+        kernel's generators. The source is closed under `bound` (default
+        `DEFAULT_BOUNDS.enum`), and a refusal names it; a source whose
+        elements were already closed under a larger bound is read
+        (`FiniteGroup.can_enumerate`)."""
         if self._kernel is None:
-            if not self.source.can_enumerate():
+            limit = bound if bound is not None else DEFAULT_BOUNDS.enum
+            if not self.source.can_enumerate(limit):
                 raise UndecidedError(
                     f"kernel of {self.label}: source not enumerable (order "
                     f"{self.source.order()}, past the enumeration bound "
-                    f"{DEFAULT_BOUNDS.enum})")
+                    f"{limit})")
+            self.source.elements(limit)
             members = self.fibers().get(self.target.identity, [])
             inner = self._then[0] if self._then is not None else None
             if inner is not None and \
                     members is inner.fibers().get(inner.target.identity):
-                self._kernel = inner.kernel()
+                self._kernel = inner.kernel(limit)
             else:
                 self._kernel = Subgroup(self.source, members=members,
                                         label=f"ker({self.label})")

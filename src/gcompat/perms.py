@@ -12,6 +12,11 @@ degree 1 takes a separate branch.
 Generator closure is Dimino's method (`closure` over `dimino_extend`):
 about one multiply per element, where a breadth-first search makes one
 per element per generator.
+
+Orders and memberships past enumeration come from `StabilizerChain`,
+deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
+Algorithms, 2003, §4.2) that closes each chain once: deepest level first,
+each Schreier generator sifted once per transversal, tree edges skipped.
 """
 
 from __future__ import annotations
@@ -141,7 +146,28 @@ def dimino_extend(closed, gens, s, *, limit=None):
 
 
 class StabilizerChain:
-    """Deterministic Schreier-Sims. Supports order and membership only.
+    """Deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, §4.2). Supports order and membership only.
+
+    Level i holds the base point `base[i]`, the strong generators
+    `sgens[i]` of its group G_i (each beside its inverse, computed once)
+    and the transversal `orbits[i]` (point -> a perm taking `base[i]`
+    there) with `inverses[i]` beside it. A permutation is sifted in from
+    the level whose group it is known to lie in; a nontrivial residue that
+    drops out at level j becomes a strong generator of every level from
+    that one down to j (a new level when j is past the base), and their
+    transversals grow by it, keeping every element they had. The levels
+    above are left alone: the residue already lies in their groups, so
+    their orbits cannot grow.
+
+    `__init__` sifts every generator in, then closes once. Closing starts
+    at the deepest level that changed and works up to level 0: at level i
+    each Schreier generator t_x g t_{x^g}^-1 (x in the orbit, g a strong
+    generator of the level) is sifted from level i+1, once per transversal
+    element, and a tree edge (t_x g == t_{x^g}) is skipped unsifted. A
+    nontrivial residue added at level j resumes the closing at j. The
+    per-level record of what was sifted lives only while the chain
+    closes; `add` to a closed chain starts from every pair marked done.
 
     Scale target is degree in the low hundreds and orders up to ~1e9, which
     the witness constructions stay comfortably inside.
@@ -149,12 +175,18 @@ class StabilizerChain:
 
     def __init__(self, degree: int, gens=()):
         self.degree = degree
+        self._identity = identity_perm(degree)
         self.base = []
-        self.sgens = []   # strong generators known at each level
-        self.orbits = []  # per level: point -> transversal perm
+        self.sgens = []     # per level: (g, inv(g)) for each strong generator
+        self.orbits = []    # per level: point -> transversal perm
         self.inverses = []  # per level: point -> inverse of that perm
+        # while closing, per level: point -> how many of the level's strong
+        # generators its Schreier generators have been sifted with
+        self._sifted = []
         for g in gens:
-            self.add(g)
+            self._check(g)
+            self._sift_in(g, 0)
+        self._close(len(self.base) - 1)
 
     # -- queries ---------------------------------------------------------
 
@@ -166,82 +198,95 @@ class StabilizerChain:
         return o
 
     def _strip(self, p, start=0):
-        for i in range(start, len(self.base)):
-            x = p[self.base[i]]
-            t_inv = self.inverses[i].get(x)
+        base, inverses = self.base, self.inverses
+        for i in range(start, len(base)):
+            b = base[i]
+            x = p[b]
+            if x == b:  # the transversal element is the identity
+                continue
+            t_inv = inverses[i].get(x)
             if t_inv is None:
                 return p, i
             p = mul(p, t_inv)
-        return p, len(self.base)
+        return p, len(base)
 
     def contains(self, p) -> bool:
         if len(p) != self.degree:
             return False
         r, lev = self._strip(p)
-        return lev == len(self.base) and r == identity_perm(self.degree)
+        return lev == len(self.base) and r == self._identity
 
     # -- construction ----------------------------------------------------
 
     def add(self, p):
+        self._check(p)
+        # a closed chain sifts every Schreier generator it has to 1
+        self._sifted = [dict.fromkeys(tr, len(gens))
+                        for tr, gens in zip(self.orbits, self.sgens)]
+        level = self._sift_in(p, 0)
+        self._close(-1 if level is None else level)
+
+    def _check(self, p):
         if not is_perm(p, self.degree):
             raise ValueError(f"not a permutation of degree {self.degree}: {p}")
-        self._add_at(p, 0)
-        self._verify()
 
-    def _add_at(self, p, level):
-        r, lev = self._strip(p, level)
-        if r == identity_perm(self.degree):
-            return False
-        if lev == len(self.base):
-            moved = min(i for i in range(self.degree) if r[i] != i)
-            self.base.append(moved)
+    def _sift_in(self, p, top):
+        """Sift p from level `top`. A nontrivial residue, dropping out at
+        level j, becomes a strong generator of levels top..j and grows
+        their transversals; returns j, or None when p sifts to 1."""
+        r, j = self._strip(p, top)
+        if r == self._identity:
+            return None
+        if j == len(self.base):
+            b = next(i for i, x in enumerate(r) if x != i)
+            self.base.append(b)
             self.sgens.append([])
-            self.orbits.append({moved: identity_perm(self.degree)})
-            self.inverses.append({moved: identity_perm(self.degree)})
-        self.sgens[lev].append(r)
-        self._rebuild_orbit(lev)
-        return True
+            self.orbits.append({b: self._identity})
+            self.inverses.append({b: self._identity})
+            self._sifted.append({})
+        pair = (r, inv(r))
+        for level in range(top, j + 1):
+            self.sgens[level].append(pair)
+            self._grow(level)
+        return j
 
-    def _rebuild_orbit(self, i):
-        """Transversal of level i by breadth-first search, each element's
-        inverse beside it: inv(t*g) = inv(g)*inv(t), one inv per generator."""
-        b = self.base[i]
-        gens = [g for lv in range(i, len(self.sgens)) for g in self.sgens[lv]]
-        gens = [(g, inv(g)) for g in gens]
-        tr = {b: identity_perm(self.degree)}
-        itr = {b: tr[b]}
-        frontier = [b]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                tx, itx = tr[x], itr[x]
-                for g, ig in gens:
-                    y = g[x]
-                    if y not in tr:
-                        tr[y] = mul(tx, g)
-                        itr[y] = mul(ig, itx)
-                        nxt.append(y)
-            frontier = nxt
-        self.orbits[i] = tr
-        self.inverses[i] = itr
+    def _grow(self, level):
+        """Extend the transversal of `level` by its newest strong generator:
+        the orbit's points under it, then each new point under every strong
+        generator of the level, each new element's inverse beside it
+        (inv(t*g) = inv(g)*inv(t))."""
+        tr, itr = self.orbits[level], self.inverses[level]
+        gens = self.sgens[level]
+        edges = [(x, gens[-1]) for x in tr]
+        for x, (g, ig) in edges:  # edges grows while it is scanned
+            y = g[x]
+            if y not in tr:
+                tr[y] = mul(tr[x], g)
+                itr[y] = mul(ig, itr[x])
+                edges.extend((y, pair) for pair in gens)
 
-    def _verify(self):
-        """Close under Schreier generators until every level is stabilized."""
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.base)):
-                self._rebuild_orbit(i)
-                gens = [g for lv in range(i, len(self.sgens)) for g in self.sgens[lv]]
-                for x, tx in list(self.orbits[i].items()):
-                    for g in gens:
-                        y = g[x]
-                        ity = self.inverses[i].get(y)
-                        if ity is None:
-                            self._rebuild_orbit(i)
-                            ity = self.inverses[i][y]
-                        schreier = mul(mul(tx, g), ity)
-                        if self._add_at(schreier, i + 1):
-                            changed = True
-                if changed:
-                    break
+    def _close(self, level):
+        """Sift the Schreier generators not yet sifted, from `level` up to
+        level 0, then drop the record of them."""
+        while level >= 0:
+            j = self._close_level(level)
+            level = level - 1 if j is None else j
+        self._sifted = None
+
+    def _close_level(self, i):
+        """Sift level i's unsifted Schreier generators from level i+1 until
+        one leaves a residue; returns the level it was added at, or None."""
+        tr, itr = self.orbits[i], self.inverses[i]
+        gens, sifted = self.sgens[i], self._sifted[i]
+        for x, tx in tr.items():
+            for k in range(sifted.get(x, 0), len(gens)):
+                sifted[x] = k + 1
+                g = gens[k][0]
+                y = g[x]
+                txg = mul(tx, g)
+                if txg == tr[y]:  # a tree edge: the Schreier generator is 1
+                    continue
+                j = self._sift_in(mul(txg, itr[y]), i + 1)
+                if j is not None:
+                    return j
+        return None

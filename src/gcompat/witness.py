@@ -819,7 +819,7 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         maps = seq.maps[:ell - 2] + [contracted_maps[d]]
         new_seqs[d] = GroupSequence(groups, maps)
 
-    ker_pi_big = {d: contracted_maps[d].kernel() for d in (1, 2)}
+    ker_pi_big = {d: contracted_maps[d].kernel(bounds.enum) for d in (1, 2)}
     fwd_sigma = comp.kernel_isos[ell - 1]
 
     def kappa_big_rule(w):

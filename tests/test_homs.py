@@ -336,6 +336,20 @@ def test_maps_out_of_a_source_closed_past_the_default_bound():
     assert restricted._table == table.tabulated()
 
 
+def test_kernel_refusal_names_the_bound_in_force():
+    from gcompat.bounds import UndecidedError
+
+    s5, z2 = symmetric(5), cyclic(2)
+    g = direct_product(direct_product(s5, s5), z2)
+    fresh = FiniteGroup(g.degree, g.generators, "G")
+    assert fresh.order() == 28800
+    to_z2 = Homomorphism.block(fresh, z2, 10)
+    with pytest.raises(UndecidedError, match="past the enumeration bound "
+                       "25000"):
+        to_z2.kernel(bound=25000)
+    assert to_z2.kernel(bound=30000).order() == 14400
+
+
 def test_generator_graph_decides_generator_images():
     z3, z2 = cyclic(3), cyclic(2)
     g, h = z3.generators[0], z2.generators[0]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -53,12 +54,14 @@ def test_closure_bound():
         closure([a], bound=3)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10])
 def test_chain_order_matches_enumeration_symmetric(n):
     gens = [perm_from_cycles(n, [(0, 1)]),
             tuple((i + 1) % n for i in range(n))]
     chain = StabilizerChain(n, gens)
-    assert chain.order == len(closure(gens))
+    assert chain.order == math.factorial(n)
+    if n <= 6:
+        assert chain.order == len(closure(gens))
 
 
 def test_chain_membership():
@@ -217,3 +220,66 @@ def test_strip_matches_inverting_each_transversal_element(rng):
             for q in (tuple(p), rng.choice(g.sorted_elements())):
                 start = rng.randrange(len(chain.base) + 1)
                 assert chain._strip(q, start) == strip_by_definition(chain, q, start)
+
+
+def test_chain_built_one_generator_at_a_time_matches_one_construction(rng):
+    from gcompat.sampling import medium_group_pool
+
+    for g in medium_group_pool(60):
+        whole = StabilizerChain(g.degree, g.generators)
+        grown = StabilizerChain(g.degree)
+        for s in g.generators:
+            grown.add(s)
+        assert grown.order == whole.order == g.order()
+        probes = [tuple(rng.sample(range(g.degree), g.degree))
+                  for _ in range(20)]
+        probes += [rng.choice(g.sorted_elements()) for _ in range(20)]
+        for p in probes:
+            assert grown.contains(p) == whole.contains(p) == g.contains(p)
+
+
+def test_chain_orders_of_products_and_wreaths():
+    # S4 x S4 x S4: a transposition and a 4-cycle on each block of four
+    s4_cubed = [perm_from_cycles(12, [cyc])
+                for b in range(0, 12, 4)
+                for cyc in ((b, b + 1), (b, b + 1, b + 2, b + 3))]
+    assert StabilizerChain(12, s4_cubed).order == 24 ** 3 == 13824
+    # Z2 wr S4: a swap inside the first pair, S4 permuting the four pairs
+    z2_wr_s4 = [perm_from_cycles(8, [(0, 1)]),
+                perm_from_cycles(8, [(0, 2), (1, 3)]),
+                perm_from_cycles(8, [(0, 2, 4, 6), (1, 3, 5, 7)])]
+    chain = StabilizerChain(8, z2_wr_s4)
+    assert chain.order == 2 ** 4 * 24 == 384
+    assert not chain.contains(perm_from_cycles(8, [(1, 2)]))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_alternating_chain_rejects_exactly_the_odd_permutations(n, rng):
+    from gcompat.groups import alternating
+
+    g = alternating(n)
+    chain = StabilizerChain(n, g.generators)
+    assert chain.order == math.factorial(n) // 2
+    for _ in range(200):
+        p = tuple(rng.sample(range(n), n))
+        even = sum(len(c) - 1 for c in cycles(p)) % 2 == 0
+        assert chain.contains(p) == even
+
+
+def test_chain_closes_once_per_construction(monkeypatch):
+    calls = []
+    close = StabilizerChain._close
+
+    def counted(self, level):
+        calls.append(level)
+        return close(self, level)
+
+    monkeypatch.setattr(StabilizerChain, "_close", counted)
+    # each generator grows the group: Z2 < S4 < S8
+    gens = [perm_from_cycles(8, [(0, 1)]), perm_from_cycles(8, [(0, 1, 2, 3)]),
+            perm_from_cycles(8, [tuple(range(8))])]
+    chain = StabilizerChain(8, gens)
+    assert chain.order == math.factorial(8)
+    assert len(calls) == 1
+    chain.add(perm_from_cycles(8, [(2, 5)]))
+    assert len(calls) == 2 and chain.order == math.factorial(8)

@@ -653,6 +653,20 @@ def test_length4_recursion_is_gated_honestly():
         witness_nilpotent(named_group("Z16"), named_group("E(2,4)"))
 
 
+def test_contracted_kernel_is_closed_under_the_bound_in_force():
+    # D8|Q8 contracts onto tops of order 64: built within the bound,
+    # refused below it with a message naming the bound that was applied
+    from gcompat.bounds import UndecidedError
+
+    d8, q8 = named_group("D8"), quaternion()
+    cert = witness_nilpotent(d8, q8, Bounds(enum=100))
+    assert cert.witness.order() == 2048
+    assert verify_witness(cert, d8, q8, Bounds(enum=100)).passed
+    with pytest.raises(UndecidedError, match=r"kernel of Pi_1: .*order 64, "
+                       r"past the enumeration bound 50\)"):
+        witness_nilpotent(d8, q8, Bounds(enum=50))
+
+
 @pytest.mark.stretch
 def test_order_30_stretch_end_to_end():
     b = Bounds()
