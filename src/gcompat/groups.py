@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from functools import partial
 from math import gcd
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
@@ -30,6 +31,7 @@ from .perms import (
     mul,
     perm_from_cycles,
     perm_pow,
+    place_block,
 )
 
 
@@ -418,14 +420,8 @@ def direct_product(g, h, label=None):
 def pair_embeddings(g, h):
     """The two canonical injections of g, h into their direct product."""
     d = g.degree + h.degree
-
-    def lift_g(p):
-        return tuple(p) + tuple(range(g.degree, d))
-
-    def lift_h(p):
-        return tuple(range(g.degree)) + tuple(x + g.degree for x in p)
-
-    return lift_g, lift_h
+    return (partial(place_block, off=0, degree=d),
+            partial(place_block, off=g.degree, degree=d))
 
 
 def semidirect(p_group, q_group, twist, label=None):

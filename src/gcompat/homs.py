@@ -14,9 +14,10 @@ generator, and both sides of the law are compared as int lists.
 
 A block map projects a group acting on a disjoint union of domains (a
 direct product or an inverse limit) onto the block of points at one
-offset. Block projections compose by offset arithmetic: block(b) after
-block(a) is the block at offset a + b, so `then` fuses a chain of them
-into one slice (Holt, Eick and O'Brien, Handbook of Computational Group
+offset, and records that offset as `offset` (None on any other map).
+Block projections compose by offset arithmetic: block(b) after block(a)
+is the block at offset a + b, so `then` fuses a chain of them into one
+slice (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 2.1).
 
 Each map makes one pass over its source's elements: `fibers()` is kept on
@@ -36,7 +37,7 @@ from itertools import chain
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, cayley_graph
-from .perms import closure, identity_perm, mul
+from .perms import closure, decode_block, identity_perm, mul
 
 
 class Homomorphism:
@@ -51,6 +52,7 @@ class Homomorphism:
         self.label = label
         self._table = dict(table) if table is not None else None
         self._rule = rule
+        self.offset = None    # a block map's first point (`block`)
         self._then = None     # (inner, outer) of a rule composite from `then`
         self._fibers = None   # memo of fibers(); read by kernel, section, ...
         self._kernel = None   # memo of kernel()
@@ -95,8 +97,10 @@ class Homomorphism:
             raise ValueError(
                 f"{label}: block at {off} of degree {deg} overruns degree "
                 f"{source.degree}")
-        return cls(source, target, rule=partial(decode_block, off=off, deg=deg),
-                   label=label, check=False)
+        out = cls(source, target, rule=partial(decode_block, off=off, deg=deg),
+                  label=label, check=False)
+        out.offset = off
+        return out
 
     @classmethod
     def identity(cls, group, label=None):
@@ -142,7 +146,7 @@ class Homomorphism:
                 f"compose mismatch: {self.label} lands in degree "
                 f"{self.target.degree}, {other.label} starts at {other.source.degree}")
         name = label or f"{other.label}*{self.label}"
-        a, b = _block_offset(self), _block_offset(other)
+        a, b = self.offset, other.offset
         if a is not None and b is not None:
             return Homomorphism.block(self.source, other.target, a + b, name)
         if self._table is not None:
@@ -240,7 +244,7 @@ class Homomorphism:
         and its lists are shared with every caller: read them, never
         change them."""
         if self._fibers is None:
-            off = _block_offset(self)
+            off = self.offset
             if self._then is not None:
                 inner, outer = self._then
                 merged = {}
@@ -331,7 +335,7 @@ class Homomorphism:
         UndecidedError: nothing is sampled.
         """
         gens = self.source.generators
-        off = _block_offset(self)
+        off = self.offset
         if off is not None:
             end = off + self.target.degree
             for g in gens:
@@ -386,19 +390,6 @@ class Homomorphism:
 
 
 # -- free functions matching the usual vocabulary -----------------------------
-
-
-def decode_block(perm, off, deg):
-    """perm's block on the points off..off+deg-1, shifted down to 0..deg-1."""
-    return tuple([x - off for x in perm[off:off + deg]])
-
-
-def _block_offset(f):
-    """The offset of a block map's rule, or None for any other map."""
-    rule = f._rule
-    if isinstance(rule, partial) and rule.func is decode_block:
-        return rule.keywords["off"]
-    return None
 
 
 def extend_images(pairs, source_identity, target_identity):

@@ -70,13 +70,9 @@ class HybridWreath:
             f = tuple(theta_section[mul(mul(t, h), inv(reps[rho_h[v]]))]
                       for v, t in enumerate(reps))
             images[self.wreath.encode(f, rho_h)] = h
-        ident_f = [g_group.identity] * self.npoints
         for v in range(self.npoints):
             for k in ker_theta.group.generators:
-                f = list(ident_f)
-                f[v] = k
-                images[self.wreath.encode(tuple(f), s_group.identity)] = \
-                    h_group.identity
+                images[self.wreath.place(v, k)] = h_group.identity
 
         name = label or f"HW({g_group.label},{h_group.label})"
         group = FiniteGroup(self.wreath.carrier.degree, images, name)

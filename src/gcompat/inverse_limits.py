@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, from_elements, trivial_group
-from .homs import Homomorphism, decode_block
+from .homs import Homomorphism
+from .perms import decode_block, place_block
 from .posets import Poset, star_poset
 
 
@@ -143,13 +144,10 @@ class LimitGroup:
     encode/decode convert between node assignments and permutations.
     """
 
-    def __init__(self, system: InverseSystem, group: FiniteGroup,
-                 node_order, offsets):
+    def __init__(self, system: InverseSystem, group: FiniteGroup):
         self.system = system
         self.group = group
-        self.node_order = list(node_order)
-        self.offsets = dict(offsets)
-        self.frames = _identity_frames(system, self.node_order, self.offsets)
+        self.node_order, self.offsets, self.degree = _layout(system)
         # the block maps hold only their offsets, not self, so a dropped
         # limit is freed at once rather than left as a cycle for the collector
         self.projections = {
@@ -166,11 +164,8 @@ class LimitGroup:
         return tuple(out)
 
     def place(self, node, value) -> tuple:
-        """`value` at `node` and the identity at every other node, encoded:
-        the node's kept identity head and tail around the shifted value."""
-        off = self.offsets[node]
-        head, tail = self.frames[node]
-        return head + tuple(map(off.__add__, value) if off else value) + tail
+        """`value` at `node` and the identity at every other node, encoded."""
+        return place_block(value, self.offsets[node], self.degree)
 
     def decode(self, perm, node) -> tuple:
         return decode_block(perm, self.offsets[node],
@@ -190,16 +185,8 @@ class LimitGroup:
         return True
 
 
-def _identity_frames(system, node_order, offsets):
-    """node -> (head, tail): the encoded identity before and after the
-    node's block. The identity at every node encodes as 0..degree-1."""
-    degree = sum(system.groups[n].degree for n in node_order)
-    return {n: (tuple(range(offsets[n])),
-                tuple(range(offsets[n] + system.groups[n].degree, degree)))
-            for n in node_order}
-
-
 def _layout(system):
+    """node order, node -> offset of its block, and the limit's degree."""
     node_order = system.node_list()
     offsets, off = {}, 0
     for n in node_order:
@@ -214,7 +201,6 @@ def limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     Nodes are processed minimal-first; partial assignments exceed the
     enumeration bound only by raising UndecidedError.
     """
-    node_order, offsets, degree = _layout(system)
     order = system.poset.linear_extension()
     fibers = {}
     for (i, j) in system.poset.comparable_pairs():
@@ -249,11 +235,9 @@ def limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
                         f"limit enumeration exceeded bound {bounds.enum}")
         partials = nxt
 
-    lim = LimitGroupBuilder(system, node_order, offsets)
+    lim = LimitGroupBuilder(system)
     elems = [lim.encode(part) for part in partials]
-    group = from_elements(elems, label=f"lim")
-    out = LimitGroup(system, group, node_order, offsets)
-    return out
+    return LimitGroup(system, from_elements(elems, label="lim"))
 
 
 class LimitGroupBuilder:
@@ -262,11 +246,9 @@ class LimitGroupBuilder:
     encode = LimitGroup.encode
     place = LimitGroup.place
 
-    def __init__(self, system, node_order, offsets):
+    def __init__(self, system):
         self.system = system
-        self.node_order = node_order
-        self.offsets = offsets
-        self.frames = _identity_frames(system, node_order, offsets)
+        self.node_order, self.offsets, self.degree = _layout(system)
 
 
 def star_system(root_group, branch_groups, branch_maps) -> InverseSystem:
@@ -303,8 +285,7 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
         if not system.maps[(root, b)].is_surjective():
             raise HypothesisError("star limit requires surjective branch maps")
 
-    node_order, offsets, degree = _layout(system)
-    builder = LimitGroupBuilder(system, node_order, offsets)
+    builder = LimitGroupBuilder(system)
     rg = system.groups[root]
     sections = {b: system.maps[(root, b)].section() for b in branches}
     kernels = {b: system.maps[(root, b)].kernel() for b in branches}
@@ -322,7 +303,7 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     total = rg.order()
     for b in branches:
         total *= kernels[b].order()
-    group = FiniteGroup(degree, gens, label="lim")
+    group = FiniteGroup(builder.degree, gens, label="lim")
     if total <= bounds.enum:
         # closed once under the caller's bound: the order check then needs
         # no stabilizer chain, and every later element scan reuses the set
@@ -330,7 +311,7 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     if group.order() != total:
         raise HypothesisError("star limit generator set has wrong order")
 
-    out = LimitGroup(system, group, node_order, offsets)
+    out = LimitGroup(system, group)
     for g in gens:
         if not out.is_coherent(g):
             raise HypothesisError("star limit generator is not coherent")

@@ -9,6 +9,11 @@ points of p in C, several times faster than a generator expression. With a
 single index `itemgetter` returns the bare item rather than a 1-tuple, so
 degree 1 takes a separate branch.
 
+A group acting on a disjoint union of blocks of points (a direct product,
+an inverse limit, a wreath product's base) places a value on one block
+with `place_block` and reads it back with `decode_block`; the one
+placement fixes every point outside the block.
+
 Generator closure is Dimino's method (`closure` over `dimino_extend`):
 about one multiply per element, where a breadth-first search makes one
 per element per generator.
@@ -49,6 +54,19 @@ def inv(p: Perm) -> Perm:
     for i, j in enumerate(p):
         out[j] = i
     return tuple(out)
+
+
+def place_block(value, off, degree) -> Perm:
+    """The permutation of `degree` points that acts as `value` on the
+    points off..off+len(value)-1 and fixes every other point."""
+    return (*range(off), *[x + off for x in value],
+            *range(off + len(value), degree))
+
+
+def decode_block(perm, off, deg) -> Perm:
+    """perm's block on the points off..off+deg-1, shifted down to 0..deg-1;
+    the inverse of `place_block` on its block."""
+    return tuple([x - off for x in perm[off:off + deg]])
 
 
 def perm_pow(p: Perm, k: int) -> Perm:

@@ -38,11 +38,11 @@ from .groups import (
     central_subgroup_of_order_p,
     normal_sylow,
 )
-from .homs import Homomorphism, _block_offset, quotient
+from .homs import Homomorphism, quotient
 from .hybrid import hybrid_wreath
 from .inverse_limits import star_limit, star_system
 from .isos import automorphism_set, enumerate_isomorphisms, find_isomorphism
-from .perms import closure, inv, mul
+from .perms import closure, inv, mul, place_block
 from .sequences import GroupSequence, pad_to_length, series_to_sequence
 
 
@@ -146,23 +146,18 @@ class PlacedExtendEvidence(ExtendEvidence):
     branch projection has this evidence at its branch map's kernel, and so
     has any fused chain of such projections, because one placement lifted
     through another is the placement at the fused block. The complements
-    are built when asked for, from p's offset and the identity head and
-    tail around its block."""
+    are placed when asked for, at p's offset in p's source."""
 
     def __init__(self, p: Homomorphism, n: Subgroup, kind: str):
         super().__init__(n)
-        off = _block_offset(p)
-        if off is None:
+        if p.offset is None:
             raise HypothesisError(f"{p.label} is not a block map")
         self.kind = kind
-        self.off = off
-        self.head = tuple(range(off))
-        self.tail = tuple(range(off + p.target.degree, p.source.degree))
+        self.off, self.degree = p.offset, p.source.degree
 
     def complement_for(self, members):
         self._require_below(members)
-        off, head, tail = self.off, self.head, self.tail
-        return frozenset(head + tuple([v + off for v in m]) + tail
+        return frozenset(place_block(m, self.off, self.degree)
                          for m in members)
 
 
@@ -1001,7 +996,7 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
         except (HypothesisError, UndecidedError) as e:
             rep.add(f"p{d}-homomorphism", False, str(e))
             continue
-        off = _block_offset(p)
+        off = p.offset
         rep.add(f"p{d}-homomorphism", True,
                 f"{checked} edges" if off is None else
                 f"block map: {checked} generators keep points "

@@ -7,10 +7,12 @@ points x base-domain plus the top domain is derived from that arithmetic.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup
 from .homs import Homomorphism, action_on_cosets
-from .perms import identity_perm, inv, is_perm, mul
+from .perms import identity_perm, inv, is_perm, mul, place_block
 
 
 class GroupAction:
@@ -127,20 +129,15 @@ class WreathProduct:
         gdeg = base_group.degree
         self.gdeg = gdeg
         self.top_offset = self.npoints * gdeg
-        degree = self.top_offset + self.top_group.degree
+        self.degree = self.top_offset + self.top_group.degree
         order = base_group.order() ** self.npoints * self.top_group.order()
         self.order = order
-        gens = []
+        gens = [self.place(w, g) for w in range(self.npoints)
+                for g in base_group.generators]
         ident_f = tuple(base_group.identity for _ in range(self.npoints))
-        for w in range(self.npoints):
-            for g in base_group.generators:
-                f = list(ident_f)
-                f[w] = g
-                gens.append(self.encode(tuple(f), self.top_group.identity))
-        for h in self.top_group.generators:
-            gens.append(self.encode(ident_f, h))
+        gens.extend(self.encode(ident_f, h) for h in self.top_group.generators)
         name = label or f"{base_group.label}wr{self.top_group.label}"
-        self.carrier = FiniteGroup(degree, gens, name)
+        self.carrier = FiniteGroup(self.degree, gens, name)
         self.carrier._order = order
 
     # -- element conversion ----------------------------------------------------
@@ -149,7 +146,7 @@ class WreathProduct:
         """(f, h) as a permutation: (w, d) -> (w^h, d^(f(w))), top block by h."""
         gdeg = self.gdeg
         rho_h = self.action.rho(top)
-        img = [0] * (self.top_offset + self.top_group.degree)
+        img = [0] * self.degree
         for w in range(self.npoints):
             j = rho_h[w]
             fw = base_tuple[w]
@@ -175,30 +172,21 @@ class WreathProduct:
             base.append(fw)
         return tuple(base), top
 
+    def place(self, w, g):
+        """g at point w, with the identity at every other point and on top:
+        g on the block of w's copy of G's domain."""
+        return place_block(g, w * self.gdeg, self.degree)
+
     # -- distinguished subgroups and maps ---------------------------------------
 
     def base_subgroup(self) -> Subgroup:
-        gens = []
-        ident_f = tuple(self.base_group.identity for _ in range(self.npoints))
-        for w in range(self.npoints):
-            for g in self.base_group.generators:
-                f = list(ident_f)
-                f[w] = g
-                gens.append(self.encode(tuple(f), self.top_group.identity))
-        if not gens:
-            gens = [self.carrier.identity]
+        gens = [self.place(w, g) for w in range(self.npoints)
+                for g in self.base_group.generators] or [self.carrier.identity]
         return Subgroup(self.carrier, gens=gens, label="base")
 
     def coordinate_embedding(self, w) -> Homomorphism:
-        ident_f = [self.base_group.identity] * self.npoints
-
-        def emb(g):
-            f = list(ident_f)
-            f[w] = g
-            return self.encode(tuple(f), self.top_group.identity)
-
-        return Homomorphism.of_rule(self.base_group, self.carrier, emb,
-                                    label=f"base@{w}")
+        return Homomorphism.of_rule(self.base_group, self.carrier,
+                                    partial(self.place, w), label=f"base@{w}")
 
     def top_embedding(self) -> Homomorphism:
         ident_f = tuple(self.base_group.identity for _ in range(self.npoints))

@@ -257,13 +257,11 @@ def test_direct_product_with_maps():
 
 
 def test_then_fuses_block_maps_only():
-    from gcompat.homs import _block_offset
-
     z2, z3, z4 = cyclic(2), cyclic(3), cyclic(4)
     inner, _, _, _, in_pr2 = direct_product_with_maps(z3, z4)
     outer, _, _, _, out_pr2 = direct_product_with_maps(z2, inner)
     fused = out_pr2.then(in_pr2)
-    assert _block_offset(fused) == 2 + 3 and fused.label == "pr2*pr2"
+    assert fused.offset == 2 + 3 and fused.label == "pr2*pr2"
     table_left = Homomorphism.of_rule(outer, inner, out_pr2, tabulate=True)
     table_right = Homomorphism.of_rule(inner, z4, in_pr2, tabulate=True)
     rule_left = Homomorphism.of_rule(outer, inner, lambda x: out_pr2(x))
@@ -271,7 +269,7 @@ def test_then_fuses_block_maps_only():
     for f, g in [(table_left, in_pr2), (out_pr2, table_right),
                  (rule_left, in_pr2), (out_pr2, rule_right)]:
         h = f.then(g)
-        assert _block_offset(h) is None
+        assert h.offset is None
         assert (h._table is None) == (f._table is None)
         assert all(h(x) == fused(x) == g(f(x)) for x in outer.elements())
 

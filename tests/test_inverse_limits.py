@@ -337,15 +337,15 @@ def nested_star_limits(top_bounds=None):
 
 @pytest.mark.parametrize("stretch", [False, True])
 def test_fused_limit_projections_equal_nested_decodes(stretch, rng):
-    from gcompat.homs import _block_offset, decode_block
+    from gcompat.homs import decode_block
 
     bounds = Bounds(enum=1000) if stretch else None
     top, lim2, lim1 = nested_star_limits(bounds)
     two = top.projection(0).then(lim2.projection(1))
     three = top.projection(0).then(lim2.projection(0)).then(lim1.projection(1))
     off0, off1 = top.offsets[0], lim2.offsets[0]
-    assert _block_offset(two) == off0 + lim2.offsets[1]
-    assert _block_offset(three) == off0 + off1 + lim1.offsets[1]
+    assert two.offset == off0 + lim2.offsets[1]
+    assert three.offset == off0 + off1 + lim1.offsets[1]
     assert three.label == "p_1*p_0*p_0"
     if stretch:
         assert top.group.order() == 16 * 64 * 64

@@ -2,18 +2,23 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcompat.perms import (
     StabilizerChain,
     closure,
     cycles,
+    decode_block,
     dimino_extend,
     identity_perm,
     inv,
+    is_perm,
     mul,
     perm_from_cycles,
     perm_order,
     perm_pow,
+    place_block,
 )
 
 
@@ -283,3 +288,72 @@ def test_chain_closes_once_per_construction(monkeypatch):
     assert len(calls) == 1
     chain.add(perm_from_cycles(8, [(2, 5)]))
     assert len(calls) == 2 and chain.order == math.factorial(8)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_place_block_acts_on_its_block_alone(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    a = tuple(data.draw(st.permutations(range(k)), label="a"))
+    b = tuple(data.draw(st.permutations(range(k)), label="b"))
+    off = data.draw(st.integers(0, 8), label="off")
+    d = data.draw(st.integers(off + k, off + k + 8), label="degree")
+    placed = place_block(a, off, d)
+    assert is_perm(placed, d)
+    assert decode_block(placed, off, k) == a
+    assert all(placed[x] == x for x in range(d) if not off <= x < off + k)
+    assert mul(placed, place_block(b, off, d)) == place_block(mul(a, b), off, d)
+
+
+def test_every_placement_is_place_block_at_its_offset():
+    from gcompat.groups import cyclic, pair_embeddings, symmetric
+    from gcompat.homs import Homomorphism
+    from gcompat.inverse_limits import (
+        LimitGroupBuilder,
+        star_limit,
+        star_system,
+    )
+    from gcompat.witness import PlacedExtendEvidence
+    from gcompat.wreath import WreathProduct, natural_action
+
+    # a two-branch star limit: Z4 and S3 over Z2
+    z2, z4, s3 = cyclic(2), cyclic(4), symmetric(3)
+    (a,), (t,) = z2.generators, z4.generators
+    to_root = [Homomorphism.from_gen_images(z4, z2, {t: a}),
+               Homomorphism.from_gen_images(
+                   s3, z2, {g: a if perm_order(g) == 2 else z2.identity
+                            for g in s3.generators})]
+    system = star_system(z2, [z4, s3], to_root)
+    lim = star_limit(system)
+    builder = LimitGroupBuilder(system)
+    degree = lim.group.degree
+    assert degree == builder.degree == 2 + 4 + 3
+    for n in lim.node_order:
+        off = lim.offsets[n]
+        for x in system.groups[n].elements():
+            placed = place_block(x, off, degree)
+            asg = {m: system.groups[m].identity for m in lim.node_order}
+            asg[n] = x
+            assert lim.place(n, x) == builder.place(n, x) == placed \
+                == lim.encode(asg)
+    for b, pi in enumerate(to_root):
+        p = lim.projection(b)
+        kernel = pi.kernel()
+        ev = PlacedExtendEvidence(p, kernel, "star-projection")
+        assert ev.complement_for(kernel.members()) == frozenset(
+            place_block(k, p.offset, degree) for k in kernel.members())
+
+    # Z2 wr S3: a base value at point w, the identity elsewhere and on top
+    w = WreathProduct(z2, natural_action(s3))
+    ident_f = [z2.identity] * w.npoints
+    for v in range(w.npoints):
+        for g in z2.elements():
+            f = list(ident_f)
+            f[v] = g
+            assert w.place(v, g) == place_block(g, 2 * v, 9) \
+                == w.encode(tuple(f), s3.identity)
+
+    # the direct product's injections
+    lift_g, lift_h = pair_embeddings(z4, s3)
+    assert all(lift_g(x) == place_block(x, 0, 7) for x in z4.elements())
+    assert all(lift_h(x) == place_block(x, 4, 7) for x in s3.elements())

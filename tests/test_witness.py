@@ -933,6 +933,48 @@ def test_kernel_iso_keyed_outside_ker1_is_not_bijective():
         "kernel-iso-bijective", False, "table not keyed by ker1")
 
 
+def test_kernel_iso_into_ker1_fails_only_landing_in_ker2():
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    # the identity of ker1: a proved bijective homomorphism, onto ker1
+    ident = Homomorphism(cert.ker1.group, cert.ker1.group,
+                         table={z: z for z in cert.ker1.members()},
+                         label="kernel-iso", check=False)
+    checks = verify_witness(replace(cert, kernel_iso=ident), l1, l2).checks
+    assert [c.name for c in checks if not c.passed] == [
+        "kernel-iso-lands-in-ker2"]
+    by_name = {c.name: c for c in checks}
+    assert by_name["kernel-iso-homomorphism"].detail == "complete edge check"
+    assert by_name["kernel-iso-bijective"].passed
+    # the kernels are isomorphic, and the search that says so runs
+    assert by_name["kernel-iso-independent-search"] == CheckResult(
+        "kernel-iso-independent-search", True, "brute force at order 256")
+
+
+def test_good_at_another_subgroup_fails_only_its_designation():
+    from dataclasses import replace
+
+    from gcompat.groups import all_subgroups
+
+    l1, l2 = named_group("E(2,3)"), named_group("D8")
+    cert = witness_nilpotent(l1, l2)
+    n1 = cert.good_at[0]
+    assert n1.order() == 2
+    others = [s for s in all_subgroups(l1)
+              if s.order() == 2 and not s.same_as(n1)]
+    assert len(others) == 6
+    for other in others:
+        checks = verify_witness(
+            replace(cert, good_at=(other, cert.good_at[1])), l1, l2).checks
+        assert [c.name for c in checks if not c.passed] == [
+            "good-at-1-designated"]
+        by_name = {c.name: c for c in checks}
+        assert by_name["good-at-1-designated"].detail == "N_1 order 2"
+        assert by_name["good-at-1-extendable"].passed
+
+
 def test_kernel_iso_search_is_derived_from_the_proved_map(monkeypatch):
     from dataclasses import replace
 
