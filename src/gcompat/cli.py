@@ -332,7 +332,6 @@ def _example_embeddings(bounds, rng):
 
 def _example_limits(bounds, rng):
     from .inverse_limits import (
-        kernel_system,
         limit_of_morphism,
         preimage_system,
         subsystem_limit,

@@ -4,13 +4,10 @@ Every group acts on {0..degree-1}; elements are permutation tuples (see
 perms.py for the conventions). The canonical element ordering used for
 deterministic choices everywhere is lexicographic on those tuples.
 
-Element orders come from a sweep over cyclic subgroups
-(`FiniteGroup.element_orders`): the powers of each element not yet seen
-are listed with `mul`, and e^k gets order o/gcd(o, k), so a group's orders
-cost about one multiply per element of the cyclic subgroups walked, not a
-cycle walk per element. The sweep is made afresh on each call, since its
-dict is not kept on the group; generating sets, order histograms and the
-subgroup searches below each read their orders from one such sweep.
+Element orders come from one sweep over cyclic subgroups
+(`perms.order_sweep`) on the internal encoding (`perms.encoding`), made
+afresh on each call; generating sets, order histograms and the subgroup
+searches below each read their orders from one such sweep.
 """
 
 from __future__ import annotations
@@ -24,11 +21,13 @@ from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .perms import (
     StabilizerChain,
     closure,
-    dimino_extend,
+    dimino,
+    encoding,
     identity_perm,
     inv,
     is_perm,
     mul,
+    order_sweep,
     perm_from_cycles,
     perm_pow,
     place_block,
@@ -63,7 +62,7 @@ class FiniteGroup:
         self._cayley = None
         self._order = None
         if elements is not None:
-            elems = frozenset(tuple(e) for e in elements)
+            elems = frozenset(map(tuple, elements))
             if ident not in elems:
                 raise ValueError("element set must contain the identity")
             self._elements = elems
@@ -161,22 +160,13 @@ class FiniteGroup:
 
     def element_orders(self, bound=None):
         """Element -> order, from one sweep over cyclic subgroups (see the
-        module docstring). Built afresh on each call and not kept: its power
-        tuples are new objects that would duplicate the element set."""
-        ident = self.identity
-        orders = {ident: 1}
-        for e in self.elements(bound):
-            if e in orders:
-                continue
-            powers = [e]
-            x = mul(e, e)
-            while x != ident:
-                powers.append(x)
-                x = mul(x, e)
-            o = len(powers) + 1
-            for k, x in enumerate(powers, 1):
-                orders[x] = o // gcd(o, k)
-        return orders
+        module docstring), keyed by the group's own tuples. Built afresh
+        on each call and not kept."""
+        elems = self.elements(bound)
+        encode, times, ident = encoding(self.degree)
+        codes = list(map(encode, elems))
+        orders = order_sweep(codes, times, ident)
+        return dict(zip(elems, map(orders.__getitem__, codes)))
 
     def order_histogram(self, bound=None):
         """Multiset of element orders as a sorted tuple of (order, count)."""
@@ -247,26 +237,27 @@ class FiniteGroup:
         return True
 
     def small_generating_set(self, bound=None):
-        """Greedy canonical generating set, preferring high-order elements.
-        ValueError when the elements are not the group the chosen
-        generators generate, i.e. an element set that is no group."""
-        elems = self.sorted_elements(bound)
+        """Greedy canonical generating set, preferring high-order elements,
+        on the internal encoding. ValueError when the elements are not the
+        group the chosen generators generate, i.e. an element set that is
+        no group."""
+        elems = self.elements(bound)
         if len(elems) == 1:
             return ()
+        encode, times, ident = encoding(self.degree)
+        codes = sorted(map(encode, elems))
+        orders = order_sweep(codes, times, ident)
+        gens, have = [], frozenset([ident])
         # reverse=True keeps the sort stable: (-order, element) order
-        by_pref = sorted(elems, key=self.element_orders(bound).__getitem__,
-                         reverse=True)
-        gens = []
-        have = frozenset([self.identity])
-        for e in by_pref:
+        for e in sorted(codes, key=orders.__getitem__, reverse=True):
             if e not in have:
-                have = dimino_extend(have, gens, e)
+                have = dimino(have, gens, e, times, ident, len(elems))
                 gens.append(e)
-                if len(have) == len(elems):
+                if have is None or len(have) == len(elems):
                     break
-        if have != self.elements(bound):
+        if have != set(codes):
             raise ValueError(f"{self.label}: element set is not a group")
-        return tuple(gens)
+        return tuple(map(tuple, gens))
 
 
 def cayley_graph(elems, gens):
@@ -283,10 +274,9 @@ def from_elements(perms, label="G"):
     generating set (`small_generating_set`); ValueError unless the set is
     a group. A group known by its generators is built from them instead
     (`FiniteGroup`)."""
-    perms = [tuple(p) for p in perms]
-    degree = len(perms[0])
-    g = FiniteGroup(degree, (), label, elements=perms)
-    return FiniteGroup(degree, g.small_generating_set(), label, elements=perms)
+    g = FiniteGroup(len(next(iter(perms), ())), (), label, elements=perms)
+    g.generators = g.small_generating_set()
+    return g
 
 
 class Subgroup:

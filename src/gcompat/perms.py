@@ -18,6 +18,14 @@ Generator closure is Dimino's method (`closure` over `dimino_extend`):
 about one multiply per element, where a breadth-first search makes one
 per element per generator.
 
+Dimino's method (`dimino`) and the element-order sweep (`order_sweep`) are
+each written once, over an encoding's product. The internal encoding
+(`encoding`) at degree n <= 256 is the byte string bytes(p): x*y is
+x.translate(y + pad), pad = bytes(range(n, 256)), a gather in C, and bytes
+cache their hash and compare by memcmp in the tuples' order. Only
+canonical generating sets and element orders (`groups.py`) use it; tuples
+are the type of every interface, and the encoding past degree 256.
+
 Orders and memberships past enumeration come from `StabilizerChain`,
 deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
 Algorithms, 2003, §4.2) that closes each chain once: deepest level first,
@@ -26,6 +34,8 @@ each Schreier generator sifted once per transversal, tree edges skipped.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
 
@@ -143,7 +153,23 @@ def closure(generators, *, bound=None):
 
 
 def dimino_extend(closed, gens, s, *, limit=None):
-    """<gens, s> from the closed set `closed` = <gens>, by Dimino's method.
+    """<gens, s> from the closed set `closed` = <gens> of tuples (`dimino`)."""
+    return dimino(closed, gens, s, mul, identity_perm(len(s)), limit)
+
+
+@lru_cache(maxsize=None)
+def encoding(degree):
+    """(encode, times, identity) at `degree`: times(x, y) is x*y, and
+    `tuple` decodes."""
+    if degree > 256:
+        return tuple, mul, identity_perm(degree)
+    pad = bytes(range(degree, 256))
+    return bytes, lambda x, y: x.translate(y + pad), bytes(range(degree))
+
+
+def dimino(closed, gens, s, times, ident, limit=None):
+    """<gens, s> from the closed set `closed` = <gens>, in the encoding
+    whose product is `times` and identity `ident`.
 
     The result is grown as a union of right cosets closed*r: a coset's
     image under a generator g is the coset of r*g, so one product per
@@ -151,16 +177,35 @@ def dimino_extend(closed, gens, s, *, limit=None):
     as soon as the growing set holds more than `limit` >= |closed| elements.
     (Butler, Fundamental Algorithms for Permutation Groups, LNCS 559.)
     """
-    elems, reps = set(closed), [identity_perm(len(s))]
+    elems, reps = set(closed), [ident]
     for r in reps:  # reps grows while it is scanned
         for g in (*gens, s):
-            y = mul(r, g)
+            y = times(r, g)
             if y not in elems:
                 reps.append(y)
-                elems.update(mul(x, y) for x in closed)
+                elems.update(map(times, closed, repeat(y)))
                 if limit is not None and len(elems) > limit:
                     return None
     return frozenset(elems)
+
+
+def order_sweep(elems, times, ident):
+    """Element -> order over a group's elements, encoded as for `dimino`:
+    each element not yet seen lists its powers, and e^k gets order
+    o/gcd(o, k), one multiply per element of the cyclic subgroups walked."""
+    orders = {ident: 1}
+    for e in elems:
+        if e in orders:
+            continue
+        powers = [e]
+        x = times(e, e)
+        while x != ident:
+            powers.append(x)
+            x = times(x, e)
+        o = len(powers) + 1
+        for k, x in enumerate(powers, 1):
+            orders[x] = o // gcd(o, k)
+    return orders
 
 
 class StabilizerChain:

@@ -277,6 +277,39 @@ def test_certificate_digest_is_pinned(series, a, b, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_cli_certificate_is_independent_of_the_hash_seed(tmp_path):
+    """Byte strings hash by PYTHONHASHSEED, tuples of ints do not: a build
+    run under two seeds writes the same file, and without the verification
+    results the CLI adds to its manifest it is the pinned certificate."""
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digest = next(d for series, a, b, d in GOLDEN
+                  if (series, a, b) == ("auto-squarefree", "Z6", "S3"))
+    texts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"z6-s3-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "gcompat.cli", "witness", "build",
+             "--L1", "Z6", "--L2", "S3", "--series", "auto-squarefree",
+             "--out", str(out)], env=env, check=True, capture_output=True)
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    data = json.loads(texts[0])
+    verified = [c for c in data["check_manifest"]
+                if c[0].startswith("verify:")]
+    assert verified and all(passed for _, passed, _ in verified)
+    data["check_manifest"] = [c for c in data["check_manifest"]
+                              if c not in verified]
+    text = descriptors.dumps(data)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 # the stretch certificates with their verification reports: every check
 # verdict and detail of verify_witness is in the digest, so a change to the
 # maps the checks evaluate shows here even when the certificate does not

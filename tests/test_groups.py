@@ -3,6 +3,7 @@ import pytest
 from gcompat.bounds import HypothesisError, UndecidedError
 from gcompat.catalog import frobenius21, named_group, quaternion
 from gcompat.groups import (
+    FiniteGroup,
     Subgroup,
     all_subgroups,
     alternating,
@@ -18,7 +19,15 @@ from gcompat.groups import (
     symmetric,
     trivial_group,
 )
-from gcompat.perms import closure, dimino_extend, perm_order
+from gcompat.perms import (
+    closure,
+    dimino_extend,
+    identity_perm,
+    inv,
+    mul,
+    perm_from_cycles,
+    perm_order,
+)
 
 
 def test_cyclic_6_is_abelian_of_order_6():
@@ -277,7 +286,34 @@ def order_sweep_groups():
         groups.append(g)
         groups.append(random_subgroup(rng, g).group)
         groups.append(quotient(g, random_normal_subgroup(rng, g))[0])
+    s6 = symmetric(6)
+    groups += [random_subgroup(rng, s6).group for _ in range(6)]
+    # degree 256, the byte encoding's last degree, and 259, past it
+    groups.append(dihedral(512))
+    groups.append(FiniteGroup(259, [
+        perm_from_cycles(259, [tuple(range(257))]),
+        perm_from_cycles(259, [(257, 258)])]))
     return groups
+
+
+def test_from_elements_refuses_a_set_that_is_no_group():
+    # on the byte encoding (degree 6) and past it (degree 259)
+    for n in (6, 259):
+        ident = identity_perm(n)
+        c3, x = (perm_from_cycles(n, [c]) for c in [(0, 1, 2), (0, 1, 2, 3)])
+        t01, t12, t45 = (perm_from_cycles(n, [c])
+                         for c in [(0, 1), (1, 2), (4, 5)])
+        for elems in ([ident, c3],             # not closed: <c3> is larger
+                      [ident, t01, t12],       # generates S3
+                      [ident, x, inv(x), t45]):  # <x>: as large, but other
+            with pytest.raises(ValueError, match="element set is not a group"):
+                from_elements(elems)
+        with pytest.raises(ValueError, match="must contain the identity"):
+            from_elements([c3, mul(c3, c3)])
+        regen = from_elements([ident, c3, mul(c3, c3)])
+        assert regen.generators == (c3,) and regen.order() == 3
+    with pytest.raises(ValueError):
+        from_elements([])
 
 
 def test_element_orders_match_cycle_walk():
@@ -303,3 +339,4 @@ def test_small_generating_set_is_the_order_first_greedy():
                     if len(have) == len(elems):
                         break
         assert g.small_generating_set() == tuple(gens)
+        assert from_elements(g.elements()).generators == tuple(gens)

@@ -25,7 +25,6 @@ from gcompat.posets import Poset, chain_poset, star_poset
 from gcompat.sampling import (
     random_in_forest_poset,
     random_quotient_morphism,
-    random_subsystem,
     random_surjective_system,
 )
 

@@ -10,11 +10,14 @@ from gcompat.perms import (
     closure,
     cycles,
     decode_block,
+    dimino,
     dimino_extend,
+    encoding,
     identity_perm,
     inv,
     is_perm,
     mul,
+    order_sweep,
     perm_from_cycles,
     perm_order,
     perm_pow,
@@ -189,6 +192,58 @@ def test_dimino_extend_matches_closure(rng):
             if limit >= len(closed):
                 result = dimino_extend(closed, before, s, limit=limit)
                 assert result == (None if len(grown) > limit else grown)
+
+
+def test_byte_and_tuple_encodings_agree(rng):
+    """Dimino's method and the order sweep give the same groups and orders
+    on the byte encoding (degree <= 256) as on the tuples, whose own
+    encoding serves past degree 256; bytes sort as their tuples do."""
+    from gcompat.sampling import medium_group_pool
+
+    _, tuple_times, _ = encoding(257)
+    assert tuple_times is mul
+    cases = [list(g.generators) or [g.identity] for g in medium_group_pool()]
+    cases += [_random_symmetric_gens(rng) for _ in range(30)]
+    for gens in cases:
+        n = len(gens[0])
+        encode, times, ident = encoding(n)
+        assert encode is bytes and ident == bytes(range(n))
+        group = sorted(bfs_closure(gens))
+        codes = [encode(p) for p in group]
+        assert sorted(codes) == codes and [tuple(c) for c in codes] == group
+        by_bytes = order_sweep(codes, times, ident)
+        by_tuples = order_sweep(group, mul, identity_perm(n))
+        assert [by_bytes[c] for c in codes] == [by_tuples[p] for p in group] \
+            == [perm_order(p) for p in group]
+        closed, enc_closed, before = frozenset([identity_perm(n)]), \
+            frozenset([ident]), []
+        for s in gens:
+            grown = dimino_extend(closed, before, s)
+            args = ([encode(g) for g in before], encode(s), times, ident)
+            enc = dimino(enc_closed, *args)
+            assert frozenset(map(tuple, enc)) == grown
+            for limit in {len(closed), len(grown) - 1, len(grown)}:
+                if limit >= len(closed):
+                    assert dimino(enc_closed, *args, limit) == \
+                        (None if len(grown) > limit else enc)
+            closed, enc_closed = grown, enc
+            before.append(s)
+        assert sorted(closed) == group
+
+
+def test_encoding_at_its_edges():
+    """Degree 256 is the last byte-encoded degree (pad empty); from degree
+    257 on the encoding is the tuples themselves."""
+    encode, times, ident = encoding(256)
+    cyc = tuple(range(1, 256)) + (0,)
+    assert encode is bytes and times(encode(cyc), encode(cyc)) == \
+        encode(mul(cyc, cyc))
+    assert order_sweep([encode(cyc)], times, ident)[encode(cyc)] == 256
+    encode, times, ident = encoding(259)
+    p = perm_from_cycles(259, [tuple(range(257)), (257, 258)])
+    assert (encode, times, ident) == (tuple, mul, identity_perm(259))
+    assert order_sweep([p], times, ident)[p] == 514
+    assert encoding(259) is encoding(259)  # one frame per degree
 
 
 def test_chain_rejects_non_permutations():
