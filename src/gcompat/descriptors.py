@@ -24,7 +24,7 @@ from .homs import Homomorphism
 from .inverse_limits import InverseSystem
 from .posets import Poset
 from .witness import (
-    EnumeratedExtendEvidence,
+    ExtendEvidence,
     ProvenanceNode,
     WitnessCertificate,
     all_subgroups,
@@ -251,7 +251,7 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup,
         comps = {frozenset(tuple(m) for m in ms):
                  frozenset(tuple(c) for c in cs)
                  for ms, cs in ev_d["complements"]}
-        evidence.append(EnumeratedExtendEvidence(n, comps))
+        evidence.append(ExtendEvidence(n, "enumerated", comps))
     prov = _provenance_from_dict(d.get("provenance", {}))
     return WitnessCertificate(witness, p1, p2, ker1, ker2, kernel_iso,
                               (n1, n2), tuple(evidence), prov)

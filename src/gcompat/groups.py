@@ -165,7 +165,7 @@ class FiniteGroup:
         elems = self.elements(bound)
         encode, times, ident = encoding(self.degree)
         codes = list(map(encode, elems))
-        orders = order_sweep(codes, times, ident)
+        orders = order_sweep(codes, times, ident, len(codes))
         return dict(zip(elems, map(orders.__getitem__, codes)))
 
     def order_histogram(self, bound=None):
@@ -246,7 +246,7 @@ class FiniteGroup:
             return ()
         encode, times, ident = encoding(self.degree)
         codes = sorted(map(encode, elems))
-        orders = order_sweep(codes, times, ident)
+        orders = order_sweep(codes, times, ident, len(codes))
         gens, have = [], frozenset([ident])
         # reverse=True keeps the sort stable: (-order, element) order
         for e in sorted(codes, key=orders.__getitem__, reverse=True):

@@ -21,13 +21,12 @@ slice (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 2.1).
 
 Each map makes one pass over its source's elements: `fibers()` is kept on
-the map, and `kernel()`, `section()` and `preimage()` read it. At verify
-time only the evidence of a hand-built composition
-(`witness.ComposedExtendEvidence`) reads fibers; the builders' evidence is
-placed at a block and reads none. The `ker-p{d}-matches` check of
+the map, and `kernel()`, `section()` and `preimage()` read it. Nothing
+reads these memos at verify time: a hand-built composition lifts its
+extendability evidence through the fibers once, when it is composed
+(`witness.lifted_evidence`), and the `ker-p{d}-matches` check of
 `witness.verify_witness` evaluates the map on the kernel's generators
-only and never reads these memos (Holt, Eick and O'Brien 2005, section
-3.3).
+only (Holt, Eick and O'Brien 2005, section 3.3).
 """
 
 from __future__ import annotations
@@ -238,10 +237,8 @@ class Homomorphism:
         a rule composite from `then` regroups its inner map's fibers by the
         outer map's value, with one sort per merged fiber; any other map
         evaluates itself once per element. `kernel()`, `section()` and
-        `preimage()` read the memo. At verify time only a hand-built
-        composition's `ComposedExtendEvidence.complement_for` does;
-        `ker-p{d}-matches` in `verify_witness` never does. The dict
-        and its lists are shared with every caller: read them, never
+        `preimage()` read the memo; nothing reads it at verify time. The
+        dict and its lists are shared with every caller: read them, never
         change them."""
         if self._fibers is None:
             off = self.offset
@@ -275,8 +272,8 @@ class Homomorphism:
     def preimage_members(self, members) -> frozenset:
         """The elements mapped into `members`, as the union of their kept
         fibers: a plain set, with no Subgroup and no generating set built.
-        At verify time only a hand-built composition's
-        `ComposedExtendEvidence.complement_for` reads it."""
+        The builders and `witness.lifted_evidence` read it, when a
+        witness is built or composed; nothing reads it at verify time."""
         fibers = self.fibers()
         return frozenset(chain.from_iterable(
             fibers.get(tuple(m), ()) for m in members))

@@ -183,16 +183,13 @@ def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):
     """
     if hw1.theta is not hw2.theta and hw1.theta.gen_images() != hw2.theta.gen_images():
         raise HypothesisError("hybrids have different defining maps")
-    if hw1.action.labels != hw2.action.labels:
-        same_cosets = [
-            sorted(mul(m, a) for m in hw1.image.members())
-            == sorted(mul(m, b) for m in hw2.image.members())
-            for a, b in zip(hw1.action.labels, hw2.action.labels)]
-        if not all(same_cosets):
-            raise HypothesisError("hybrids enumerate the cosets differently")
     section = hw1.theta.section()
-    f = tuple(section[mul(s, inv(t))]
-              for t, s in zip(hw1.action.labels, hw2.action.labels))
+    try:
+        f = tuple(section[mul(s, inv(t))]
+                  for t, s in zip(hw1.action.labels, hw2.action.labels))
+    except KeyError:
+        raise HypothesisError(
+            "hybrids enumerate the cosets differently") from None
     x = hw1.wreath.encode(f, hw1.wreath.top_group.identity)
     conj = {mul(mul(inv(x), w), x) for w in hw2.group.elements()}
     if conj != hw1.group.elements():

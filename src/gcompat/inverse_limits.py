@@ -79,10 +79,6 @@ class InverseSystem:
                         raise HypothesisError(
                             f"transitions do not compose at {i} <= {j} <= {k}")
 
-    def is_surjective(self):
-        return all(self.maps[p].is_surjective()
-                   for p in self.poset.comparable_pairs())
-
     def node_list(self):
         return list(self.poset.nodes)
 

@@ -206,12 +206,6 @@ def restricted(auts_h: AutomorphismSet, sub: Subgroup) -> AutomorphismSet:
     return AutomorphismSet(sub.group, list(seen.values()), complete=False)
 
 
-def transport(f: Homomorphism, auto: Homomorphism, label=None) -> Homomorphism:
-    """f_.(auto) = f o auto o f^-1 along a bijective homomorphism f."""
-    finv = f.inverse()
-    return finv.then(auto).then(f, label=label or "transported")
-
-
 def conjugate_transport(f: Homomorphism):
     """The map f_. : Aut(source) -> Aut(target), applicable to sets too."""
     finv = f.inverse()

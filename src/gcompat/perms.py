@@ -189,10 +189,12 @@ def dimino(closed, gens, s, times, ident, limit=None):
     return frozenset(elems)
 
 
-def order_sweep(elems, times, ident):
+def order_sweep(elems, times, ident, limit=None):
     """Element -> order over a group's elements, encoded as for `dimino`:
     each element not yet seen lists its powers, and e^k gets order
-    o/gcd(o, k), one multiply per element of the cyclic subgroups walked."""
+    o/gcd(o, k), one multiply per element of the cyclic subgroups walked.
+    ValueError when `limit` powers of an element miss the identity: with
+    limit = |elems|, as they never do in a group, the set is no group."""
     orders = {ident: 1}
     for e in elems:
         if e in orders:
@@ -200,6 +202,8 @@ def order_sweep(elems, times, ident):
         powers = [e]
         x = times(e, e)
         while x != ident:
+            if len(powers) == limit:
+                raise ValueError("element set is not a group")
             powers.append(x)
             x = times(x, e)
         o = len(powers) + 1

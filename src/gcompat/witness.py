@@ -9,6 +9,11 @@ generator images is a homomorphism by its propagation): `verify_witness`
 proves the certificate's kernel map at every size, by its table's edges
 when ker1 is enumerable and by its generator graph otherwise.
 
+Extendability evidence has one type, `ExtendEvidence`: a complement table
+or a block placement. A hand composition tabulates its lifted complements
+once, when composed (`lifted_evidence`), so `verify_witness` checks data
+the certificate carries and reads no map's fiber memo.
+
 `verify_witness` proves each property once, on one path for enumerable and
 generator-based witnesses alike. Three of its checks are derived from
 proved checks: `ker-p{d}-matches` from `p{d}-homomorphism` (the kernel's
@@ -103,100 +108,66 @@ class ProvenanceNode:
 # trivially-extendable evidence
 
 
+@dataclass
 class ExtendEvidence:
     """Proof material that a surjection pulls subgroups of n back to direct
     products with its kernel: a complement for every subgroup below n.
-    `check_extend_evidence` checks it against the certificate's own map and
-    kernel, never against a map or kernel the evidence holds."""
 
-    kind = "abstract"
+    Either a `table` (a subgroup's member set -> its complement), found by
+    search, loaded from a descriptor or lifted through a hand composition;
+    or the `block` (offset, degree) of a block map p, whose complement of a
+    subgroup of n is each member placed at p's block, with the identity at
+    every other point of p's source. A star-limit branch projection has a
+    block at its branch map's kernel, and so has any fused chain of such
+    projections, because one placement lifted through another is the
+    placement at the fused block. `check_extend_evidence` checks either
+    against the certificate's own map and kernel, never against a map or
+    kernel the evidence holds."""
 
-    def __init__(self, n: Subgroup):
-        self.n = n
+    n: Subgroup
+    kind: str
+    table: dict | None = None
+    block: tuple | None = None
 
     def complement_for(self, members) -> frozenset:
-        raise NotImplementedError
-
-    def _require_below(self, members):
-        for m in members:
-            if not self.n.contains(m):
-                raise HypothesisError("subgroup is not below the designated n")
-
-
-class EnumeratedExtendEvidence(ExtendEvidence):
-    """Explicit complement table, e.g. found by search."""
-
-    kind = "enumerated"
-
-    def __init__(self, n, complements):
-        super().__init__(n)
-        self.complements = {frozenset(k): frozenset(v)
-                            for k, v in complements.items()}
-
-    def complement_for(self, members):
-        key = frozenset(members)
-        if key not in self.complements:
-            raise HypothesisError("no complement recorded for this subgroup")
-        return self.complements[key]
+        if self.block is None:
+            comp = self.table.get(frozenset(members))
+            if comp is None:
+                raise HypothesisError("no complement recorded for this subgroup")
+            return comp
+        if not all(map(self.n.contains, members)):
+            raise HypothesisError("subgroup is not below the designated n")
+        off, degree = self.block
+        return frozenset(place_block(m, off, degree) for m in members)
 
 
-class PlacedExtendEvidence(ExtendEvidence):
-    """For a block map p: each value of a subgroup of n placed at p's block,
-    with the identity at every other point of p's source. A star-limit
-    branch projection has this evidence at its branch map's kernel, and so
-    has any fused chain of such projections, because one placement lifted
-    through another is the placement at the fused block. The complements
-    are placed when asked for, at p's offset in p's source."""
-
-    def __init__(self, p: Homomorphism, n: Subgroup, kind: str):
-        super().__init__(n)
-        if p.offset is None:
-            raise HypothesisError(f"{p.label} is not a block map")
-        self.kind = kind
-        self.off, self.degree = p.offset, p.source.degree
-
-    def complement_for(self, members):
-        self._require_below(members)
-        return frozenset(place_block(m, self.off, self.degree)
-                         for m in members)
+def placed_evidence(p: Homomorphism, n: Subgroup, kind: str) -> ExtendEvidence:
+    """Evidence at n for the block map p: each member placed at p's block."""
+    if p.offset is None:
+        raise HypothesisError(f"{p.label} is not a block map")
+    return ExtendEvidence(n, kind, block=(p.offset, p.source.degree))
 
 
-class ComposedExtendEvidence(ExtendEvidence):
-    """Evidence for pi o p from evidence for p (at a larger subgroup) and
-    evidence for pi: lift pi's complement through p's complement. Only
-    hand-built compositions, whose evidence is not all placed, need it: two
-    placed evidences compose to a `PlacedExtendEvidence`."""
-
-    kind = "composed"
-
-    def __init__(self, ev_p: ExtendEvidence, ev_pi: ExtendEvidence,
-                 p: Homomorphism, pi: Homomorphism):
-        super().__init__(ev_pi.n)
-        self.ev_p = ev_p
-        self.ev_pi = ev_pi
-        self.p = p
-        self.pi = pi
-
-    def complement_for(self, members):
-        """Lift pi's complement of `members` through p's complement of
-        their preimage under pi. The preimage is a plain member set read
-        off pi's fibers, memoized on pi (`Homomorphism.preimage_members`);
-        no Subgroup is built for it. A wrong memo can only fail the check:
-        `check_extend_evidence` re-checks every complement from scratch,
-        and `ker-p{d}-matches` never reads the memo. HypothesisError when a
-        value of pi's complement has no lift, so the check reports a
-        missing complement instead of raising."""
-        self._require_below(members)
-        pre = self.pi.preimage_members(members)
-        c_outer = self.ev_p.complement_for(pre)
-        by_value = {self.p(c): c for c in c_outer}
-        c_inner = self.ev_pi.complement_for(members)
+def lifted_evidence(ev_p: ExtendEvidence, ev_pi: ExtendEvidence,
+                    p: Homomorphism, pi: Homomorphism) -> ExtendEvidence:
+    """Evidence for pi o p from evidence for p (at a subgroup containing
+    ker pi) and evidence for pi, tabulated once over every subgroup M of
+    ev_pi.n: pi's complement of M lifted through p's complement of M's
+    preimage under pi (read off pi's fibers, at composition time). A
+    subgroup whose complement has no lift is left out of the table, so
+    `check_extend_evidence` reports it missing; it re-checks every
+    complement in the table from scratch."""
+    table = {}
+    for m_sub in all_subgroups(ev_pi.n.group):
+        members = m_sub.members()
         try:
-            return frozenset(by_value[x] for x in c_inner)
-        except KeyError:
-            raise HypothesisError(
-                "a complement value has no lift through p's complement"
-            ) from None
+            c_outer = ev_p.complement_for(pi.preimage_members(members))
+            by_value = {p(c): c for c in c_outer}
+            table[members] = frozenset(
+                by_value[x] for x in ev_pi.complement_for(members))
+        except (HypothesisError, KeyError):
+            continue
+    return ExtendEvidence(ev_pi.n, "composed", table=table)
 
 
 @dataclass
@@ -229,7 +200,8 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
         if c is None:
             return ExtendReport(False, None, m_sub)
         complements[m_sub.members()] = c
-    return ExtendReport(True, EnumeratedExtendEvidence(n, complements), None)
+    return ExtendReport(True, ExtendEvidence(n, "enumerated", complements),
+                        None)
 
 
 def _find_complement(pi, m_sub, kmembers, fibers, budget):
@@ -426,10 +398,6 @@ class WitnessCertificate:
     evidence: tuple         # (ExtendEvidence, ExtendEvidence)
     provenance: ProvenanceNode
 
-    @property
-    def targets(self):
-        return (self.p1.target, self.p2.target)
-
     def order_bookkeeping_ok(self):
         o = self.witness.order()
         return (o == self.p1.target.order() * self.ker1.order()
@@ -497,8 +465,8 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
         ker1.group, ker2.group,
         lambda z: embed0(kappa2_inv(lim.decode(z, 1))), label="kernel-iso")
 
-    ev1 = PlacedExtendEvidence(p1, k_pi21, "star-projection")
-    ev2 = PlacedExtendEvidence(p2, k_pi22, "star-projection")
+    ev1 = placed_evidence(p1, k_pi21, "star-projection")
+    ev2 = placed_evidence(p2, k_pi22, "star-projection")
 
     prov = ProvenanceNode(
         "length2",
@@ -706,13 +674,12 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
     new_evidence = []
     for d in (1, 2):
         ev_p, ev_pi = cert.evidence[d - 1], pi_evidence[d - 1]
-        if isinstance(ev_p, PlacedExtendEvidence) \
-                and isinstance(ev_pi, PlacedExtendEvidence):
+        if ev_p.block is not None and ev_pi.block is not None:
             # one placement lifted through another is the placement at
             # the fused block of q_d
-            ev = PlacedExtendEvidence(q[d], ev_pi.n, "composed")
+            ev = placed_evidence(q[d], ev_pi.n, "composed")
         else:
-            ev = ComposedExtendEvidence(ev_p, ev_pi, certs[d][0], pis[d])
+            ev = lifted_evidence(ev_p, ev_pi, certs[d][0], pis[d])
         new_evidence.append(ev)
 
     prov = ProvenanceNode(
@@ -843,8 +810,8 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     inner = build_good_witness(new_seqs[1], new_seqs[2], new_comp, bounds)
 
     # evidence that the new top maps are trivially extendable at ker(pi_l)
-    pi_ev = [PlacedExtendEvidence(new_top_maps[d], seqs[d].kernel(ell),
-                                  "wrapped") for d in (1, 2)]
+    pi_ev = [placed_evidence(new_top_maps[d], seqs[d].kernel(ell), "wrapped")
+             for d in (1, 2)]
 
     good_at = (seqs[1].kernel(ell), seqs[2].kernel(ell))
     step_prov = ProvenanceNode(

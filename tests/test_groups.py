@@ -312,6 +312,11 @@ def test_from_elements_refuses_a_set_that_is_no_group():
             from_elements([c3, mul(c3, c3)])
         regen = from_elements([ident, c3, mul(c3, c3)])
         assert regen.generators == (c3,) and regen.order() == 3
+    # a map that is no permutation: its powers never reach the identity
+    for n in (3, 259):
+        squash = (0, 0, 1) + tuple(range(3, n))
+        with pytest.raises(ValueError, match="element set is not a group"):
+            from_elements([identity_perm(n), squash])
     with pytest.raises(ValueError):
         from_elements([])
 

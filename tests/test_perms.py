@@ -368,7 +368,7 @@ def test_every_placement_is_place_block_at_its_offset():
         star_limit,
         star_system,
     )
-    from gcompat.witness import PlacedExtendEvidence
+    from gcompat.witness import placed_evidence
     from gcompat.wreath import WreathProduct, natural_action
 
     # a two-branch star limit: Z4 and S3 over Z2
@@ -394,7 +394,7 @@ def test_every_placement_is_place_block_at_its_offset():
     for b, pi in enumerate(to_root):
         p = lim.projection(b)
         kernel = pi.kernel()
-        ev = PlacedExtendEvidence(p, kernel, "star-projection")
+        ev = placed_evidence(p, kernel, "star-projection")
         assert ev.complement_for(kernel.members()) == frozenset(
             place_block(k, p.offset, degree) for k in kernel.members())
 

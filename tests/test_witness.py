@@ -276,6 +276,115 @@ def test_goodwit_compose_to_quotients():
     assert verify_witness(cert2, l1p, l2p).passed
 
 
+def test_goodwit_composition_is_pinned():
+    # the hand composition's certificate, report included, and its base
+    import hashlib
+
+    from gcompat.descriptors import certificate_to_descriptor, dumps
+
+    def digest(c, report=None):
+        text = dumps(certificate_to_descriptor(c, Bounds(), report))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    g, l1, l2, cert = goodwit_certificate()
+    cert2, l1p, l2p = goodwit_compose_to_quotients(cert, l1, l2)
+    report = verify_witness(cert2, l1p, l2p, Bounds())
+    assert digest(cert2, report) == \
+        "ecf84c6681ab45d88fc1dd3f8ef6342f07c686c418e38bf5e4c545042b3f44d7"
+    assert digest(cert) == \
+        "0a3709a7c01ab73584d359066fa38dcee2120c15fa56d750fd6a1c416ddba8ae"
+
+
+def _reference_lift(ev_p, ev_pi, p, pi, members):
+    """pi's complement of `members` lifted through p's complement of their
+    preimage, the preimage found by evaluating pi on its whole source."""
+    pre = [x for x in pi.source.elements() if pi(x) in members]
+    outer = ev_p.complement_for(pre)
+    return frozenset(next(c for c in outer if p(c) == x)
+                     for x in ev_pi.complement_for(members))
+
+
+def _split_e24_composition(quotient):
+    """E(2,4) onto its two E(2,2) factors, good at both, composed with
+    quotients onto Z2 (or with the identity maps, good at all of E(2,2)):
+    (base, composed certificate, pi maps, their evidence, targets)."""
+    g, e22 = named_group("E(2,4)"), named_group("E(2,2)")
+    (u1, u2), one = e22.generators, e22.identity
+    a1, a2, a3, a4 = g.generators
+    p1 = Homomorphism.from_gen_images(
+        g, e22, {a1: u1, a2: u2, a3: one, a4: one}, "p1")
+    p2 = Homomorphism.from_gen_images(
+        g, e22, {a1: one, a2: one, a3: u1, a4: u2}, "p2")
+    base = assemble_certificate(g, p1, p2, (e22.full_subgroup(),
+                                            e22.full_subgroup()))
+    if quotient:
+        top = cyclic(2)
+        pis = [Homomorphism.from_gen_images(
+            e22, top, {u1: top.generators[0], u2: top.identity}, f"pi{d}")
+            for d in (1, 2)]
+    else:
+        top = e22
+        pis = [Homomorphism.identity(e22)] * 2
+    evs = tuple(is_trivially_extendable(pi, top.full_subgroup()).evidence
+                for pi in pis)
+    kappa = find_isomorphism(pis[0].kernel().group, pis[1].kernel().group)
+    cert = compose_witness(base, pis[0], pis[1], kappa, evs,
+                           (top.full_subgroup(), top.full_subgroup()))
+    return base, cert, pis, evs, top
+
+
+@pytest.mark.parametrize("quotient,count", [(True, 2), (False, 5)])
+def test_lifted_table_equals_the_reference_lift(quotient, count):
+    from gcompat.groups import all_subgroups
+
+    base, cert, pis, evs, top = _split_e24_composition(quotient)
+    assert verify_witness(cert, top, top).passed
+    for d in (0, 1):
+        ev = cert.evidence[d]
+        assert ev.block is None and ev.kind == "composed"
+        subs = all_subgroups(ev.n.group)
+        assert len(subs) == count
+        assert set(ev.table) == {m.members() for m in subs}
+        p = (base.p1, base.p2)[d]
+        for m_sub in subs:
+            assert ev.table[m_sub.members()] == _reference_lift(
+                base.evidence[d], evs[d], p, pis[d], m_sub.members())
+
+
+def test_verification_reads_no_fiber_memo(monkeypatch):
+    # a hand composition's evidence is lifted when composed, so verifying
+    # it, or a built certificate, never reads a map's fibers
+    g, l1, l2, base = goodwit_certificate()
+    _, split, _, _, z2 = _split_e24_composition(True)
+    cases = [goodwit_compose_to_quotients(base, l1, l2),
+             _identity_composition()[:3], (split, z2, z2)]
+    z6, s3 = named_group("Z6"), named_group("S3")
+    cases.append((witness_square_free(z6, s3), z6, s3))
+
+    def refuse(*args):
+        raise AssertionError("a fiber memo was read at verify time")
+
+    monkeypatch.setattr(Homomorphism, "fibers", refuse)
+    monkeypatch.setattr(Homomorphism, "preimage_members", refuse)
+    for cert, a, b in cases:
+        assert verify_witness(cert, a, b).passed
+
+
+def test_placed_evidence_refuses_a_member_outside_n():
+    from gcompat.witness import placed_evidence
+
+    z4, chain = cyclic_tower(4, [2, 2])
+    s1 = seq_of(z4, chain)
+    cert = build_witness_length2(s1, s1, comp_membership(s1, s1))
+    ev = cert.evidence[0]
+    assert ev.block == (cert.p1.offset, cert.witness.degree)
+    outside = next(x for x in z4.elements() if not ev.n.contains(x))
+    with pytest.raises(HypothesisError, match="not below the designated n"):
+        ev.complement_for([z4.identity, outside])
+    with pytest.raises(HypothesisError, match="not a block map"):
+        placed_evidence(Homomorphism.identity(z4), ev.n, "star-projection")
+
+
 def test_compose_with_identity_keeps_certificate():
     g, l1, l2, cert = goodwit_certificate()
     id1, id2 = Homomorphism.identity(l1), Homomorphism.identity(l2)
@@ -1295,14 +1404,10 @@ def _assert_bogus_map_memos_change_no_verdict(cert, l1, l2, bounds=None):
     assert _verdicts(cert, l1, l2, bounds) == genuine
 
 
-def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
-    from gcompat.witness import ComposedExtendEvidence
-
-    l1, l2 = named_group("D8"), named_group("Q8")
-    _assert_bogus_map_memos_change_no_verdict(witness_nilpotent(l1, l2),
-                                              l1, l2)
-    # a hand composition with the identity maps lifts each complement
-    # through the inner map's fibers, which a poisoned memo misplaces
+def _identity_composition(poison_first=False):
+    """A length-2 Z4|V4 certificate composed with the identity maps, which
+    lifts each complement through id1's fibers; with `poison_first`, id1's
+    fiber memo is poisoned before composing. (certificate, Z4, V4, id1)"""
     z4, chain = cyclic_tower(4, [2, 2])
     v4 = named_group("Z2xZ2")
     two = Subgroup(v4, members=closure([v4.generators[0]]))
@@ -1313,13 +1418,29 @@ def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
     kappa = find_isomorphism(id1.kernel().group, id2.kernel().group)
     ev1 = is_trivially_extendable(id1, base.good_at[0]).evidence
     ev2 = is_trivially_extendable(id2, base.good_at[1]).evidence
+    if poison_first:
+        _poison_identity_fiber(id1, ev1.n)
     cert = compose_witness(base, id1, id2, kappa, (ev1, ev2), base.good_at)
-    assert isinstance(cert.evidence[0], ComposedExtendEvidence)
+    return cert, z4, v4, id1
+
+
+def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
+    l1, l2 = named_group("D8"), named_group("Q8")
+    _assert_bogus_map_memos_change_no_verdict(witness_nilpotent(l1, l2),
+                                              l1, l2)
+    # the hand composition reads id1's fibers once, when composed: a memo
+    # poisoned afterwards changes no verdict
+    cert, z4, v4, id1 = _identity_composition()
+    assert cert.evidence[0].table is not None
     genuine = _verdicts(cert, z4, v4)
     assert all(ok for _, ok, _ in genuine)
     _poison_identity_fiber(id1, cert.evidence[0].n)
-    poisoned = _verdicts(cert, z4, v4)  # reports, never raises
-    lost = "missing complement: a complement value has no lift"
+    assert _verdicts(cert, z4, v4) == genuine
+    # poisoned before, it misplaces a lift: that subgroup is left out of
+    # the table, and the verifier reports it missing, never raising
+    cert, z4, v4, _ = _identity_composition(poison_first=True)
+    poisoned = _verdicts(cert, z4, v4)
+    lost = "missing complement: no complement recorded for this subgroup"
     assert [(n, ok) for n, ok, _ in poisoned] == [
         (n, n != "good-at-1-extendable") for n, _, _ in genuine]
     detail = dict((n, d) for n, _, d in poisoned)["good-at-1-extendable"]
