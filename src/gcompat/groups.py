@@ -31,6 +31,7 @@ from .perms import (
     perm_from_cycles,
     perm_pow,
     place_block,
+    right_products,
 )
 
 
@@ -112,8 +113,9 @@ class FiniteGroup:
 
     def cayley(self, bound=None):
         """The Cayley graph `cayley_graph(sorted_elements(), generators)`:
-        computed once (|G|*|gens| multiplies) and kept, so every map out of
-        the group is checked on the same int columns."""
+        computed once, each column one product loop in C at degree <= 256,
+        and kept, so every map out of the group is checked on the same int
+        columns."""
         if self._cayley is None:
             self._cayley = cayley_graph(self.sorted_elements(bound),
                                         self.generators)
@@ -262,10 +264,16 @@ class FiniteGroup:
 
 def cayley_graph(elems, gens):
     """(elems, generator indices, columns): per generator s the int array
-    i -> index of elems[i]*s. KeyError if elems is not closed under gens."""
-    index = {e: i for i, e in enumerate(elems)}
-    return (elems, tuple(index[s] for s in gens),
-            tuple(array("i", [index[mul(e, s)] for e in elems])
+    i -> index of elems[i]*s. The elements are encoded (`encoding`) once
+    and indexed by their codes, and each column is one `right_products`
+    call, a loop in C at degree <= 256. KeyError if elems is not closed
+    under gens."""
+    encode = encoding(len(elems[0]))[0]
+    codes = list(map(encode, elems))
+    index = dict(zip(codes, range(len(codes))))
+    gens = list(map(encode, gens))
+    return (elems, tuple(map(index.__getitem__, gens)),
+            tuple(array("i", map(index.__getitem__, right_products(codes, s)))
                   for s in gens))
 
 

@@ -9,8 +9,9 @@ length; a block map is proved from its block, which every generator must
 keep, and any other rule out of a group past the enumeration bound is left
 undecided rather than sampled.
 Table checks run on element indices: the source's Cayley graph gives x*s
-as int columns, the table's distinct values are multiplied once per
-generator, and both sides of the law are compared as int lists.
+as int columns, the table's distinct values are multiplied by each
+generator's image in one batch product (`perms.right_products`), and both
+sides of the law are compared as int lists.
 
 A block map projects a group acting on a disjoint union of domains (a
 direct product or an inverse limit) onto the block of points at one
@@ -32,11 +33,18 @@ only (Holt, Eick and O'Brien 2005, section 3.3).
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, cayley_graph
-from .perms import closure, decode_block, identity_perm, mul
+from .perms import (
+    closure,
+    decode_block,
+    encoding,
+    identity_perm,
+    mul,
+    right_products,
+)
 
 
 class Homomorphism:
@@ -306,20 +314,33 @@ class Homomorphism:
         graph = self.source._cayley
         try:
             if graph is None or len(graph[0]) != len(table):
+                # a key that is no permutation of the source's points
+                # fails to encode (ValueError) or to multiply (IndexError)
                 graph = cayley_graph(list(table), self.source.generators)
             images = list(map(table.__getitem__, graph[0]))
-        except KeyError:
+        except (KeyError, ValueError, IndexError):
             raise HypothesisError(f"{self.label}: table not total") from None
         _, gens, cols = graph
         number = {}  # the distinct image values, numbered as first seen
         f = [number.setdefault(v, len(number)) for v in images]
-        values, right = list(number), {}
-        for s, col in zip(gens, cols):
-            b = f[s]
-            if b not in right:  # number of v*f(s) for each value v, or -1
-                right[b] = [number.get(mul(v, values[b]), -1) for v in values]
-            if list(map(f.__getitem__, col)) != list(map(right[b].__getitem__, f)):
-                raise HypothesisError(f"{self.label}: not a homomorphism")
+        encode = encoding(self.target.degree)[0]
+        try:
+            # a value that is no permutation of the target's points may fail
+            # to encode (ValueError) or to multiply (IndexError); it is no
+            # homomorphism's value either way
+            codes = list(map(encode, number))
+            coded = dict(zip(codes, range(len(codes))))
+            # per generator image b: the number of v*b for each value v, or -1
+            right = {b: list(map(coded.get, right_products(codes, codes[b]),
+                                 repeat(-1)))
+                     for b in {f[s] for s in gens}}
+        except (ValueError, IndexError):
+            right = None
+        if right is None or any(
+                list(map(f.__getitem__, col)) !=
+                list(map(right[f[s]].__getitem__, f))
+                for s, col in zip(gens, cols)):
+            raise HypothesisError(f"{self.label}: not a homomorphism")
 
     def validate(self, bounds=DEFAULT_BOUNDS):
         """Prove the homomorphism law; returns the number of checks made.

@@ -22,9 +22,14 @@ Dimino's method (`dimino`) and the element-order sweep (`order_sweep`) are
 each written once, over an encoding's product. The internal encoding
 (`encoding`) at degree n <= 256 is the byte string bytes(p): x*y is
 x.translate(y + pad), pad = bytes(range(n, 256)), a gather in C, and bytes
-cache their hash and compare by memcmp in the tuples' order. Only
-canonical generating sets and element orders (`groups.py`) use it; tuples
-are the type of every interface, and the encoding past degree 256.
+cache their hash and compare by memcmp in the tuples' order.
+`right_products` multiplies a whole set of elements by one element, on
+bytes in a loop that runs entirely in C: Dimino's coset sweep, the Cayley
+graph (`groups.cayley_graph`) and the table edge check
+(`homs.Homomorphism.check_table_edges`) make one such call per coset or
+per column. Those three, canonical generating sets and element orders
+(`groups.py`) use the encoding; tuples are the type of every interface,
+and the encoding past degree 256.
 
 Orders and memberships past enumeration come from `StabilizerChain`,
 deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
@@ -157,14 +162,27 @@ def dimino_extend(closed, gens, s, *, limit=None):
     return dimino(closed, gens, s, mul, identity_perm(len(s)), limit)
 
 
+_POINTS = bytes(range(256))  # the byte-encoded identity of degree 256
+
+
 @lru_cache(maxsize=None)
 def encoding(degree):
     """(encode, times, identity) at `degree`: times(x, y) is x*y, and
     `tuple` decodes."""
     if degree > 256:
         return tuple, mul, identity_perm(degree)
-    pad = bytes(range(degree, 256))
-    return bytes, lambda x, y: x.translate(y + pad), bytes(range(degree))
+    pad = _POINTS[degree:]
+    return bytes, lambda x, y: x.translate(y + pad), _POINTS[:degree]
+
+
+def right_products(xs, y):
+    """x*y for each x in xs, lazily and in order, with xs and y in one
+    encoding (`encoding`): on bytes one `bytes.translate` per x, the whole
+    loop in C; on tuples `mul`. A y longer than 256 bytes raises
+    ValueError, and a point of x past the end of a tuple y IndexError."""
+    if type(y) is bytes:
+        return map(bytes.translate, xs, repeat(y + _POINTS[len(y):]))
+    return map(mul, xs, repeat(y))
 
 
 def dimino(closed, gens, s, times, ident, limit=None):
@@ -173,7 +191,8 @@ def dimino(closed, gens, s, times, ident, limit=None):
 
     The result is grown as a union of right cosets closed*r: a coset's
     image under a generator g is the coset of r*g, so one product per
-    (representative, generator) decides it. Returns a frozenset, or None
+    (representative, generator) decides it, and a new coset is one
+    `right_products` call. Returns a frozenset, or None
     as soon as the growing set holds more than `limit` >= |closed| elements.
     (Butler, Fundamental Algorithms for Permutation Groups, LNCS 559.)
     """
@@ -183,7 +202,7 @@ def dimino(closed, gens, s, times, ident, limit=None):
             y = times(r, g)
             if y not in elems:
                 reps.append(y)
-                elems.update(map(times, closed, repeat(y)))
+                elems.update(right_products(closed, y))
                 if limit is not None and len(elems) > limit:
                     return None
     return frozenset(elems)
@@ -278,10 +297,17 @@ class StabilizerChain:
         return p, len(base)
 
     def contains(self, p) -> bool:
+        """Membership; False for anything but a permutation of the degree.
+        A point past the degree stops the strip (IndexError); a negative
+        one is read modulo the degree by the products, so it is refused
+        once p has stripped to the identity."""
         if len(p) != self.degree:
             return False
-        r, lev = self._strip(p)
-        return lev == len(self.base) and r == self._identity
+        try:
+            r, lev = self._strip(p)
+        except IndexError:
+            return False
+        return lev == len(self.base) and r == self._identity and min(p) >= 0
 
     # -- construction ----------------------------------------------------
 

@@ -224,3 +224,36 @@ def test_byte_identical_output(capsys):
     run(["group", "Z6"])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("point", [300, 10, -3])
+def test_witness_verify_points_off_the_degree_fail_their_checks(
+        tmp_path, capsys, point):
+    # a table point past the degree (10), past the byte range or below 0,
+    # in a p1 value, a kernel-iso key or a kernel-iso value, fails the
+    # checks that read it (exit 1) and raises nothing
+    cert = tmp_path / "cert.json"
+    run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+         str(cert)])
+    data = json.loads(cert.read_text())
+    expected = {
+        ("p1", 1): ["[FAIL] p1-homomorphism  (p_0: not a homomorphism)"],
+        ("kernel_iso", 0): [
+            "[FAIL] kernel-iso-homomorphism  (kernel-iso: table not total)",
+            "[FAIL] kernel-iso-bijective  (table not keyed by ker1)"],
+        ("kernel_iso", 1): [
+            "[FAIL] kernel-iso-homomorphism  (kernel-iso: not a homomorphism)",
+            "[FAIL] kernel-iso-lands-in-ker2"],
+    }
+    for (name, side), fails in expected.items():
+        bad = json.loads(json.dumps(data))
+        bad[name]["table"][1][side][1] = point  # not the identity's entry
+        cert.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert run(["witness", "verify", "--cert", str(cert),
+                    "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("[FAIL]")]
+        assert [line for line in failed
+                if "quotient-1-isomorphic" not in line] == fails
+        assert lines[-1] == "verdict: FAILED"

@@ -3,7 +3,7 @@ import json
 from gcompat import descriptors
 from gcompat.catalog import named_group, quaternion
 from gcompat.cli import run
-from gcompat.groups import Subgroup, cyclic
+from gcompat.groups import Subgroup
 from gcompat.inverse_limits import limit, limit_of_morphism, projection_system
 from gcompat.perms import closure
 from gcompat.sampling import random_in_forest_poset, random_surjective_system

@@ -345,3 +345,37 @@ def test_small_generating_set_is_the_order_first_greedy():
                         break
         assert g.small_generating_set() == tuple(gens)
         assert from_elements(g.elements()).generators == tuple(gens)
+
+
+def _tuple_cayley(elems, gens):
+    """Generator indices and columns straight from the definition, one
+    tuple product per (element, generator)."""
+    index = {x: i for i, x in enumerate(elems)}
+    return (tuple(index[s] for s in gens),
+            [[index[mul(x, s)] for x in elems] for s in gens])
+
+
+def test_cayley_columns_equal_a_tuple_reference():
+    """Over the sampling pool (byte-encoded) and a group of degree 257
+    (tuples), in sorted and in set order: the columns are the reference's,
+    the elements are the caller's own, and a set that is not closed is a
+    KeyError on both."""
+    from gcompat.sampling import medium_group_pool
+
+    wide = FiniteGroup(257, [  # the dihedral group of order 514
+        perm_from_cycles(257, [tuple(range(257))]),
+        perm_from_cycles(257, [(i, 257 - i) for i in range(1, 129)])])
+    assert wide.order() == 514
+    for g in medium_group_pool() + [wide]:
+        for elems in (g.sorted_elements(), list(g.elements())):
+            graph = cayley_graph(elems, g.generators)
+            assert graph[0] is elems
+            gens, cols = _tuple_cayley(elems, g.generators)
+            assert graph[1] == gens
+            assert [list(col) for col in graph[2]] == cols
+        if g.generators:
+            for elems in (g.sorted_elements()[:-1], g.sorted_elements()[1:]):
+                with pytest.raises(KeyError):
+                    _tuple_cayley(elems, g.generators)
+                with pytest.raises(KeyError):
+                    cayley_graph(elems, g.generators)

@@ -481,3 +481,82 @@ def test_kernel_past_the_enumeration_bound_is_undecided_for_every_form():
                            r"enumeration bound 20000\)"):
             f.kernel()
         assert f._fibers is None
+
+
+def _dihedral_257():
+    """The dihedral group of order 514 on 257 points, past the byte
+    encoding."""
+    from gcompat.perms import perm_from_cycles
+
+    return FiniteGroup(257, [
+        perm_from_cycles(257, [tuple(range(257))]),
+        perm_from_cycles(257, [(i, 257 - i) for i in range(1, 129)])],
+        "D514")
+
+
+def test_edge_check_accepts_and_rejects_as_the_tuple_reference(rng):
+    """Over every group of the sampling pool and one of degree 257: the
+    identity map, a conjugation, a quotient map and a map onto the trivial
+    group, each as given and with two entries swapped, get the verdict of
+    the edge law written on tuples, with and without a kept graph."""
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    verdicts = set()
+    for g in medium_group_pool() + [_dihedral_257()]:
+        elems = g.sorted_elements()
+        c = elems[-1]
+        q, pi = quotient(g, random_normal_subgroup(rng, g))
+        maps = [(g, {x: x for x in elems}),
+                (g, {x: mul(mul(inv(c), x), c) for x in elems}),
+                (q, dict(pi.tabulated())),
+                (cyclic(1), dict.fromkeys(elems, (0,)))]
+        for target, good in maps:
+            tables = [good]
+            if len(elems) > 1:
+                a, b = rng.sample(elems, 2)
+                swapped = dict(good)
+                swapped[a], swapped[b] = good[b], good[a]
+                tables.append(swapped)
+            for table in tables:
+                expected = _tuple_edge_law(g, table, target.identity)
+                fresh = FiniteGroup(g.degree, g.generators)
+                f = Homomorphism(fresh, target, table=table, check=False)
+                assert _accepts(f.check_table_edges) == expected
+                fresh.cayley()
+                assert _accepts(f.check_table_edges) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("degree", [4, 258])
+def test_a_table_point_off_the_degree_is_refuted(degree):
+    """A value with a point past the target's degree (past 255 too) or
+    below 0 is no homomorphism's value, and a key with such a point is
+    none of the source's elements: each check fails, on the byte encoding
+    (degree 4) and past it (degree 258), and nothing else is raised."""
+    from gcompat.perms import perm_from_cycles
+
+    z4 = FiniteGroup(degree, [perm_from_cycles(degree, [(0, 1, 2, 3)])])
+    z2 = FiniteGroup(degree, [perm_from_cycles(degree, [(0, 1)])])
+    t = z2.generators[0]
+    good = {x: t if x[0] % 2 else z2.identity for x in z4.elements()}
+    assert _accepts(Homomorphism(z4, z2, table=good).check_table_edges)
+    gen = z4.generators[0]
+    for point in (degree, 300, -1, -degree):
+        for k in (1, 3):
+            bad = dict(good)
+            value = list(good[gen])
+            value[k] = point
+            bad[gen] = tuple(value)
+            with pytest.raises(HypothesisError, match="not a homomorphism"):
+                Homomorphism(z4, z2, table=bad)
+        key = list(gen)
+        key[1] = point
+        bad = dict(good)
+        bad[tuple(key)] = bad.pop(gen)
+        # over the table's keys, then over the source's kept graph
+        with pytest.raises(HypothesisError, match="not total"):
+            Homomorphism(FiniteGroup(degree, z4.generators), z2, table=bad)
+        z4.cayley()
+        with pytest.raises(HypothesisError, match="not total"):
+            Homomorphism(z4, z2, table=bad)

@@ -22,6 +22,7 @@ from gcompat.perms import (
     perm_order,
     perm_pow,
     place_block,
+    right_products,
 )
 
 
@@ -412,3 +413,48 @@ def test_every_placement_is_place_block_at_its_offset():
     lift_g, lift_h = pair_embeddings(z4, s3)
     assert all(lift_g(x) == place_block(x, 0, 7) for x in z4.elements())
     assert all(lift_h(x) == place_block(x, 4, 7) for x in s3.elements())
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+def test_right_products_is_one_mul_per_element(n, rng):
+    """The batch product equals `mul` element by element, in order, on
+    tuples at every degree and on the encoding (bytes up to degree 256)."""
+    xs = [tuple(rng.sample(range(n), n)) for _ in range(8)]
+    xs.append(identity_perm(n))
+    y = tuple(rng.sample(range(n), n))
+    expected = [mul(x, y) for x in xs]
+    assert list(right_products(xs, y)) == expected
+    encode = encoding(n)[0]
+    codes = list(right_products(list(map(encode, xs)), encode(y)))
+    assert [tuple(c) for c in codes] == expected
+    assert all(type(c) is type(encode(y)) for c in codes)
+    assert list(right_products([], encode(y))) == []
+
+
+def test_right_products_refuses_what_no_product_takes():
+    """A byte string longer than 256 cannot be a right factor (ValueError);
+    a tuple point past the right factor's end is an IndexError."""
+    with pytest.raises(ValueError):
+        list(right_products([bytes(range(3))], bytes(257)))
+    with pytest.raises(IndexError):
+        list(right_products([(0, 1, 2, 300)], (1, 0, 2, 3)))
+
+
+@pytest.mark.parametrize("n", [3, 259])
+def test_chain_membership_refuses_points_off_the_degree(n):
+    """A point past the degree or below 0 makes no member, though the
+    products would read a negative point modulo the degree."""
+    cyc = tuple(range(1, n)) + (0,)
+    chain = StabilizerChain(n, [cyc])
+    assert chain.contains(cyc) and chain.contains(mul(cyc, cyc))
+    off = [cyc[:-1] + (-n,),          # 0 as -n: cyc modulo the degree
+           (cyc[0] - n,) + cyc[1:],   # the same at the base point
+           cyc[:-1] + (n,),           # past the degree, off the base
+           (n,) + cyc[1:],            # past the degree, at the base point
+           cyc[:-1] + (300,)]
+    assert not any(map(chain.contains, off))
+    if n == 3:
+        from gcompat.groups import FiniteGroup
+
+        assert FiniteGroup(3, [(1, 2, 0)]).chain().contains((1, 2, 0))
+        assert not FiniteGroup(3, [(1, 2, 0)]).chain().contains((1, 2, -3))
