@@ -114,7 +114,7 @@ def semidirect_from_hom(p_group, q_group, phi: Homomorphism,
     to an automorphism of P.
     """
     if auts is None:
-        auts = AutomorphismSet(p_group, [], complete=False)
+        auts = AutomorphismSet(p_group, [])
     phi.validate()
     twist = {}
     for q in q_group.elements():

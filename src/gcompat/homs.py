@@ -1,17 +1,21 @@
 """Homomorphisms between permutation-realized finite groups.
 
 A Homomorphism carries a total element table whenever its source is
-enumerable (built by Cayley-graph propagation from generator images), and
-may instead carry a rule (callable) for maps out of generator-based groups.
-Validation of the table form checks every Cayley edge f(x*s) = f(x)f(s),
-which proves the homomorphism law for the whole table by induction on word
-length; a block map is proved from its block, which every generator must
-keep, and any other rule out of a group past the enumeration bound is left
-undecided rather than sampled.
-Table checks run on element indices: the source's Cayley graph gives x*s
-as int columns, the table's distinct values are multiplied by each
-generator's image in one batch product (`perms.right_products`), and both
-sides of the law are compared as int lists.
+enumerable, and may instead carry a rule (callable) for maps out of
+generator-based groups. The homomorphism law f(x*s) = f(x)f(s) has one
+check, `check_table_edges`, over one graph, the source's kept Cayley graph
+(`FiniteGroup.cayley`): every edge checked proves the law for the whole
+table by induction on word length, and a table keyed by anything but the
+source's elements is not total. Every table is proved there, whether it
+comes from generator images (`from_gen_images`, which propagates them
+along a spanning tree of that graph), a coset action, the isomorphism
+search or a certificate file. A block map is proved from its block, which
+every generator must keep, and any other rule out of a group past the
+enumeration bound is left undecided rather than sampled.
+The check runs on element indices: the graph gives x*s as int columns,
+the table's distinct values are multiplied by each generator's image in
+one batch product (`perms.right_products`), and both sides of the law are
+compared as int lists.
 
 A block map projects a group acting on a disjoint union of domains (a
 direct product or an inverse limit) onto the block of points at one
@@ -36,7 +40,7 @@ from functools import partial
 from itertools import chain, repeat
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import FiniteGroup, Subgroup, cayley_graph
+from .groups import FiniteGroup, Subgroup
 from .perms import (
     closure,
     decode_block,
@@ -70,7 +74,9 @@ class Homomorphism:
 
     @classmethod
     def from_gen_images(cls, source, target, images, label="f"):
-        """Propagate generator images over the source's Cayley graph.
+        """Propagate generator images along a spanning tree of the source's
+        Cayley graph (`source.cayley()`), one product per element, and prove
+        the table with `check_table_edges`, the one check of the law.
 
         `images`: dict source-generator -> target element (or pair list).
         Raises HypothesisError if the assignment is inconsistent, i.e. does
@@ -81,12 +87,25 @@ class Homomorphism:
         for g in source.generators:
             if g not in images:
                 raise ValueError("missing image for a generator")
-        table = extend_images(list(images.items()), source.identity,
-                              target.identity)
-        if table is None:
+        elems, gens, cols = source.cayley()
+        steps = [(col, images[elems[s]]) for s, col in zip(gens, cols)]
+        values = [None] * len(elems)
+        values[0] = target.identity  # the identity sorts first
+        reached = [0]
+        for i in reached:  # grows while it is scanned
+            for col, image in steps:
+                j = col[i]
+                if values[j] is None:
+                    values[j] = mul(values[i], image)
+                    reached.append(j)
+        out = cls(source, target, table=dict(zip(elems, values)),
+                  label=label, check=False)
+        try:
+            out.check_table_edges()
+        except HypothesisError:
             raise HypothesisError(
-                f"{label}: generator images are not consistent")
-        return cls(source, target, table=table, label=label, check=False)
+                f"{label}: generator images are not consistent") from None
+        return out
 
     @classmethod
     def of_rule(cls, source, target, fn, label="f", tabulate=False):
@@ -302,25 +321,22 @@ class Homomorphism:
     # -- validation ----------------------------------------------------------
 
     def check_table_edges(self):
-        """Check f(x*s) = f(x)f(s) on every Cayley edge of the source, on
-        element indices: by induction on word length, the homomorphism law
-        for the whole table. Edges run over the source's kept graph if it
-        has the table's size, else over the table's keys, which hold the
-        whole source once they hold the identity and are closed under the
-        generators."""
+        """Check f(x*s) = f(x)f(s) on every edge of the source's kept Cayley
+        graph (`source.cayley()`), on element indices: by induction on word
+        length, the homomorphism law for the whole table. This is the one
+        check of the law: a table from generator images, a coset action,
+        the isomorphism search or a certificate file is proved here. A table
+        whose keys are not the source's elements is not total."""
         table = self.tabulated()
         if table.get(self.source.identity) != self.target.identity:
             raise HypothesisError(f"{self.label}: identity not preserved")
-        graph = self.source._cayley
+        if len(table) != self.source.order():  # no enumeration needed
+            raise HypothesisError(f"{self.label}: table not total")
+        elems, gens, cols = self.source.cayley()
         try:
-            if graph is None or len(graph[0]) != len(table):
-                # a key that is no permutation of the source's points
-                # fails to encode (ValueError) or to multiply (IndexError)
-                graph = cayley_graph(list(table), self.source.generators)
-            images = list(map(table.__getitem__, graph[0]))
-        except (KeyError, ValueError, IndexError):
+            images = list(map(table.__getitem__, elems))
+        except KeyError:
             raise HypothesisError(f"{self.label}: table not total") from None
-        _, gens, cols = graph
         number = {}  # the distinct image values, numbered as first seen
         f = [number.setdefault(v, len(number)) for v in images]
         encode = encoding(self.target.degree)[0]
@@ -410,28 +426,6 @@ class Homomorphism:
 # -- free functions matching the usual vocabulary -----------------------------
 
 
-def extend_images(pairs, source_identity, target_identity):
-    """Extend (generator, image) pairs over the source's Cayley graph.
-
-    Returns the table x -> f(x), or None when two paths to one element
-    give different images, i.e. the pairs define no homomorphism.
-    """
-    table = {source_identity: target_identity}
-    reached = [source_identity]
-    for x in reached:  # grows while it is scanned
-        fx = table[x]
-        for g, fg in pairs:
-            y = mul(x, g)
-            fy = mul(fx, fg)
-            old = table.get(y)
-            if old is None:
-                table[y] = fy
-                reached.append(y)
-            elif old != fy:
-                return None
-    return table
-
-
 def kernel(f: Homomorphism) -> Subgroup:
     return f.kernel()
 
@@ -457,9 +451,9 @@ def action_on_cosets(g: FiniteGroup, n: Subgroup, reps=None, label=None):
     else by the cosets' least elements in canonical order. Only the
     generators' point permutations are computed. The rest of the table is
     read off the induced group when the action is regular (n normal), and
-    propagated over g's Cayley graph otherwise; it keeps g's canonical
-    element order. Returns (reps, rho), rho mapping g onto the induced
-    group `label`.
+    otherwise propagated from those generator images and proved by
+    `Homomorphism.from_gen_images`; it keeps g's canonical element order.
+    Returns (reps, rho), rho mapping g onto the induced group `label`.
     """
     if not (n <= g):
         raise HypothesisError(
@@ -483,17 +477,16 @@ def action_on_cosets(g: FiniteGroup, n: Subgroup, reps=None, label=None):
     images = [tuple(point[coset_of[mul(r, s)]] for r in reps) for s in gens]
     ident = identity_perm(len(reps))
     image = closure(images or [ident])
-    if len(image) == len(reps):
-        # a regular action (n is normal in g): x acts as the one element of
-        # the image that takes the identity's coset to the coset of x
-        start = point[coset_of[g.identity]]
-        moved = {q[start]: q for q in image}
-        table = {e: moved[point[coset_of[e]]] for e in elems}
-    else:
-        table = extend_images(list(zip(gens, images)), g.identity, ident)
-        table = {e: table[e] for e in elems}
     target = FiniteGroup(len(reps), images, label or f"{g.label}-cosets",
                          elements=image)
+    if len(image) != len(reps):
+        return reps, Homomorphism.from_gen_images(
+            g, target, dict(zip(gens, images)), label="rho")
+    # a regular action (n is normal in g): x acts as the one element of the
+    # image that takes the identity's coset to the coset of x
+    start = point[coset_of[g.identity]]
+    moved = {q[start]: q for q in image}
+    table = {e: moved[point[coset_of[e]]] for e in elems}
     return reps, Homomorphism(g, target, table=table, label="rho", check=False)
 
 

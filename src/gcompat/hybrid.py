@@ -17,10 +17,10 @@ G wr rho(H) serves as the encoder of (base tuple, top) pairs only; its
 carrier is never closed, so its order |G|^n * |rho(H)| bounds nothing here.
 The standard map p_theta sends each lift to its generator and the placed
 kernel to 1; `Homomorphism.from_gen_images` propagates those images, which
-tabulates p_theta and proves it a homomorphism in one pass. The base
-subgroup BW is read off p_theta's fibers over theta(G); for a normal hybrid
-it is an inverse limit of twisted copies of G over the image, which is
-what the witness recursion consumes.
+tabulates p_theta, and proves it a homomorphism by the one edge check. The
+base subgroup BW is read off p_theta's fibers over theta(G); for a normal
+hybrid it is an inverse limit of twisted copies of G over the image, which
+is what the witness recursion consumes.
 """
 
 from __future__ import annotations

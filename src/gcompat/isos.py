@@ -1,18 +1,21 @@
 """Isomorphism and automorphism search by screened backtracking.
 
 Screens: order, abelianness, element-order histogram, center order, derived
-subgroup order. Backtracking assigns generator images in canonical order
-with two prunings: the images chosen so far must generate a subgroup of the
-same order as the generators they stand for (grown level by level with
-Dimino's method), and the partial map must close consistently. Results are
-deterministic.
+subgroup order. Backtracking assigns generator images in canonical order,
+one level per generator: level k is the subgroup the first k+1 generators
+of the canonical generating set generate, closed once by Dimino's method.
+Two prunings: the images chosen so far must generate a subgroup of the
+level's order (grown with Dimino's method), and they must define a
+homomorphism on the level (`Homomorphism.from_gen_images`, proved by the
+one edge check). The search is a lazy generator, so a caller that wants
+one isomorphism stops at the first. Results are deterministic.
 """
 
 from __future__ import annotations
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
-from .groups import Subgroup, from_elements
-from .homs import Homomorphism, extend_images
+from .groups import FiniteGroup, Subgroup, from_elements
+from .homs import Homomorphism
 from .perms import dimino_extend, identity_perm, inv, mul, perm_order
 
 
@@ -32,8 +35,9 @@ def _screen(g, h):
     return True
 
 
-def _iso_search(g, h, *, find_all=False):
-    """Backtracking over generator images; yields full isomorphism tables."""
+def _iso_search(g, h):
+    """Backtracking over generator images; yields full isomorphism tables,
+    lazily and in canonical order."""
     gens = g.small_generating_set()
     if not gens:
         if h.order() == 1:
@@ -43,35 +47,31 @@ def _iso_search(g, h, *, find_all=False):
     by_order = {}
     for e in h.sorted_elements():
         by_order.setdefault(h_orders[e], []).append(e)
-    results = 0
 
-    src_orders, grown = [], frozenset([g.identity])
+    # level k: the subgroup of g the first k+1 generators generate
+    levels, grown = [], frozenset([g.identity])
     for k, gen in enumerate(gens):
         grown = dimino_extend(grown, gens[:k], gen)
-        src_orders.append(len(grown))
+        levels.append(FiniteGroup(g.degree, gens[:k + 1], elements=grown))
 
     def extend(k, chosen, closed, table):
         """`closed` is <chosen> in h and `table` the map the choices define."""
-        nonlocal results
         if k == len(gens):
-            n = g.order()
-            if len(table) != n or len(set(table.values())) != n:
-                return
-            yield table
-            results += 1
+            if len(set(table.values())) == g.order():
+                yield table
             return
+        level = levels[k]
         for cand in by_order.get(perm_order(gens[k]), []):
             trial = chosen + [cand]
-            grown = dimino_extend(closed, chosen, cand, limit=src_orders[k])
-            if grown is None or len(grown) != src_orders[k]:
+            grown = dimino_extend(closed, chosen, cand, limit=level.order())
+            if grown is None or len(grown) != level.order():
                 continue
-            table = extend_images(list(zip(gens, trial)), g.identity,
-                                  h.identity)
-            if table is None:
+            try:
+                table = Homomorphism.from_gen_images(
+                    level, h, dict(zip(gens, trial))).tabulated()
+            except HypothesisError:
                 continue
             yield from extend(k + 1, trial, grown, table)
-            if results and not find_all:
-                return
 
     try:
         yield from extend(0, [], frozenset([h.identity]), None)
@@ -104,17 +104,15 @@ def enumerate_isomorphisms(g, h, bounds=DEFAULT_BOUNDS):
     if g.order() > bounds.iso:
         raise UndecidedError("isomorphism enumeration bound exceeded")
     return [Homomorphism(g, h, table=table, label="iso", check=False)
-            for table in _iso_search(g, h, find_all=True)]
+            for table in _iso_search(g, h)]
 
 
 class AutomorphismSet:
-    """A set of automorphisms of one group, optionally known complete."""
+    """A set of automorphisms of one group."""
 
-    def __init__(self, group, autos, complete=False):
+    def __init__(self, group, autos):
         self.group = group
         self.autos = list(autos)
-        self.complete = complete
-        self._as_group = None
         self._keys = None
 
     def __len__(self):
@@ -161,7 +159,7 @@ def automorphism_set(g, bounds=DEFAULT_BOUNDS):
         raise UndecidedError(
             f"automorphism bound {bounds.aut} exceeded: |G| = {g.order()}")
     autos = enumerate_isomorphisms(g, g, bounds=bounds)
-    return AutomorphismSet(g, autos, complete=True)
+    return AutomorphismSet(g, autos)
 
 
 def inner_automorphisms(g, bounds=DEFAULT_BOUNDS):
@@ -176,7 +174,7 @@ def inner_automorphisms(g, bounds=DEFAULT_BOUNDS):
     autos = list(seen.values())
     if len(autos) * g.center().order() != g.order():
         raise HypothesisError("inner automorphism count is inconsistent")
-    return AutomorphismSet(g, autos, complete=True)
+    return AutomorphismSet(g, autos)
 
 
 def inner_automorphism(g, x, label=None):
@@ -191,7 +189,7 @@ def stabilized(auts: AutomorphismSet, sub: Subgroup) -> AutomorphismSet:
     members = sub.members()
     keep = [a for a in auts
             if all(a(m) in members for m in members)]
-    return AutomorphismSet(auts.group, keep, complete=False)
+    return AutomorphismSet(auts.group, keep)
 
 
 def restricted(auts_h: AutomorphismSet, sub: Subgroup) -> AutomorphismSet:
@@ -203,7 +201,7 @@ def restricted(auts_h: AutomorphismSet, sub: Subgroup) -> AutomorphismSet:
         if key not in seen:
             seen[key] = Homomorphism(sub.group, sub.group, table=table,
                                      label=f"{a.label}|", check=False)
-    return AutomorphismSet(sub.group, list(seen.values()), complete=False)
+    return AutomorphismSet(sub.group, list(seen.values()))
 
 
 def conjugate_transport(f: Homomorphism):
@@ -213,7 +211,7 @@ def conjugate_transport(f: Homomorphism):
     def apply(x):
         if isinstance(x, AutomorphismSet):
             return AutomorphismSet(
-                f.target, [finv.then(a).then(f) for a in x], complete=x.complete)
+                f.target, [finv.then(a).then(f) for a in x])
         return finv.then(x).then(f)
 
     return apply

@@ -302,7 +302,6 @@ def _derive_alpha_tau(s_pair, i, sigma, delta, bounds):
     """
     s_d = s_pair[delta - 1]
     s_bar = s_pair[2 - delta]
-    k_d = s_d.kernel(i)
     k_bar = s_bar.kernel(i)
     t = _sigma_power(sigma, delta, forward=True)   # K_delta -> K_bar
     t_inv = t.inverse()
@@ -430,7 +429,8 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     ker1 = <place(1, k)>, whose order is checked below, and place(0, .) is
     a homomorphism, so the rule is a homomorphism exactly when kappa_2 is.
     kappa_2^-1 is `inverse()`, which raises unless kappa_2 is bijective.
-    `comp_membership`'s maps come from `extend_images`; a contracted kernel
+    `comp_membership`'s maps come from the isomorphism search, whose
+    tables `Homomorphism.from_gen_images` proves; a contracted kernel
     map from `build_good_witness` is a table left unchecked until
     `verify_witness` proves the final map.
     """

@@ -95,6 +95,46 @@ def test_certificate_tamper_detected_after_round_trip():
     assert not verify_witness(back, l1, l2).passed
 
 
+@pytest.mark.parametrize("series,a,b", [
+    ("auto-central", "D8", "Q8"), ("auto-squarefree", "Z6", "S3"),
+    ("auto-central", "Z4", "Z2xZ2")])
+def test_loaded_certificate_writes_the_same_bytes(series, a, b):
+    from gcompat.witness import witness_square_free
+
+    l1, l2 = named_group(a), named_group(b)
+    build = witness_nilpotent if series == "auto-central" \
+        else witness_square_free
+    d = descriptors.certificate_to_descriptor(build(l1, l2))
+    back = descriptors.certificate_from_descriptor(d, l1, l2)
+    again = descriptors.certificate_to_descriptor(back)
+    assert [ev["kind"] for ev in again["evidence"]] == [
+        ev["kind"] for ev in d["evidence"]]
+    assert descriptors.dumps(again) == descriptors.dumps(d)
+
+
+def test_a_doubled_coset_in_a_table_is_not_total():
+    """A p1 table extended by a consistent second coset, x*g -> p1(g) for
+    an x outside G, has 2|G| keys: it is not total, and only that check and
+    the quotient derived from it fail."""
+    from itertools import permutations
+
+    from gcompat.perms import mul
+
+    l1, l2 = named_group("Z4"), named_group("Z2xZ2")
+    d = descriptors.certificate_to_descriptor(witness_nilpotent(l1, l2))
+    g = descriptors.group_from_descriptor(d["witness"])
+    assert g.order() == 8
+    x = next(p for p in permutations(range(g.degree)) if not g.contains(p))
+    d["p1"]["table"] += [[mul(x, k), v] for k, v in d["p1"]["table"]]
+    back = descriptors.certificate_from_descriptor(
+        json.loads(descriptors.dumps(d)), l1, l2)
+    rep = verify_witness(back, l1, l2)
+    assert [(c.name, c.detail) for c in rep.checks if not c.passed] == [
+        ("p1-homomorphism", "p_0: table not total"),
+        ("quotient-1-isomorphic", "failed: p1-homomorphism; absent: "
+         "p1-surjective, ker-p1-matches")]
+
+
 def test_dumps_is_deterministic():
     g = named_group("S3")
     a = descriptors.dumps(descriptors.group_to_descriptor(g))

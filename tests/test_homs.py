@@ -186,13 +186,12 @@ def test_index_checks_agree_with_the_tuple_definition(rng):
         scrambled[g.identity] = q.identity
         trivial = dict.fromkeys(keys, q.identity)
         for table in (good, swapped, changed, scrambled, trivial):
-            # edges over the table's keys, then over the kept graph of a
-            # copy of g that had none
+            # edges over the graph a copy of g with none builds and keeps,
+            # then over that kept graph
             fresh = FiniteGroup(g.degree, g.generators)
             f = Homomorphism(fresh, q, table=table, check=False)
             expected = _tuple_edge_law(g, table, q.identity)
             assert _accepts(f.check_table_edges) == expected
-            assert fresh._cayley is None
             fresh.cayley()
             assert _accepts(f.check_table_edges) == expected
             verdicts.add(expected)
@@ -554,9 +553,62 @@ def test_a_table_point_off_the_degree_is_refuted(degree):
         key[1] = point
         bad = dict(good)
         bad[tuple(key)] = bad.pop(gen)
-        # over the table's keys, then over the source's kept graph
+        # over a fresh source's graph, then over z4's kept graph
         with pytest.raises(HypothesisError, match="not total"):
             Homomorphism(FiniteGroup(degree, z4.generators), z2, table=bad)
         z4.cayley()
         with pytest.raises(HypothesisError, match="not total"):
             Homomorphism(z4, z2, table=bad)
+
+
+def test_gen_image_tables_satisfy_the_tuple_definition(rng):
+    """Random generator images on every group of the sampling pool: a table
+    `from_gen_images` builds is keyed by the source's own elements and
+    satisfies the edge law written on tuples, and images the generator
+    graph refutes raise "not consistent"."""
+    from gcompat.sampling import medium_group_pool
+
+    pool = medium_group_pool(60)
+    verdicts = set()
+    for g in pool:
+        for _ in range(4):
+            h = rng.choice([g] + pool)
+            values = h.sorted_elements()
+            images = {s: rng.choice(values) for s in g.generators}
+            if rng.random() < 0.25:
+                images = dict.fromkeys(g.generators, h.identity)
+            graph = Homomorphism.of_rule(g, h, images.__getitem__)
+            consistent = _accepts(graph.check_generator_graph)
+            if not consistent:
+                with pytest.raises(HypothesisError, match="not consistent"):
+                    Homomorphism.from_gen_images(g, h, images)
+            else:
+                f = Homomorphism.from_gen_images(g, h, images)
+                table = f.tabulated()
+                assert list(table) == g.sorted_elements()
+                assert _tuple_edge_law(g, table, h.identity)
+                assert f.gen_images() == images
+            verdicts.add(consistent)
+    assert verdicts == {True, False}
+
+
+def test_an_alias_key_past_the_byte_encoding_is_not_total():
+    """Past degree 256 a key with a point below 0 reads that point modulo
+    the degree in a tuple product; a table with such an alias beside the
+    element it aliases has more keys than the source has elements, so it
+    is refused, with and without a kept graph."""
+    from gcompat.perms import perm_from_cycles
+
+    z4 = FiniteGroup(258, [perm_from_cycles(258, [(0, 1, 2, 3)])])
+    z2 = FiniteGroup(258, [perm_from_cycles(258, [(0, 1)])])
+    t = z2.generators[0]
+    good = {x: t if x[0] % 2 else z2.identity for x in z4.elements()}
+    g = z4.generators[0]
+    bad = dict(good)
+    bad[g[:-1] + (g[-1] - 258,)] = good[g]
+    assert len(bad) == 5
+    with pytest.raises(HypothesisError, match="table not total"):
+        Homomorphism(FiniteGroup(258, z4.generators), z2, table=bad)
+    z4.cayley()
+    with pytest.raises(HypothesisError, match="table not total"):
+        Homomorphism(z4, z2, table=bad)
