@@ -471,10 +471,15 @@ def build_parser() -> _Parser:
     return p
 
 
+_PARSER = None  # built by the first `run` and kept: it holds no state
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

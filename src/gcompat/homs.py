@@ -17,6 +17,14 @@ the table's distinct values are multiplied by each generator's image in
 one batch product (`perms.right_products`), and both sides of the law are
 compared as int lists.
 
+A rule map's generator images are proved by its graph chain
+(`graph_chain`), the stabilizer chain of <(f(g), g)> with the target's
+base first: its order is |source| exactly when the images define a
+homomorphism, and its levels past that prefix hold ker f. Sifting through
+the prefix inverts a bijection, so `inverse()` of a rule map is a rule and
+tabulates nothing (Holt, Eick and O'Brien 2005, section 3.3; Sims 1970);
+a table map's inverse flips its table.
+
 A block map projects a group acting on a disjoint union of domains (a
 direct product or an inverse limit) onto the block of points at one
 offset, and records that offset as `offset` (None on any other map).
@@ -38,14 +46,17 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain, repeat
+from math import prod
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup
 from .perms import (
+    StabilizerChain,
     closure,
     decode_block,
     encoding,
     identity_perm,
+    inv,
     mul,
     right_products,
 )
@@ -67,6 +78,7 @@ class Homomorphism:
         self._then = None     # (inner, outer) of a rule composite from `then`
         self._fibers = None   # memo of fibers(); read by kernel, section, ...
         self._kernel = None   # memo of kernel()
+        self._graph = None    # memo of graph_chain()
         if check and self._table is not None:
             self.check_table_edges()
 
@@ -198,8 +210,27 @@ class Homomorphism:
         return Homomorphism.of_rule(sub.group, target_sub.group, self, label=name)
 
     def inverse(self, label=None):
-        """Inverse of a bijective homomorphism (source enumerable)."""
-        table = self.tabulated()
+        """Inverse of a bijective homomorphism. A table map flips its
+        table. A rule map is proved a bijective homomorphism by its graph
+        chain (`graph_chain`) and inverted by sifting through it, at any
+        size and with nothing tabulated: the chain's order is |target| and
+        no level past the target's base is left, so ker f = 1. Sifting
+        (y, 1) through those levels leaves (1, x^-1) with f(x) = y; a y
+        outside the image leaves a nontrivial target part and raises
+        ValueError."""
+        name = label or f"{self.label}^-1"
+        if self._table is None:
+            graph = self.graph_chain()
+            kernel = graph.orbits[len(self.target.chain().base):]
+            if prod(map(len, kernel)) != 1:
+                raise HypothesisError(f"{self.label} is not injective")
+            if graph.order != self.target.order():
+                raise HypothesisError(f"{self.label} is not surjective")
+            return Homomorphism.of_rule(self.target, self.source,
+                                        partial(_sift_back, graph,
+                                                self.target.degree, name),
+                                        label=name)
+        table = self._table
         back = {}
         for x, y in table.items():
             if y in back:
@@ -208,7 +239,7 @@ class Homomorphism:
         if len(back) != self.target.order():
             raise HypothesisError(f"{self.label} is not surjective")
         return Homomorphism(self.target, self.source, table=back,
-                            label=label or f"{self.label}^-1", check=False)
+                            label=name, check=False)
 
     # -- kernels and images --------------------------------------------------
 
@@ -395,22 +426,44 @@ class Homomorphism:
         self.check_table_edges()
         return n * max(1, len(gens))
 
+    def graph_chain(self):
+        """The stabilizer chain of the graph <(f(g), g)> over the source's
+        generators g, on the target's points followed by the source's,
+        kept on the map. The graph projects onto the source, injectively
+        iff its order is |source|: then, and only then, the generator
+        images define a homomorphism (Holt, Eick and O'Brien 2005, section
+        3.3; Sims 1970), and anything else is refused. Then every f(g)
+        must lie in the target, or the map is refused as well.
+
+        The chain's base starts with the base of the target's own chain
+        (`StabilizerChain`'s prefix). An element of the target that fixes
+        that base is the identity, so the levels past the prefix are the
+        graph's elements (1, k), k in ker f, and the prefix levels' orbits
+        multiply to |im f|."""
+        if self._graph is None:
+            source, target = self.source, self.target
+            images = [self(g) for g in source.generators]
+            shift = target.degree
+            graph = StabilizerChain(
+                shift + source.degree,
+                [y + tuple(x + shift for x in g)
+                 for g, y in zip(source.generators, images)],
+                base=target.chain().base)
+            if graph.order != source.order():
+                raise HypothesisError(
+                    f"{self.label}: generator graph has order {graph.order}, "
+                    f"not the source's {source.order()}")
+            if not all(map(target.contains, images)):
+                raise HypothesisError(
+                    f"{self.label}: a generator's image is not in the target")
+            self._graph = graph
+        return self._graph
+
     def check_generator_graph(self):
         """Prove that the generator images define a homomorphism, whatever
-        the source's order: the graph <(g, f(g))>, on the two domains side
-        by side, projects onto the source, injectively iff its order is
-        |source| (Holt, Eick and O'Brien 2005, section 3.3). Returns that
-        order; the graph's chain decides it."""
-        shift = self.source.degree
-        graph = FiniteGroup(
-            shift + self.target.degree,
-            [g + tuple(x + shift for x in self(g))
-             for g in self.source.generators], f"graph({self.label})")
-        if graph.order() != self.source.order():
-            raise HypothesisError(
-                f"{self.label}: generator graph has order {graph.order()}, "
-                f"not the source's {self.source.order()}")
-        return graph.order()
+        the source's order, by the graph <(f(g), g)> with the target's
+        points first (`graph_chain`); returns the graph's order, |source|."""
+        return self.graph_chain().order
 
     def table_equal(self, other):
         if self.source.degree != other.source.degree:
@@ -421,6 +474,22 @@ class Homomorphism:
     def __repr__(self):
         return (f"Homomorphism({self.label!r}: {self.source.label} -> "
                 f"{self.target.label})")
+
+
+def _sift_back(graph, degree, label, y):
+    """x with f(x) = y, from the graph chain of a bijective f whose target
+    has `degree` points (`Homomorphism.inverse`): (y, 1) sifts to
+    (1, x^-1). ValueError when y is not in the target."""
+    y = tuple(y)
+    if len(y) != degree or min(y) < 0:
+        raise ValueError(f"{label}: element not in source")
+    try:
+        r, level = graph._strip(y + tuple(range(degree, graph.degree)))
+    except IndexError:
+        raise ValueError(f"{label}: element not in source") from None
+    if level != len(graph.base) or r[:degree] != tuple(range(degree)):
+        raise ValueError(f"{label}: element not in source")
+    return inv(decode_block(r, degree, graph.degree - degree))
 
 
 # -- free functions matching the usual vocabulary -----------------------------

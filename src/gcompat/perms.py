@@ -31,10 +31,12 @@ per column. Those three, canonical generating sets and element orders
 (`groups.py`) use the encoding; tuples are the type of every interface,
 and the encoding past degree 256.
 
-Orders and memberships past enumeration come from `StabilizerChain`,
-deterministic Schreier-Sims (Sims 1970; Seress, Permutation Group
-Algorithms, 2003, §4.2) that closes each chain once: deepest level first,
-each Schreier generator sifted once per transversal, tree edges skipped.
+Orders, memberships and sifting past enumeration come from
+`StabilizerChain`, deterministic Schreier-Sims (Sims 1970; Seress,
+Permutation Group Algorithms, 2003, §4.2) that closes each chain once:
+deepest level first, each Schreier generator sifted once per transversal,
+tree edges skipped. A chain may be given a prefix of its base, which a
+map's graph chain (`homs.Homomorphism.graph_chain`) uses.
 """
 
 from __future__ import annotations
@@ -185,6 +187,14 @@ def right_products(xs, y):
     return map(mul, xs, repeat(y))
 
 
+def left_products(x, ys):
+    """x*y for each tuple y in ys, lazily and in order: one gather of y at
+    x's points per y, in C (`mul`)."""
+    if len(x) > 1:
+        return map(itemgetter(*x), ys)
+    return map(mul, repeat(x), ys)
+
+
 def dimino(closed, gens, s, times, ident, limit=None):
     """<gens, s> from the closed set `closed` = <gens>, in the encoding
     whose product is `times` and identity `ident`.
@@ -233,7 +243,15 @@ def order_sweep(elems, times, ident, limit=None):
 
 class StabilizerChain:
     """Deterministic Schreier-Sims (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003, §4.2). Supports order and membership only.
+    Algorithms*, 2003, §4.2): order, membership and sifting.
+
+    `base` is a prefix of the base: one level per given point is made
+    first, in order, before any generator is sifted in, so the levels past
+    it hold the pointwise stabiliser of those points. A map's graph chain
+    (`homs.Homomorphism.graph_chain`) puts the target's base first: its
+    levels past the prefix are the kernel, and `_strip` through the prefix
+    levels sifts (y, 1) to (1, x^-1) with f(x) = y. Without a prefix the
+    base is the first point each new residue moves.
 
     Level i holds the base point `base[i]`, the strong generators
     `sgens[i]` of its group G_i (each beside its inverse, computed once)
@@ -259,7 +277,7 @@ class StabilizerChain:
     the witness constructions stay comfortably inside.
     """
 
-    def __init__(self, degree: int, gens=()):
+    def __init__(self, degree: int, gens=(), base=()):
         self.degree = degree
         self._identity = identity_perm(degree)
         self.base = []
@@ -269,6 +287,8 @@ class StabilizerChain:
         # while closing, per level: point -> how many of the level's strong
         # generators its Schreier generators have been sifted with
         self._sifted = []
+        for b in base:
+            self._new_level(b)
         for g in gens:
             self._check(g)
             self._sift_in(g, 0)
@@ -331,17 +351,20 @@ class StabilizerChain:
         if r == self._identity:
             return None
         if j == len(self.base):
-            b = next(i for i, x in enumerate(r) if x != i)
-            self.base.append(b)
-            self.sgens.append([])
-            self.orbits.append({b: self._identity})
-            self.inverses.append({b: self._identity})
-            self._sifted.append({})
+            self._new_level(next(i for i, x in enumerate(r) if x != i))
         pair = (r, inv(r))
         for level in range(top, j + 1):
             self.sgens[level].append(pair)
             self._grow(level)
         return j
+
+    def _new_level(self, b):
+        """A level at base point b, its group not yet known to move b."""
+        self.base.append(b)
+        self.sgens.append([])
+        self.orbits.append({b: self._identity})
+        self.inverses.append({b: self._identity})
+        self._sifted.append({})
 
     def _grow(self, level):
         """Extend the transversal of `level` by its newest strong generator:

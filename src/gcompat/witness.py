@@ -47,7 +47,7 @@ from .homs import Homomorphism, quotient
 from .hybrid import hybrid_wreath
 from .inverse_limits import star_limit, star_system
 from .isos import automorphism_set, enumerate_isomorphisms, find_isomorphism
-from .perms import closure, inv, mul, place_block
+from .perms import closure, inv, left_products, mul, place_block
 from .sequences import GroupSequence, pad_to_length, series_to_sequence
 
 
@@ -430,9 +430,11 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     a homomorphism, so the rule is a homomorphism exactly when kappa_2 is.
     kappa_2^-1 is `inverse()`, which raises unless kappa_2 is bijective.
     `comp_membership`'s maps come from the isomorphism search, whose
-    tables `Homomorphism.from_gen_images` proves; a contracted kernel
-    map from `build_good_witness` is a table left unchecked until
-    `verify_witness` proves the final map.
+    tables `Homomorphism.from_gen_images` proves, and are inverted by a
+    flip of their tables. A contracted kernel map from
+    `build_good_witness` is a rule, never tabulated: its inverse sifts
+    through its graph chain, which proves it a bijective homomorphism
+    first (`Homomorphism.inverse`).
     """
     if s1.length != 2 or s2.length != 2:
         raise HypothesisError("length-2 builder needs length-2 sequences")
@@ -653,21 +655,27 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
 
     kappa_g = cert.kernel_iso
     p1c, ker1c = certs[1]
-    p2c, ker2c = certs[2]
 
-    lift1_inv = {m: inv(c) for m, c in lifts[1].items()}  # inverted once
-
-    def new_iso_rule(z):
-        m = p1c(z)
-        k = mul(lift1_inv[m], z)
-        return mul(lifts[2][kappa_pi(m)], kappa_g(k))
-
+    # each z in ker q_1 is lift_1(m)*k for exactly one m in ker pi_1 and
+    # one k in ker p_1, and goes to lift_2(kappa_pi(m))*kappa_g(k)
     if new_kers[1].group.is_enumerable(bounds.enum):
-        table = {z: new_iso_rule(z)
-                 for z in new_kers[1].members(bounds.enum)}
+        new_kers[1].members(bounds.enum)  # closed here: the verifier reads it
+        ks = list(ker1c.members())
+        values = list(map(kappa_g, ks))  # kappa_g read once per k
+        table = {}
+        for m in kpi[1].members():  # one coset of ker p_1 per m
+            table.update(zip(left_products(lifts[1][m], ks),
+                             left_products(lifts[2][kappa_pi(m)], values)))
         new_iso = Homomorphism(new_kers[1].group, new_kers[2].group,
                                table=table, label="kernel-iso", check=False)
     else:
+        lift1_inv = {m: inv(c) for m, c in lifts[1].items()}  # inverted once
+
+        def new_iso_rule(z):
+            m = p1c(z)
+            k = mul(lift1_inv[m], z)
+            return mul(lifts[2][kappa_pi(m)], kappa_g(k))
+
         new_iso = Homomorphism.of_rule(new_kers[1].group, new_kers[2].group,
                                        new_iso_rule, label="kernel-iso")
 
@@ -792,14 +800,13 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         asg = {"r": fwd_sigma(s), 0: eta1(h), 1: eta2_inv_table[g]}
         return lw2.encode(asg)
 
-    kappa_big_table = {w: kappa_big_rule(w) for w in ker_pi_big[1].members()}
-    # tabulated, since the next level inverts it, and not checked here:
-    # that inverse() refuses it unless it is one-to-one, and it reaches a
-    # certificate only through the final kernel map, which verify_witness
-    # proves (on the inner ker1 that map is place(0, kappa^-1(decode(z, 1))))
-    kappa_big = Homomorphism(ker_pi_big[1].group, ker_pi_big[2].group,
-                             table=kappa_big_table, label="kappa_contracted",
-                             check=False)
+    # a rule, evaluated at generators only: the next level inverts it
+    # through its graph chain, which first proves it a bijective
+    # homomorphism; it reaches a certificate only through the final kernel
+    # map, which verify_witness proves (on the inner ker1 that map is
+    # place(0, kappa^-1(decode(z, 1))))
+    kappa_big = Homomorphism.of_rule(ker_pi_big[1].group, ker_pi_big[2].group,
+                                     kappa_big_rule, label="kappa_contracted")
 
     new_isos = {i: comp.kernel_isos[i] for i in range(1, ell - 2 + 1)}
     new_isos[ell - 1] = kappa_big

@@ -145,6 +145,72 @@ def test_witness_verify_kernel_generator_outside_the_witness_fails(
     assert "[PASS] kernel-iso-lands-in-ker2" in checks
 
 
+def test_witness_verify_kernel2_generator_outside_the_witness_fails(
+        tmp_path, capsys):
+    # the ker-p1-matches control above, on side 2: ker-p2-matches fails,
+    # and with it the quotient check derived from it and the kernel map's
+    # values, which no longer lie in ker2
+    cert = tmp_path / "cert.json"
+    run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+         str(cert)])
+    data = json.loads(cert.read_text())
+    swap = [1, 0, 2, 3, 4, 5, 6, 7, 8, 9]
+    witness = descriptors.group_from_descriptor(data["witness"])
+    assert not witness.contains(tuple(swap))
+    data["kernel2"]["generators"] = [swap]
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if line.startswith("[")]) == 18
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] ker-p2-matches  (a generator is not in G)",
+        "[FAIL] quotient-2-isomorphic  (failed: ker-p2-matches)",
+        "[FAIL] kernel-iso-lands-in-ker2"]
+    assert lines[-1] == "verdict: FAILED"
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, monkeypatch,
+                                                   capsys):
+    # two commands, a malformed call and a valid one again, in this
+    # process: each exit status, stdout, stderr and written file equals
+    # what a fresh process gives for the same call
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import gcompat.cli as cli
+
+    calls = [["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2",
+              "--out", "cert.json"],
+             ["group", "S3"],
+             ["witness", "verify", "--L1", "Z4"],
+             ["witness", "verify", "--cert", "cert.json", "--L1", "Z4",
+              "--L2", "Z2xZ2"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    fresh_dir, kept_dir = tmp_path / "fresh", tmp_path / "kept"
+    fresh_dir.mkdir()
+    kept_dir.mkdir()
+    fresh = [subprocess.run([sys.executable, "-m", "gcompat.cli", *argv],
+                            cwd=fresh_dir, env=env, capture_output=True,
+                            text=True)
+             for argv in calls]
+    assert [r.returncode for r in fresh] == [0, 0, 3, 0]
+    monkeypatch.chdir(kept_dir)
+    capsys.readouterr()
+    parsers = set()
+    for argv, r in zip(calls, fresh):
+        assert run(argv) == r.returncode
+        assert capsys.readouterr() == (r.stdout, r.stderr)
+        parsers.add(id(cli._PARSER))
+    assert len(parsers) == 1
+    assert (kept_dir / "cert.json").read_bytes() == \
+        (fresh_dir / "cert.json").read_bytes()
+
+
 def test_mode_flag_is_gone(capsys):
     assert run(["--mode", "stretch", "group", "Z2"]) == 3
 

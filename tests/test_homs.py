@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from gcompat.bounds import HypothesisError
@@ -384,6 +386,82 @@ def test_hom_inverse():
     f = find_isomorphism(z6, other)
     finv = f.inverse()
     assert all(finv(f(x)) == x for x in z6.elements())
+
+
+def test_rule_inverse_sifts_through_the_graph_chain(rng):
+    # each group of the sampling pool, relabelled by a random permutation
+    # of its points and given as a rule: the sifting inverse equals the
+    # flip of the tabulated map at every element, and the graph chain's
+    # levels past the target's base are the kernel of a quotient map
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    for g in medium_group_pool(60):
+        s = tuple(rng.sample(range(g.degree), g.degree))
+        s_inv = inv(s)
+        h = FiniteGroup(g.degree, [mul(mul(s_inv, x), s)
+                                   for x in g.generators], "h")
+        f = Homomorphism.of_rule(g, h, lambda x: mul(mul(s_inv, x), s))
+        graph = f.graph_chain()
+        prefix = h.chain().base
+        assert graph.base[:len(prefix)] == prefix
+        assert len(graph.base) == len(prefix)
+        sifted = f.inverse()
+        assert f._table is None and sifted._table is None
+        flipped = Homomorphism(g, h, table={x: f(x) for x in g.elements()},
+                               check=False).inverse()
+        assert len(flipped.tabulated()) == h.order()
+        assert all(sifted(y) == x for y, x in flipped.tabulated().items())
+        n = random_normal_subgroup(rng, g)
+        pi = quotient(g, n)[1]
+        rule = Homomorphism.of_rule(g, pi.target, pi)
+        chain = rule.graph_chain()
+        cut = len(pi.target.chain().base)
+        assert math.prod(map(len, chain.orbits[cut:])) == n.order()
+        assert chain.order == g.order()
+
+
+def test_rule_inverse_refuses_what_is_no_bijective_homomorphism():
+    z2, z3, z4, s3 = cyclic(2), cyclic(3), cyclic(4), symmetric(3)
+    # Z3 -> S3 sending the generator to a transposition: no homomorphism
+    t = s3.generators[0]
+    assert perm_order(t) == 2
+    bad = Homomorphism.of_rule(z3, s3, lambda x: t, label="bad")
+    with pytest.raises(HypothesisError, match="bad: generator graph has "
+                       "order 6, not the source's 3"):
+        bad.inverse()
+    # squaring on Z4 collapses: a homomorphism with a kernel of order 2
+    square = Homomorphism.of_rule(z4, z4, lambda x: mul(x, x), label="sq")
+    assert square.check_generator_graph() == 4
+    with pytest.raises(HypothesisError, match="sq is not injective"):
+        square.inverse()
+    # Z2 into Z4: one-to-one, not onto
+    (g,) = z4.generators
+    into = Homomorphism.of_rule(z2, z4, lambda x: mul(g, g), label="into")
+    with pytest.raises(HypothesisError, match="into is not surjective"):
+        into.inverse()
+    # a homomorphism onto the swap of points 2 and 3, which is not in the
+    # target <(0 1)>
+    target = FiniteGroup(4, [(1, 0, 2, 3)], "<(0 1)>")
+    off = Homomorphism.of_rule(z2, target, lambda x: (0, 1, 3, 2),
+                               label="off")
+    with pytest.raises(HypothesisError, match="off: a generator's image is "
+                       "not in the target"):
+        off.inverse()
+
+
+def test_sifting_inverse_refuses_points_outside_the_target():
+    z4 = cyclic(4)
+    cube = Homomorphism.of_rule(z4, z4, lambda x: mul(mul(x, x), x),
+                                label="cube")
+    back = cube.inverse()
+    assert all(back(cube(x)) == x for x in z4.elements())
+    # a transposition, a short tuple, a point of the source's block, and
+    # the generator with its point 0 read as 0 - 8, which the products
+    # take modulo the graph's degree 8
+    for y in ((1, 0, 2, 3), (0, 1, 2), (0, 1, 2, 7), (1, 2, 3, 0 - 8)):
+        with pytest.raises(ValueError, match="cube\\^-1: element not in "
+                           "source"):
+            back(y)
 
 
 def test_quotient_table_matches_coset_definition(rng, coset_table):

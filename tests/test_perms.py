@@ -299,6 +299,23 @@ def test_chain_built_one_generator_at_a_time_matches_one_construction(rng):
             assert grown.contains(p) == whole.contains(p) == g.contains(p)
 
 
+def test_chain_base_prefix_comes_first(rng):
+    # a given base prefix makes the first levels, a point the group fixes
+    # among them; order and membership are those of the chain without it
+    from gcompat.sampling import medium_group_pool
+
+    for g in medium_group_pool(60):
+        plain = StabilizerChain(g.degree, g.generators)
+        prefix = rng.sample(range(g.degree), min(3, g.degree))
+        chain = StabilizerChain(g.degree, g.generators, base=prefix)
+        assert chain.base[:len(prefix)] == prefix
+        assert chain.order == plain.order == g.order()
+        for _ in range(10):
+            p = tuple(rng.sample(range(g.degree), g.degree))
+            assert chain.contains(p) == plain.contains(p)
+            assert chain.contains(rng.choice(g.sorted_elements()))
+
+
 def test_chain_orders_of_products_and_wreaths():
     # S4 x S4 x S4: a transposition and a 4-cycle on each block of four
     s4_cubed = [perm_from_cycles(12, [cyc])

@@ -866,6 +866,61 @@ def _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim):
                  label="kernel-iso", check=False).check_table_edges()
 
 
+def _contracted_maps(calls):
+    """The contracted kernel maps handed to the length-2 builds of
+    `calls` (`_length2_builds`), as their CompData's level-2 map."""
+    return [comp.kernel_isos[2] for _, comp, _, _ in calls
+            if comp.kernel_isos[2].label == "kappa_contracted"]
+
+
+def _assert_inverts_by_sifting(kappa):
+    # a rule whose sifting inverse equals the flip of its tabulated map at
+    # every element, and which stays untabulated
+    assert kappa._table is None
+    sifted = kappa.inverse()
+    table = {x: kappa(x) for x in kappa.source.elements()}
+    flipped = Homomorphism(kappa.source, kappa.target, table=table,
+                           check=False).inverse().tabulated()
+    assert len(flipped) == kappa.target.order() == len(table)
+    assert all(sifted(y) == x for y, x in flipped.items())
+    assert kappa._table is None
+
+
+@pytest.mark.parametrize("a,b,build,count", [
+    ("D8", "Q8", witness_nilpotent, 1),
+    ("Z8", "E(2,3)", witness_nilpotent, 1),
+    # a length-2 pair: no recursion step, so no contracted map
+    ("Z21", "F21", witness_square_free, 0)])
+def test_contracted_kernel_maps_invert_by_sifting(monkeypatch, a, b, build,
+                                                  count):
+    # while a witness is built, its contracted map is evaluated at its
+    # source's generators only, twice each: for the provenance and for its
+    # graph chain
+    call, evaluated = Homomorphism.__call__, []
+    monkeypatch.setattr(Homomorphism, "__call__",
+                        lambda self, x: evaluated.append(self.label)
+                        or call(self, x))
+    _, calls = _length2_builds(monkeypatch, build, named_group(a),
+                               named_group(b))
+    monkeypatch.setattr(Homomorphism, "__call__", call)
+    kappas = _contracted_maps(calls)
+    assert len(kappas) == count
+    assert evaluated.count("kappa_contracted") == 2 * sum(
+        len(k.source.generators) for k in kappas)
+    for kappa in kappas:
+        _assert_inverts_by_sifting(kappa)
+
+
+@pytest.mark.stretch
+def test_stretch_contracted_kernel_map_inverts_by_sifting(monkeypatch):
+    _, calls = _length2_builds(monkeypatch, witness_square_free,
+                               cyclic(30),
+                               direct_product(cyclic(5), named_group("S3")),
+                               Bounds())
+    (kappa,) = _contracted_maps(calls)
+    _assert_inverts_by_sifting(kappa)
+
+
 @pytest.mark.stretch
 def test_stretch_length2_kernel_iso_is_a_rule(monkeypatch):
     # past the enumeration bound the length-2 kernel map is neither
@@ -963,15 +1018,25 @@ def test_kernel_maps_are_proved_by_the_verifier_alone(monkeypatch):
     # D8|Q8 builds a contracted kernel map and a composed one: neither is
     # edge-checked while it is built, and verify_witness edge-checks the
     # certificate's map exactly once
+    import gcompat.witness as witness
+
     l1, l2 = named_group("D8"), quaternion()
     edges = Homomorphism.check_table_edges
     seen = []
     monkeypatch.setattr(Homomorphism, "check_table_edges",
                         lambda self: seen.append(self.label) or edges(self))
+    length2, contracted = witness.build_witness_length2, []
+    monkeypatch.setattr(witness, "build_witness_length2",
+                        lambda s1, s2, comp, bounds: contracted.append(
+                            comp.kernel_isos[2]) or length2(s1, s2, comp,
+                                                            bounds))
     cert = witness_nilpotent(l1, l2)
     assert [c.kind for c in cert.provenance.children] == [
         "length2", "recursion-step"]
     assert "kernel-iso" not in seen and "kappa_contracted" not in seen
+    # the contracted map is a rule: it is never tabulated
+    assert [k.label for k in contracted] == ["kappa_contracted"]
+    assert contracted[0]._table is None
     del seen[:]
     rep = verify_witness(cert, l1, l2)
     assert rep.passed and seen.count("kernel-iso") == 1
