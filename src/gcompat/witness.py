@@ -1042,8 +1042,11 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
     try:
         # a table keyed by ker1's elements and its values, or the images of
         # ker1's generators and the order of the group they generate; the
-        # keys are tested one by one, so ker1's element set is not closed
+        # edge check above closed the map's source, ker1, and ker2 within
+        # the bound is closed here, so keys and values are set lookups
         if table:
+            if ker2.group.is_enumerable(bounds.enum):
+                ker2.members(bounds.enum)
             keyed = ki.tabulated()
             values = list(keyed.values())
             size, detail = len(set(values)), ""

@@ -1127,6 +1127,68 @@ def test_kernel_iso_into_ker1_fails_only_landing_in_ker2():
         "kernel-iso-independent-search", True, "brute force at order 256")
 
 
+def _loaded(cert, l1, l2):
+    """`cert` written to its descriptor and read back: kernels given by
+    generators, nothing closed."""
+    from gcompat.descriptors import (
+        certificate_from_descriptor,
+        certificate_to_descriptor,
+    )
+
+    return certificate_from_descriptor(certificate_to_descriptor(cert),
+                                       l1, l2)
+
+
+def test_loaded_kernel_iso_into_ker1_fails_only_landing_in_ker2():
+    # the same certificate as above, read back from its descriptor: the
+    # verifier closes the kernels itself and gives the same report
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    ident = Homomorphism(cert.ker1.group, cert.ker1.group,
+                         table={z: z for z in cert.ker1.members()},
+                         label="kernel-iso", check=False)
+    in_memory = verify_witness(replace(cert, kernel_iso=ident), l1, l2).checks
+    loaded = _loaded(replace(cert, kernel_iso=ident), l1, l2)
+    assert loaded.ker1.group._elements is None
+    assert loaded.ker2.group._elements is None
+    checks = verify_witness(loaded, l1, l2).checks
+    assert [c.name for c in checks if not c.passed] == [
+        "kernel-iso-lands-in-ker2"]
+    # a loaded p_d is a table, not a block map, so only its details differ
+    assert [c for c in checks if c.name.startswith("kernel-iso")] == \
+        [c for c in in_memory if c.name.startswith("kernel-iso")]
+
+
+def test_table_branch_sifts_no_kernel_key_or_value(monkeypatch):
+    # ker1 is closed by the edge check on its Cayley graph and ker2 (order
+    # 256, within the bound) once before its values are tested, so no key
+    # of the kernel map's table is sifted through ker1's chain and no value
+    # through ker2's
+    from gcompat.perms import StabilizerChain
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = _loaded(witness_nilpotent(l1, l2), l1, l2)
+    ker1, ker2 = cert.ker1.group, cert.ker2.group
+    keyed = cert.kernel_iso.tabulated()
+    sifted = []
+    contains = StabilizerChain.contains
+
+    def counted(chain, p):
+        sifted.append((chain, p))
+        return contains(chain, p)
+
+    monkeypatch.setattr(StabilizerChain, "contains", counted)
+    assert verify_witness(cert, l1, l2).passed
+    assert ker1.order() == ker2.order() == 256 == len(keyed)
+    assert not [p for chain, p in sifted
+                if chain is ker1.chain() and p in keyed]
+    values = set(keyed.values())
+    assert not [p for chain, p in sifted
+                if chain is ker2.chain() and p in values]
+
+
 def test_good_at_another_subgroup_fails_only_its_designation():
     from dataclasses import replace
 
