@@ -465,12 +465,6 @@ class Homomorphism:
         points first (`graph_chain`); returns the graph's order, |source|."""
         return self.graph_chain().order
 
-    def table_equal(self, other):
-        if self.source.degree != other.source.degree:
-            return False
-        mine = self.tabulated()
-        return all(other(x) == y for x, y in mine.items())
-
     def __repr__(self):
         return (f"Homomorphism({self.label!r}: {self.source.label} -> "
                 f"{self.target.label})")

@@ -135,14 +135,14 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     The identification sends each generator w of BW to the limit element
     with root p_theta(w) and coordinate f(v) at branch v, and
     `Homomorphism.from_gen_images` propagates it over BW, which proves it a
-    homomorphism. Its values are checked to be exactly the limit's elements,
-    |BW| of them, so it is an isomorphism. It commutes with every evaluation
-    map and with the standard map: the limit's projections, the evaluation
-    maps and p_theta are homomorphisms that agree on BW's generators by
-    construction. The twisted-cone identity t_v^-1 theta(f(v)) t_v =
-    p_theta(w) is the coherence of the limit's elements: `star_limit`
-    checks its generators coherent, and coherent tuples form a subgroup
-    because the branch maps are homomorphisms.
+    homomorphism. It is an isomorphism: the generator images lie in the
+    limit, its |BW| values are distinct, and |BW| = |limit|. It commutes
+    with every evaluation map and with the standard map: the limit's
+    projections, the evaluation maps and p_theta are homomorphisms that
+    agree on BW's generators by construction. The twisted-cone identity
+    t_v^-1 theta(f(v)) t_v = p_theta(w) is the coherence of the limit's
+    elements: `star_limit` checks its generators coherent, and coherent
+    tuples form a subgroup because the branch maps are homomorphisms.
     """
     if not hw.normal:
         raise HypothesisError("the limit description requires a normal hybrid")
@@ -161,14 +161,15 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     evals = evaluation_maps(hw)
     images = {}
     for w in hw.base.group.generators:
-        asg = {"r": hw.standard_map(w)}
-        for v in range(hw.npoints):
-            asg[v] = evals[v](w)
+        asg = {v: p(w) for v, p in evals.items()}
+        asg["r"] = hw.standard_map(w)
         images[w] = lim.encode(asg)
     ident = Homomorphism.from_gen_images(hw.base.group, lim.group, images,
                                          label="bw-as-lim")
-    values = set(ident.tabulated().values())
-    if values != lim.group.elements() or len(values) != hw.base.order():
+    table = ident.tabulated()
+    if not all(map(lim.group.contains, images.values())) \
+            or len(set(table.values())) != len(table) \
+            or len(table) != lim.group.order():
         raise HypothesisError("base subgroup is not identified with the limit")
     return lim, ident
 
@@ -179,7 +180,8 @@ def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):
     Both hybrids must share (G, H, theta) and the same coset ordering; with
     t_v, s_v their representatives of coset v, x has coordinates
     section(s_v t_v^-1) (s_v t_v^-1 lies in theta(G)) and satisfies
-    carrier(hw1) = x^-1 carrier(hw2) x, verified setwise.
+    carrier(hw1) = x^-1 carrier(hw2) x, checked at carrier(hw2)'s
+    generators and by the carriers' orders.
     """
     if hw1.theta is not hw2.theta and hw1.theta.gen_images() != hw2.theta.gen_images():
         raise HypothesisError("hybrids have different defining maps")
@@ -191,7 +193,8 @@ def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):
         raise HypothesisError(
             "hybrids enumerate the cosets differently") from None
     x = hw1.wreath.encode(f, hw1.wreath.top_group.identity)
-    conj = {mul(mul(inv(x), w), x) for w in hw2.group.elements()}
-    if conj != hw1.group.elements():
+    if hw1.group.order() != hw2.group.order() or not all(
+            hw1.group.contains(mul(mul(inv(x), w), x))
+            for w in hw2.group.generators):
         raise HypothesisError("conjugation does not move one carrier onto the other")
     return x

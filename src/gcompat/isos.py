@@ -56,9 +56,8 @@ def _iso_search(g, h):
 
     def extend(k, chosen, closed, table):
         """`closed` is <chosen> in h and `table` the map the choices define."""
-        if k == len(gens):
-            if len(set(table.values())) == g.order():
-                yield table
+        if k == len(gens):  # the images generate h, and |g| = |h|
+            yield table
             return
         level = levels[k]
         for cand in by_order.get(perm_order(gens[k]), []):
@@ -185,10 +184,10 @@ def inner_automorphism(g, x, label=None):
 
 
 def stabilized(auts: AutomorphismSet, sub: Subgroup) -> AutomorphismSet:
-    """A_H: the automorphisms mapping the subgroup onto itself."""
-    members = sub.members()
+    """A_H: the automorphisms mapping the subgroup onto itself, in the
+    order of `auts`; checked at its generators, as a(H) <= H gives a(H) = H."""
     keep = [a for a in auts
-            if all(a(m) in members for m in members)]
+            if all(sub.contains(a(g)) for g in sub.group.generators)]
     return AutomorphismSet(auts.group, keep)
 
 

@@ -167,12 +167,16 @@ def dimino_extend(closed, gens, s, *, limit=None):
 _POINTS = bytes(range(256))  # the byte-encoded identity of degree 256
 
 
-@lru_cache(maxsize=None)
 def encoding(degree):
     """(encode, times, identity) at `degree`: times(x, y) is x*y, and
-    `tuple` decodes."""
+    `tuple` decodes. Past degree 256, times is `mul` as it is at the call."""
     if degree > 256:
         return tuple, mul, identity_perm(degree)
+    return _byte_encoding(degree)
+
+
+@lru_cache(maxsize=None)
+def _byte_encoding(degree):
     pad = _POINTS[degree:]
     return bytes, lambda x, y: x.translate(y + pad), _POINTS[:degree]
 

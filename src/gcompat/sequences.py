@@ -134,15 +134,14 @@ def concatenation(g: FiniteGroup, f: Homomorphism, seq: GroupSequence) -> GroupS
 
 
 def almost_equal(s: GroupSequence, t: GroupSequence) -> bool:
-    """Same groups and maps everywhere below the top."""
+    """Same groups, and maps that agree on generators, below the top."""
     if s.length != t.length:
         return False
     for i in range(s.length):  # groups[0..l-1]
         if s.groups[i] is not t.groups[i]:
             return False
     for i in range(1, s.length):
-        if s.maps[i - 1] is not t.maps[i - 1] \
-                and not s.maps[i - 1].table_equal(t.maps[i - 1]):
+        if s.maps[i - 1].gen_images() != t.maps[i - 1].gen_images():
             return False
     return True
 

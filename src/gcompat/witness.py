@@ -46,7 +46,8 @@ from .groups import (
 from .homs import Homomorphism, quotient
 from .hybrid import hybrid_wreath
 from .inverse_limits import star_limit, star_system
-from .isos import automorphism_set, enumerate_isomorphisms, find_isomorphism
+from .isos import (automorphism_set, enumerate_isomorphisms,
+                   find_isomorphism, stabilized)
 from .perms import closure, inv, left_products, mul, place_block
 from .sequences import GroupSequence, pad_to_length, series_to_sequence
 
@@ -308,9 +309,7 @@ def _derive_alpha_tau(s_pair, i, sigma, delta, bounds):
     tau = s_d.map(i).section()
     if tau[s_d.group(i - 1).identity] != s_d.group(i).identity:
         raise HypothesisError("canonical transversal must fix the identity")
-    auts = automorphism_set(s_bar.group(i), bounds)
-    stab = [a for a in auts
-            if all(k_bar.contains(a(k)) for k in k_bar.members())]
+    stab = stabilized(automorphism_set(s_bar.group(i), bounds), k_bar)
     identity_auto = Homomorphism.identity(s_bar.group(i))
     alpha = {}
     for x in s_d.group(i - 1).sorted_elements():
@@ -323,8 +322,8 @@ def _derive_alpha_tau(s_pair, i, sigma, delta, bounds):
             return t(mul(mul(inv(tx), t_inv(k)), tx))
 
         found = None
-        for a in stab:
-            if all(a(k) == transported(k) for k in k_bar.members()):
+        for a in stab:  # a and transported are homomorphisms on K_bar
+            if all(a(k) == transported(k) for k in k_bar.group.generators):
                 found = a
                 break
         if found is None:
@@ -507,7 +506,10 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
     Asserts: the branch projections are surjective and trivially extendable
     at the top kernel, the base-subgroup identifications are bijective, and
     the two kernel squares commute. Each identification eta_d is given by
-    its values at BW_d's generators (`Homomorphism.from_gen_images`).
+    its values at BW_d's generators (`Homomorphism.from_gen_images`), and is
+    onto limZ_bar = p_r^-1(K_bar), never closed, when they lie in the other
+    side's limit with root in K_bar, its |BW_d| values are distinct, and
+    |BW_d| = |limZ_bar|. Squares of homomorphisms are compared at generators.
     """
     ell = s1.length
     if ell < 3:
@@ -565,30 +567,28 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
                       * seqs[d].kernel(ell).order() ** n for d in (1, 2)),
         f"|G_d| = |H_d| = {g_lims[1].group.order()}"))
 
-    lim_z_members = {}
-    for d in (1, 2):
-        k_d = seqs[d].kernel(ell - 1)
-        lim_z_members[d] = g_lims[d].projection("r").preimage_members(
-            k_d.members())
-
     etas = {}
     for d in (1, 2):
         bar = 3 - d
         hw = hybrids[d]
         fwd = _sigma_power(sigma, d, forward=True)    # K_d -> K_bar
         lim_bar = g_lims[bar]
+        k_bar = seqs[bar].kernel(ell - 1)
         images = {}
         for w in hw.base.group.generators:
             base, _ = hw.decode(w)
-            asg = {"r": fwd(phis[d](w))}
-            for k in range(n):
-                asg[k] = base[k]
+            asg = {"r": fwd(phis[d](w)), **dict(enumerate(base))}
             images[w] = lim_bar.encode(asg)
         eta = Homomorphism.from_gen_images(hw.base.group, lim_bar.group,
                                            images, label=f"eta_{d}")
         table = eta.tabulated()
-        image = set(table.values())
-        if len(image) != len(table) or image != lim_z_members[bar]:
+        # p_r is onto S_{l-1}: |limZ_bar| = |lim_bar| / |S_{l-1}| * |K_{l-1}|
+        if not all(lim_bar.group.contains(y)
+                   and k_bar.contains(lim_bar.decode(y, "r"))
+                   for y in images.values()) \
+                or len(set(table.values())) != len(table) \
+                or len(table) * seqs[bar].group(ell - 1).order() \
+                != lim_bar.group.order() * k_bar.order():
             raise HypothesisError("eta is not a bijection onto the kernel system")
         etas[d] = eta
         checks.append(CheckResult(f"eta_{d}-bijective", True,
@@ -598,10 +598,9 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
     for d in (1, 2):
         bar = 3 - d
         fwd = _sigma_power(sigma, d, forward=True)
-        hw = hybrids[d]
         bottom = g_lims[bar].projection(0).then(seqs[bar].map(ell))
         ok = all(fwd(phis[d](w)) == bottom(etas[d](w))
-                 for w in hw.base.members())
+                 for w in etas[d].source.generators)
         checks.append(CheckResult(f"square_{d}-commutes", ok))
         if not ok:
             raise HypothesisError(f"kernel square {d} does not commute")

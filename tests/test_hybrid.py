@@ -137,6 +137,26 @@ def test_bw_as_limit_f21():
         assert lim.decode(ident(w), "r") == hw.standard_map(w)
 
 
+@pytest.mark.parametrize("wrong", ["points-swapped", "coordinates-1"])
+def test_bw_as_limit_refuses_a_wrong_identification(monkeypatch, wrong):
+    # the two evaluation maps swapped: images outside the limit, one to
+    # one; both sent to 1: images of a map that is not one to one
+    import gcompat.hybrid as hybrid
+
+    g, h, theta = f21_s3_theta()
+    hw = hybrid_wreath(g, h, theta)
+    evals = list(evaluation_maps(hw).values())
+    if wrong == "points-swapped":
+        evals.reverse()
+    else:
+        evals = [Homomorphism.trivial(hw.base.group, g) for _ in evals]
+    monkeypatch.setattr(hybrid, "evaluation_maps",
+                        lambda hw: dict(enumerate(evals)))
+    with pytest.raises(HypothesisError,
+                       match="base subgroup is not identified with the limit"):
+        bw_as_limit(hw)
+
+
 def test_bw_as_limit_isomorphism_case():
     z6 = cyclic(6)
     other = direct_product(cyclic(2), cyclic(3))
@@ -179,9 +199,31 @@ def test_transversal_independence_f21_alternate_rep():
     image = hw1.image
     alt = sorted(mul(m, reps[1]) for m in image.members())[1]
     hw2 = hybrid_wreath(g, h, theta, transversal_elems=[reps[0], alt])
-    x = transversal_independence(hw1, hw2)  # verified setwise inside
+    x = transversal_independence(hw1, hw2)  # checked at generators inside
     assert hw2.group.elements() == frozenset(
         mul(mul(x, w), inv(x)) for w in hw1.group.elements())
+
+
+def test_transversal_independence_refuses_a_wrong_conjugator(monkeypatch):
+    # S3 inside S3xZ2: the two transversals give different carriers, and a
+    # section sending every element to 1 gives the conjugator 1
+    from gcompat.groups import pair_embeddings
+
+    g = symmetric(3)
+    h = direct_product(g, cyclic(2))
+    embed = pair_embeddings(g, cyclic(2))[0]
+    theta = Homomorphism.from_gen_images(
+        g, h, {x: embed(x) for x in g.generators})
+    hw1 = hybrid_wreath(g, h, theta)
+    reps = list(hw1.action.labels)
+    alt = sorted(mul(m, reps[1]) for m in hw1.image.members())[1]
+    hw2 = hybrid_wreath(g, h, theta, transversal_elems=[reps[0], alt])
+    assert hw1.group.elements() != hw2.group.elements()
+    monkeypatch.setattr(theta, "section", lambda: dict.fromkeys(
+        h.elements(), g.identity))
+    with pytest.raises(HypothesisError,
+                       match="conjugation does not move one carrier"):
+        transversal_independence(hw1, hw2)
 
 
 def test_theta_iso_transversal_forced_identity():

@@ -119,6 +119,20 @@ def test_aut_z2xz4_stabilized_and_restricted():
             assert rest._key(r1.then(r2)) in keys
 
 
+def test_stabilized_matches_the_member_filter():
+    # deciding at the subgroup's generators keeps the same automorphisms,
+    # in the same order, as testing every member
+    from gcompat.groups import all_subgroups
+    from gcompat.sampling import medium_group_pool
+
+    for g in medium_group_pool():
+        auts = automorphism_set(g)
+        for sub in all_subgroups(g):
+            members = sub.members()
+            assert stabilized(auts, sub).autos == [
+                a for a in auts if all(a(m) in members for m in members)]
+
+
 def test_conjugate_transport():
     g = cyclic(6)
     h = direct_product(cyclic(2), cyclic(3))

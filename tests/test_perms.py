@@ -244,7 +244,29 @@ def test_encoding_at_its_edges():
     p = perm_from_cycles(259, [tuple(range(257)), (257, 258)])
     assert (encode, times, ident) == (tuple, mul, identity_perm(259))
     assert order_sweep([p], times, ident)[p] == 514
-    assert encoding(259) is encoding(259)  # one frame per degree
+    assert encoding(256) is encoding(256)  # one byte frame per degree
+
+
+def test_tuple_encoding_follows_mul_patched_after_or_before(monkeypatch):
+    """Past degree 256 the frame's product is `perms.mul` as it is at the
+    call: a wrapper put in place after a first call is seen, and a frame
+    first made under a wrapper drops it once `mul` is restored."""
+    import gcompat.perms as perms
+
+    calls = []
+
+    def counted(p, q):
+        calls.append(1)
+        return mul(p, q)
+
+    assert encoding(300)[1] is mul
+    monkeypatch.setattr(perms, "mul", counted)
+    cyc = perm_from_cycles(300, [tuple(range(300))])
+    assert order_sweep([cyc], encoding(300)[1], identity_perm(300))[cyc] == 300
+    assert len(calls) == 299  # e^2, ..., e^300
+    assert encoding(301)[1] is counted
+    monkeypatch.undo()
+    assert encoding(301)[1] is mul
 
 
 def test_chain_rejects_non_permutations():

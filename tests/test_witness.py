@@ -486,6 +486,85 @@ def test_eta_from_generator_images_is_the_base_identification():
             assert step.eta[d](w) == lim_bar.encode(asg)
 
 
+def _z8_e23_step_inputs():
+    z8, v8 = named_group("Z8"), named_group("E(2,3)")
+    s1 = seq_of(z8, compatible_central_series(z8))
+    s2 = seq_of(v8, compatible_central_series(v8))
+    return s1, s2, comp_membership(s1, s2)
+
+
+@pytest.mark.parametrize("wrong", ["root-sent-to-1", "all-sent-to-1"])
+def test_recursion_step_refuses_an_eta_image_outside_the_kernel_system(
+        monkeypatch, wrong):
+    # root entries sent to 1: an image whose base entries do not all lie in
+    # the top kernel is no coherent tuple, so it lies outside limZ; every
+    # image sent to 1: eta lands in limZ but is not injective
+    import gcompat.witness as witness
+    from gcompat.inverse_limits import LimitGroup
+
+    s1, s2, comp = _z8_e23_step_inputs()
+    if wrong == "root-sent-to-1":
+        power = witness._sigma_power
+
+        def trivial_forward(sigma, delta, forward):
+            t = power(sigma, delta, forward)
+            return Homomorphism.trivial(t.source, t.target) if forward else t
+
+        monkeypatch.setattr(witness, "_sigma_power", trivial_forward)
+    else:
+        monkeypatch.setattr(LimitGroup, "encode",
+                            lambda self, asg: self.group.identity)
+    with pytest.raises(HypothesisError,
+                       match="eta is not a bijection onto the kernel system"):
+        build_recursion_step(s1, s2, comp)
+
+
+def test_recursion_step_refuses_a_square_that_differs_at_one_generator(
+        monkeypatch):
+    # side 2's limit projection onto branch 0 sends eta_1(w0) to 1 and
+    # agrees with the true one everywhere else
+    from gcompat.inverse_limits import LimitGroup
+
+    s1, s2, comp = _z8_e23_step_inputs()
+    step = build_recursion_step(s1, s2, comp)
+    hw = step.hybrids[1]
+    w0 = next(w for w in hw.base.group.generators
+              if step.phis[1](w) != step.phis[1].target.identity)
+    e0 = step.eta[1](w0)
+    project = LimitGroup.projection
+
+    def off_at_e0(self, node):
+        p = project(self, node)
+        if node != 0:
+            return p
+        return Homomorphism.of_rule(
+            p.source, p.target,
+            lambda x: p.target.identity if x == e0 else p(x))
+
+    monkeypatch.setattr(LimitGroup, "projection", off_at_e0)
+    with pytest.raises(HypothesisError,
+                       match="kernel square 1 does not commute"):
+        build_recursion_step(s1, s2, comp)
+
+
+def test_building_d8_q8_reads_no_preimage_in_a_limit(monkeypatch):
+    # each eta_d is decided at BW_d's generators and by orders, so no
+    # limit's kernel system p_r^-1(K) is read off the root projection
+    from gcompat.inverse_limits import LimitGroup
+
+    limits, sources = [], []
+    init, preimage = LimitGroup.__init__, Homomorphism.preimage_members
+    monkeypatch.setattr(LimitGroup, "__init__",
+                        lambda self, system, group: limits.append(group)
+                        or init(self, system, group))
+    monkeypatch.setattr(Homomorphism, "preimage_members",
+                        lambda self, members: sources.append(self.source)
+                        or preimage(self, members))
+    witness_nilpotent(named_group("D8"), quaternion())
+    assert limits and sources  # each hybrid's base is still a preimage
+    assert not any(s is g for s in sources for g in limits)
+
+
 def test_kappa_next_is_a_bijection_of_the_new_top_kernels(monkeypatch):
     # given by generator images, kappa_next is tabulated over all of
     # ker(pi1) and sends it one-to-one onto ker(pi2)
