@@ -33,19 +33,20 @@ is the block at offset a + b, so `then` fuses a chain of them into one
 slice (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 2.1).
 
-Each map makes one pass over its source's elements: `fibers()` is kept on
-the map, and `kernel()`, `section()` and `preimage()` read it. Nothing
-reads these memos at verify time: a hand-built composition lifts its
-extendability evidence through the fibers once, when it is composed
-(`witness.lifted_evidence`), and the `ker-p{d}-matches` check of
-`witness.verify_witness` evaluates the map on the kernel's generators
-only (Holt, Eick and O'Brien 2005, section 3.3).
+Kernels, preimages and canonical sections each come from one pass over
+the source's elements (`preimage_members`, `section`); a block map
+compares raw slices and decodes nothing, and a composite from `then`
+recurses into its two maps. Nothing reads them at verify time: a
+hand-built composition lifts its extendability evidence through
+preimages once, when it is composed (`witness.lifted_evidence`), and the
+`ker-p{d}-matches` check of `witness.verify_witness` evaluates the map on
+the kernel's generators only (Holt, Eick and O'Brien 2005, section 3.3).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from math import prod
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
@@ -76,7 +77,6 @@ class Homomorphism:
         self._rule = rule
         self.offset = None    # a block map's first point (`block`)
         self._then = None     # (inner, outer) of a rule composite from `then`
-        self._fibers = None   # memo of fibers(); read by kernel, section, ...
         self._kernel = None   # memo of kernel()
         self._graph = None    # memo of graph_chain()
         if check and self._table is not None:
@@ -244,14 +244,9 @@ class Homomorphism:
     # -- kernels and images --------------------------------------------------
 
     def kernel(self, bound=None) -> Subgroup:
-        """The kernel: the identity's fiber, read off `fibers()` on the
-        first call; later calls return the same Subgroup, so the callers
-        that need the kernel of one map share it. A rule composite whose
-        identity fiber is its inner map's, unmerged (the outer map sends
-        no other inner value to the identity), returns the inner map's
-        kernel Subgroup itself. `verify_witness` never reads this memo: its
-        `ker-p{d}-matches` check evaluates the map on the certificate
-        kernel's generators. The source is closed under `bound` (default
+        """The preimage of the identity, kept on the map. A composite from
+        `then` whose outer map has a trivial kernel returns the inner map's
+        kernel Subgroup itself. The source is closed under `bound` (default
         `DEFAULT_BOUNDS.enum`), and a refusal names it; a source whose
         elements were already closed under a larger bound is read
         (`FiniteGroup.can_enumerate`)."""
@@ -263,14 +258,14 @@ class Homomorphism:
                     f"{self.source.order()}, past the enumeration bound "
                     f"{limit})")
             self.source.elements(limit)
-            members = self.fibers().get(self.target.identity, [])
-            inner = self._then[0] if self._then is not None else None
-            if inner is not None and \
-                    members is inner.fibers().get(inner.target.identity):
-                self._kernel = inner.kernel(limit)
+            if self._then is not None and \
+                    self._then[1].kernel(limit).order() == 1:
+                self._kernel = self._then[0].kernel(limit)
             else:
-                self._kernel = Subgroup(self.source, members=members,
-                                        label=f"ker({self.label})")
+                self._kernel = Subgroup(
+                    self.source,
+                    members=self.preimage_members([self.target.identity]),
+                    label=f"ker({self.label})")
         return self._kernel
 
     def image(self) -> Subgroup:
@@ -286,68 +281,53 @@ class Homomorphism:
         return (self.source.order() == self.target.order()
                 and self.is_surjective())
 
-    def fibers(self):
-        """Target element -> sorted list of its preimages, the keys in the
-        order of their least preimage (source enumerable).
-
-        Computed in one pass on the first call and kept: a block map groups
-        the sorted elements by their raw slice and decodes each slice once;
-        a rule composite from `then` regroups its inner map's fibers by the
-        outer map's value, with one sort per merged fiber; any other map
-        evaluates itself once per element. `kernel()`, `section()` and
-        `preimage()` read the memo; nothing reads it at verify time. The
-        dict and its lists are shared with every caller: read them, never
-        change them."""
-        if self._fibers is None:
-            off = self.offset
-            if self._then is not None:
-                inner, outer = self._then
-                merged = {}
-                for y, xs in inner.fibers().items():
-                    merged.setdefault(outer(y), []).append(xs)
-                fibers = {z: parts[0] if len(parts) == 1
-                          else sorted(chain.from_iterable(parts))
-                          for z, parts in merged.items()}
-            elif off is not None:
-                end = off + self.target.degree
-                slices = {}
-                for x in self.source.sorted_elements():
-                    key = x[off:end]
-                    fiber = slices.get(key)
-                    if fiber is None:
-                        slices[key] = [x]
-                    else:
-                        fiber.append(x)
-                fibers = {tuple([v - off for v in key]): xs
-                          for key, xs in slices.items()}
-            else:
-                fibers = {}
-                for x in self.source.sorted_elements():
-                    fibers.setdefault(self(x), []).append(x)
-            self._fibers = fibers
-        return self._fibers
-
     def preimage_members(self, members) -> frozenset:
-        """The elements mapped into `members`, as the union of their kept
-        fibers: a plain set, with no Subgroup and no generating set built.
-        The builders and `witness.lifted_evidence` read it, when a
-        witness is built or composed; nothing reads it at verify time."""
-        fibers = self.fibers()
-        return frozenset(chain.from_iterable(
-            fibers.get(tuple(m), ()) for m in members))
+        """The elements mapped into `members`, from one pass over the
+        source: a plain set, with no Subgroup and no generating set built.
+        A composite from `then` pulls `members` back through its outer map,
+        then its inner map; a block map compares raw slices, shifted up by
+        its offset, and decodes nothing; a table map filters its items."""
+        if self._then is not None:
+            inner, outer = self._then
+            return inner.preimage_members(outer.preimage_members(members))
+        off = self.offset
+        if off is not None:
+            end = off + self.target.degree
+            wanted = {tuple([v + off for v in m]) for m in members}
+            return frozenset(x for x in self.source.elements()
+                             if x[off:end] in wanted)
+        wanted = set(map(tuple, members))
+        if self._table is not None:
+            return frozenset(x for x, y in self._table.items() if y in wanted)
+        return frozenset(x for x in self.source.elements()
+                         if self(x) in wanted)
 
     def preimage(self, members) -> Subgroup:
-        """The preimage of `members` (a subgroup's elements) as a Subgroup,
-        its elements read off the kept `fibers()` (`preimage_members`). The
-        series builders call it; at verify time nothing does, and
-        `ker-p{d}-matches` in `verify_witness` never reads the memo behind
-        it."""
+        """The preimage of `members` (a subgroup's elements) as a Subgroup
+        (`preimage_members`)."""
         return Subgroup(self.source, members=self.preimage_members(members))
 
     def section(self):
-        """Canonical transversal: target element -> minimal preimage, read
-        off `fibers()`."""
-        return {y: xs[0] for y, xs in self.fibers().items()}
+        """Canonical transversal: target element -> least preimage, keyed
+        in the order of those preimages. A composite from `then` takes, for
+        each outer value, the least of its inner section's values over it;
+        a block map keys its scan by raw slice."""
+        if self._then is not None:
+            inner, outer = self._then
+            out = {}
+            for y, x in inner.section().items():  # x increasing
+                out.setdefault(outer(y), x)
+            return out
+        off = self.offset
+        out = {}
+        if off is None:
+            for x in self.source.sorted_elements():
+                out.setdefault(self(x), x)
+            return out
+        end = off + self.target.degree
+        for x in self.source.sorted_elements():
+            out.setdefault(x[off:end], x)
+        return {tuple([v - off for v in key]): x for key, x in out.items()}
 
     # -- validation ----------------------------------------------------------
 

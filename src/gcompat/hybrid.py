@@ -18,9 +18,10 @@ carrier is never closed, so its order |G|^n * |rho(H)| bounds nothing here.
 The standard map p_theta sends each lift to its generator and the placed
 kernel to 1; `Homomorphism.from_gen_images` propagates those images, which
 tabulates p_theta, and proves it a homomorphism by the one edge check. The
-base subgroup BW is read off p_theta's fibers over theta(G); for a normal
-hybrid it is an inverse limit of twisted copies of G over the image, which
-is what the witness recursion consumes.
+base subgroup BW = p_theta^-1(theta(G)) is one pass over p_theta's table
+(`Homomorphism.preimage_members`); for a normal hybrid it is an inverse
+limit of twisted copies of G over the image, which is what the witness
+recursion consumes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class HybridWreath:
         image = theta.image()
         self.image = image
         n_cosets = h_group.order() // image.order()
-        ker_theta = theta.kernel()
+        ker_theta = theta.kernel(bounds.enum)
         self.ker_theta = ker_theta
         size = h_group.order() * ker_theta.order() ** n_cosets
         if size > bounds.enum:

@@ -12,7 +12,7 @@ when ker1 is enumerable and by its generator graph otherwise.
 Extendability evidence has one type, `ExtendEvidence`: a complement table
 or a block placement. A hand composition tabulates its lifted complements
 once, when composed (`lifted_evidence`), so `verify_witness` checks data
-the certificate carries and reads no map's fiber memo.
+the certificate carries and reads no map's preimages.
 
 `verify_witness` proves each property once, on one path for enumerable and
 generator-based witnesses alike. Three of its checks are derived from
@@ -154,7 +154,7 @@ def lifted_evidence(ev_p: ExtendEvidence, ev_pi: ExtendEvidence,
     """Evidence for pi o p from evidence for p (at a subgroup containing
     ker pi) and evidence for pi, tabulated once over every subgroup M of
     ev_pi.n: pi's complement of M lifted through p's complement of M's
-    preimage under pi (read off pi's fibers, at composition time). A
+    preimage under pi (`preimage_members`, at composition time). A
     subgroup whose complement has no lift is left out of the table, so
     `check_extend_evidence` reports it missing; it re-checks every
     complement in the table from scratch."""
@@ -186,18 +186,17 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
     """Search for complements certifying pi trivially extendable at n.
 
     Complements are homomorphic sections landing in the centralizer of the
-    kernel, found by backtracking over fiber candidates. Returns either
+    kernel, found by backtracking over preimage candidates. Returns either
     evidence covering every subgroup of n, or the first failing subgroup.
     """
     if not pi.source.is_enumerable(bounds.enum):
         raise UndecidedError("extendability search needs an enumerable source")
     if not pi.is_surjective():
         raise HypothesisError("extendability is defined for surjections")
-    kmembers = pi.kernel().members()
-    fibers = pi.fibers()
+    kmembers = pi.kernel(bounds.enum).members()
     complements = {}
     for m_sub in all_subgroups(n.group):
-        c = _find_complement(pi, m_sub, kmembers, fibers, COMPLEMENT_BUDGET)
+        c = _find_complement(pi, m_sub, kmembers, COMPLEMENT_BUDGET)
         if c is None:
             return ExtendReport(False, None, m_sub)
         complements[m_sub.members()] = c
@@ -205,13 +204,13 @@ def is_trivially_extendable(pi: Homomorphism, n: Subgroup,
                         None)
 
 
-def _find_complement(pi, m_sub, kmembers, fibers, budget):
+def _find_complement(pi, m_sub, kmembers, budget):
     if m_sub.order() == 1:
         return frozenset([pi.source.identity])
     mgens = m_sub.group.generators
     cands = []
     for mg in mgens:
-        pool = [x for x in fibers.get(mg, [])
+        pool = [x for x in sorted(pi.preimage_members([mg]))
                 if all(mul(x, k) == mul(k, x) for k in kmembers)]
         if not pool:
             return None
@@ -508,8 +507,10 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
     the two kernel squares commute. Each identification eta_d is given by
     its values at BW_d's generators (`Homomorphism.from_gen_images`), and is
     onto limZ_bar = p_r^-1(K_bar), never closed, when they lie in the other
-    side's limit with root in K_bar, its |BW_d| values are distinct, and
-    |BW_d| = |limZ_bar|. Squares of homomorphisms are compared at generators.
+    side's limit, its |BW_d| values are distinct, and |BW_d| = |limZ_bar|.
+    Each value's root is fwd(phi_d(w)), which lies in K_bar without a test:
+    phi_d(w) is in theta_d(T_bar) <= K_d, and fwd is a proved map K_d ->
+    K_bar. Squares of homomorphisms are compared at generators.
     """
     ell = s1.length
     if ell < 3:
@@ -536,7 +537,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         g_lims[d] = lim
         rhos[d] = lim.projection(0)
         comp_map = seq.map(ell).then(seq.map(ell - 1))
-        t_subs[d] = comp_map.kernel()
+        t_subs[d] = comp_map.kernel(bounds.enum)
 
     for d in (1, 2):
         bar = 3 - d
@@ -583,9 +584,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
                                            images, label=f"eta_{d}")
         table = eta.tabulated()
         # p_r is onto S_{l-1}: |limZ_bar| = |lim_bar| / |S_{l-1}| * |K_{l-1}|
-        if not all(lim_bar.group.contains(y)
-                   and k_bar.contains(lim_bar.decode(y, "r"))
-                   for y in images.values()) \
+        if not all(map(lim_bar.group.contains, images.values())) \
                 or len(set(table.values())) != len(table) \
                 or len(table) * seqs[bar].group(ell - 1).order() \
                 != lim_bar.group.order() * k_bar.order():
@@ -621,7 +620,7 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
     """
     pis = {1: pi1, 2: pi2}
     certs = {1: (cert.p1, cert.ker1), 2: (cert.p2, cert.ker2)}
-    kpi = {1: pi1.kernel(), 2: pi2.kernel()}
+    kpi = {1: pi1.kernel(bounds.enum), 2: pi2.kernel(bounds.enum)}
     for d in (1, 2):
         p, _ = certs[d]
         n_d = cert.good_at[d - 1]
@@ -742,8 +741,8 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     ker_next = {}
     for d in (1, 2):
         place = lims_w[d].place
-        ker_rho = step.rho[d].kernel()
-        ker_phi = step.phis[d].kernel()
+        ker_rho = step.rho[d].kernel(bounds.enum)
+        ker_phi = step.phis[d].kernel(bounds.enum)
         gens = [place(0, g) for g in ker_rho.group.generators] \
             + [place(1, h) for h in ker_phi.group.generators]
         ker_next[d] = Subgroup(new_tops[d], gens=gens,
@@ -915,7 +914,7 @@ def assemble_certificate(witness: FiniteGroup, p1: Homomorphism,
     extendability evidence at the designated subgroups is found by the
     complement search. Intended for hand-built witnesses.
     """
-    ker1, ker2 = p1.kernel(), p2.kernel()
+    ker1, ker2 = p1.kernel(bounds.enum), p2.kernel(bounds.enum)
     kernel_iso = find_isomorphism(ker1.group, ker2.group, bounds)
     if kernel_iso is None:
         raise HypothesisError("kernels are not isomorphic")

@@ -239,9 +239,8 @@ def test_section_is_canonical_minimal():
     z4, z2, f = mod2_map()
     s = f.section()
     assert s[z2.identity] == z4.identity
-    fibers = f.fibers()
     for y, x in s.items():
-        assert x == min(fibers[y])
+        assert x == min(f.preimage_members([y]))
 
 
 def test_direct_product_with_maps():
@@ -506,7 +505,9 @@ def _fibers_by_definition(f):
 
 def _memo_maps():
     """A table, a rule and a block map, and two rule composites from `then`:
-    one whose outer map merges fibers, one whose outer map is injective."""
+    one whose outer map merges fibers, one whose outer map is injective.
+    (name -> map, and the names of the composites whose outer map is
+    injective)"""
     s3, z2, z4 = symmetric(3), cyclic(2), cyclic(4)
     prod, _, _, pr1, pr2 = direct_product_with_maps(s3, z4)
     sign = Homomorphism.of_rule(
@@ -518,31 +519,66 @@ def _memo_maps():
     negate = Homomorphism.of_rule(z4, z4, inv, label="neg")  # Z4 abelian
     table = Homomorphism.of_rule(prod, z4, pr2, label="table", tabulate=True)
     # pr2's fibers interleave in the canonical order, so merging them must sort
-    return {"table": table, "rule": sign, "block": pr1,
+    maps = {"table": table, "rule": sign, "block": pr1,
             "merging": pr2.then(parity), "injective": pr2.then(negate)}
+    return maps, {"injective"}
 
 
-def test_memoized_fibers_equal_fresh_element_scans():
+def _pool_maps(rng):
+    """Per group g of `sampling.medium_group_pool`: its quotient map by a
+    random normal subgroup, the two block projections of g x Z2, and the
+    projection onto g composed with that quotient map (merging, unless the
+    subgroup is trivial) and with a conjugation (injective). (name -> map,
+    and the names of the composites whose outer map is injective)"""
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    maps, injective = {}, set()
+    for i, g in enumerate(medium_group_pool()):
+        n = random_normal_subgroup(rng, g)
+        _, pi = quotient(g, n)
+        _, _, _, pr1, pr2 = direct_product_with_maps(g, cyclic(2))
+        c = g.sorted_elements()[-1]
+        conj = Homomorphism.of_rule(
+            g, g, lambda x, c=c: mul(mul(inv(c), x), c), label="conj")
+        name = f"{i}: {g.label}/{n.order()}"
+        maps.update({f"{name} quotient": pi, f"{name} pr1": pr1,
+                     f"{name} pr2": pr2, f"{name} merging": pr1.then(pi),
+                     f"{name} injective": pr1.then(conj)})
+        injective.add(f"{name} injective")
+    return maps, injective
+
+
+def test_kernels_preimages_and_sections_equal_definition_scans(rng):
+    """Against scans straight from the definition, over the maps of
+    `_memo_maps` and `_pool_maps`: the kernel, the preimage of every
+    subgroup of the target, and the canonical section, in the order of
+    its least preimages."""
     from gcompat.groups import all_subgroups
 
-    maps = _memo_maps()
-    assert maps["table"]._table is not None and maps["rule"]._table is None
-    assert maps["merging"]._then is not None
-    for name, f in maps.items():
+    memo, memo_injective = _memo_maps()
+    assert memo["table"]._table is not None and memo["rule"]._table is None
+    assert memo["merging"]._then is not None
+    pool, pool_injective = _pool_maps(rng)
+    assert pool and all(pool[name]._then is not None
+                        for name in pool_injective)
+    assert memo.keys().isdisjoint(pool)
+    for name, f in {**memo, **pool}.items():
         fresh = _fibers_by_definition(f)
-        assert list(f.fibers().items()) == list(fresh.items()), name
-        assert f.fibers() is f.fibers()
-        assert f.kernel().members() == frozenset(fresh[f.target.identity])
-        assert f.section() == {y: xs[0] for y, xs in fresh.items()}
+        assert f.kernel().members() == frozenset(fresh[f.target.identity]), \
+            name
+        assert f.kernel() is f.kernel()
+        assert list(f.section().items()) == [(y, xs[0])
+                                             for y, xs in fresh.items()], name
         for sub in all_subgroups(f.target):
             want = {x for x in f.source.elements() if f(x) in sub.members()}
             assert f.preimage_members(sub.members()) == want, name
             assert f.preimage(sub.members()).members() == want, name
-    # the injective outer map keeps the inner identity fiber: one kernel
-    inner = maps["injective"]._then[0]
-    assert maps["injective"].kernel() is inner.kernel()
-    assert maps["merging"].kernel() is not maps["merging"]._then[0].kernel()
-    assert maps["merging"].kernel().order() == 12
+    # an injective outer map keeps the inner map's kernel: one Subgroup
+    for name in memo_injective | pool_injective:
+        f = {**memo, **pool}[name]
+        assert f.kernel() is f._then[0].kernel(), name
+    assert memo["merging"].kernel() is not memo["merging"]._then[0].kernel()
+    assert memo["merging"].kernel().order() == 12
 
 
 def test_kernel_past_the_enumeration_bound_is_undecided_for_every_form():
@@ -557,7 +593,7 @@ def test_kernel_past_the_enumeration_bound_is_undecided_for_every_form():
                            r"not enumerable \(order 80640, past the "
                            r"enumeration bound 20000\)"):
             f.kernel()
-        assert f._fibers is None
+        assert f.source._elements is None  # the source is left unclosed
 
 
 def _dihedral_257():

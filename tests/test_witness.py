@@ -189,6 +189,22 @@ def test_trivial_kernel_always_extendable():
     assert rep.ok
 
 
+def test_extendability_search_reads_the_kernel_under_the_callers_bound():
+    # S8 (order 40320) is past the default enumeration bound 20000; a
+    # caller's bound that admits it admits the sign map's kernel too
+    from itertools import combinations
+
+    s8, z2 = named_group("S8"), cyclic(2)
+    sign = Homomorphism.of_rule(
+        s8, z2, lambda x: z2.generators[0]
+        if sum(a > b for a, b in combinations(x, 2)) % 2 else z2.identity,
+        label="sign")
+    report = is_trivially_extendable(sign, z2.trivial_subgroup(),
+                                     Bounds(enum=50000))
+    assert report.ok
+    assert sign.kernel().order() == 20160
+
+
 def test_complement_budget_bounds_the_search():
     from gcompat.bounds import UndecidedError
     from gcompat.witness import _find_complement
@@ -196,11 +212,10 @@ def test_complement_budget_bounds_the_search():
     z4 = cyclic(4)
     ident = Homomorphism.identity(z4)
     kmembers = ident.kernel().members()
-    fibers = ident.fibers()
     # Z4 itself has one candidate section under the identity
     with pytest.raises(UndecidedError):
-        _find_complement(ident, z4.full_subgroup(), kmembers, fibers, 0)
-    assert _find_complement(ident, z4.full_subgroup(), kmembers, fibers,
+        _find_complement(ident, z4.full_subgroup(), kmembers, 0)
+    assert _find_complement(ident, z4.full_subgroup(), kmembers,
                             1) is not None
 
 
@@ -353,7 +368,7 @@ def test_lifted_table_equals_the_reference_lift(quotient, count):
 
 def test_verification_reads_no_fiber_memo(monkeypatch):
     # a hand composition's evidence is lifted when composed, so verifying
-    # it, or a built certificate, never reads a map's fibers
+    # it, or a built certificate, never reads a map's preimages or section
     g, l1, l2, base = goodwit_certificate()
     _, split, _, _, z2 = _split_e24_composition(True)
     cases = [goodwit_compose_to_quotients(base, l1, l2),
@@ -362,9 +377,9 @@ def test_verification_reads_no_fiber_memo(monkeypatch):
     cases.append((witness_square_free(z6, s3), z6, s3))
 
     def refuse(*args):
-        raise AssertionError("a fiber memo was read at verify time")
+        raise AssertionError("a map's fibers were read at verify time")
 
-    monkeypatch.setattr(Homomorphism, "fibers", refuse)
+    monkeypatch.setattr(Homomorphism, "section", refuse)
     monkeypatch.setattr(Homomorphism, "preimage_members", refuse)
     for cert, a, b in cases:
         assert verify_witness(cert, a, b).passed
@@ -549,17 +564,29 @@ def test_recursion_step_refuses_a_square_that_differs_at_one_generator(
 
 def test_building_d8_q8_reads_no_preimage_in_a_limit(monkeypatch):
     # each eta_d is decided at BW_d's generators and by orders, so no
-    # limit's kernel system p_r^-1(K) is read off the root projection
-    from gcompat.inverse_limits import LimitGroup
+    # twisted star limit's kernel system p_r^-1(K) is read off its root
+    # projection; a kernel is the preimage of the trivial member set, and
+    # the contracted map's kernel, out of the next level's limit, is no
+    # twisted star's kernel system
+    import gcompat.witness as witness
 
     limits, sources = [], []
-    init, preimage = LimitGroup.__init__, Homomorphism.preimage_members
-    monkeypatch.setattr(LimitGroup, "__init__",
-                        lambda self, system, group: limits.append(group)
-                        or init(self, system, group))
-    monkeypatch.setattr(Homomorphism, "preimage_members",
-                        lambda self, members: sources.append(self.source)
-                        or preimage(self, members))
+    step, preimage = witness.build_recursion_step, \
+        Homomorphism.preimage_members
+
+    def record_step(*args):
+        out = step(*args)
+        limits.extend(lim.group for lim in out.g_lims.values())
+        return out
+
+    def record_preimage(self, members):
+        members = list(members)
+        if any(tuple(m) != self.target.identity for m in members):
+            sources.append(self.source)
+        return preimage(self, members)
+
+    monkeypatch.setattr(witness, "build_recursion_step", record_step)
+    monkeypatch.setattr(Homomorphism, "preimage_members", record_preimage)
     witness_nilpotent(named_group("D8"), quaternion())
     assert limits and sources  # each hybrid's base is still a preimage
     assert not any(s is g for s in sources for g in limits)
@@ -1581,15 +1608,21 @@ def test_verify_recomputes_kernels_past_the_memo():
         False, f"order 1, but |G|/|im p1| = {cert.ker1.order()}")
 
 
-def _poison_identity_fiber(pi, n):
-    """Swap, in pi's kept fibers, the identity's fiber with the fiber of
-    the first other value in n: the preimage of the trivial subgroup then
-    lands on a coset of pi's kernel."""
-    fibers = dict(pi.fibers())
-    ident = pi.target.identity
-    other = next(y for y in fibers if y != ident and n.contains(y))
-    fibers[ident], fibers[other] = fibers[other], fibers[ident]
-    pi._fibers = fibers
+def _poison_identity_fiber(monkeypatch, pi, n):
+    """Swap, in pi's preimages, the identity's fiber with the fiber of the
+    first other value in n, in the order of least preimages: the preimage
+    of the trivial subgroup then lands on a coset of pi's kernel."""
+    _swap_fibers(monkeypatch, pi, pi.target.identity,
+                 next(y for y in pi.section()
+                      if y != pi.target.identity and n.contains(y)))
+
+
+def _swap_fibers(monkeypatch, p, a, b):
+    """Patch p's `preimage_members` to read a's fiber for b's and b's for
+    a's."""
+    swap, preimage = {a: b, b: a}, p.preimage_members
+    monkeypatch.setattr(p, "preimage_members", lambda members: preimage(
+        [swap.get(tuple(m), tuple(m)) for m in members]))
 
 
 def _verdicts(cert, l1, l2, bounds=None):
@@ -1597,23 +1630,29 @@ def _verdicts(cert, l1, l2, bounds=None):
             for c in verify_witness(cert, l1, l2, bounds or Bounds()).checks]
 
 
-def _assert_bogus_map_memos_change_no_verdict(cert, l1, l2, bounds=None):
-    """Fibers and kernel memos that call both certificate maps injective
-    leave every verdict and detail as it was: no check reads them."""
+def _assert_bogus_map_memos_change_no_verdict(monkeypatch, cert, l1, l2,
+                                              bounds=None):
+    """Preimages, sections and kernel memos that call both certificate
+    maps injective leave every verdict and detail as it was: no check
+    reads them."""
     genuine = _verdicts(cert, l1, l2, bounds)
     assert all(ok for _, ok, _ in genuine)
     trivial = cert.witness.trivial_subgroup()
+    only_one = frozenset([cert.witness.identity])
     for p in (cert.p1, cert.p2):
-        p._fibers = {p.target.identity: [cert.witness.identity]}
+        monkeypatch.setattr(p, "preimage_members", lambda members: only_one)
+        monkeypatch.setattr(p, "section", lambda p=p: {
+            p.target.identity: cert.witness.identity})
         p._kernel = trivial
         assert p.kernel() is trivial
     assert _verdicts(cert, l1, l2, bounds) == genuine
 
 
-def _identity_composition(poison_first=False):
+def _identity_composition(monkeypatch=None):
     """A length-2 Z4|V4 certificate composed with the identity maps, which
-    lifts each complement through id1's fibers; with `poison_first`, id1's
-    fiber memo is poisoned before composing. (certificate, Z4, V4, id1)"""
+    lifts each complement through id1's preimages; given `monkeypatch`,
+    id1's preimages are poisoned before composing. (certificate, Z4, V4,
+    id1)"""
     z4, chain = cyclic_tower(4, [2, 2])
     v4 = named_group("Z2xZ2")
     two = Subgroup(v4, members=closure([v4.generators[0]]))
@@ -1624,27 +1663,28 @@ def _identity_composition(poison_first=False):
     kappa = find_isomorphism(id1.kernel().group, id2.kernel().group)
     ev1 = is_trivially_extendable(id1, base.good_at[0]).evidence
     ev2 = is_trivially_extendable(id2, base.good_at[1]).evidence
-    if poison_first:
-        _poison_identity_fiber(id1, ev1.n)
+    if monkeypatch is not None:
+        _poison_identity_fiber(monkeypatch, id1, ev1.n)
     cert = compose_witness(base, id1, id2, kappa, (ev1, ev2), base.good_at)
     return cert, z4, v4, id1
 
 
-def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
+def test_poisoned_fiber_memo_fails_the_extend_check_without_raising(
+        monkeypatch):
     l1, l2 = named_group("D8"), named_group("Q8")
-    _assert_bogus_map_memos_change_no_verdict(witness_nilpotent(l1, l2),
-                                              l1, l2)
-    # the hand composition reads id1's fibers once, when composed: a memo
-    # poisoned afterwards changes no verdict
+    _assert_bogus_map_memos_change_no_verdict(
+        monkeypatch, witness_nilpotent(l1, l2), l1, l2)
+    # the hand composition reads id1's fibers once, when composed: a
+    # preimage poisoned afterwards changes no verdict
     cert, z4, v4, id1 = _identity_composition()
     assert cert.evidence[0].table is not None
     genuine = _verdicts(cert, z4, v4)
     assert all(ok for _, ok, _ in genuine)
-    _poison_identity_fiber(id1, cert.evidence[0].n)
+    _poison_identity_fiber(monkeypatch, id1, cert.evidence[0].n)
     assert _verdicts(cert, z4, v4) == genuine
     # poisoned before, it misplaces a lift: that subgroup is left out of
     # the table, and the verifier reports it missing, never raising
-    cert, z4, v4, _ = _identity_composition(poison_first=True)
+    cert, z4, v4, _ = _identity_composition(monkeypatch)
     poisoned = _verdicts(cert, z4, v4)
     lost = "missing complement: no complement recorded for this subgroup"
     assert [(n, ok) for n, ok, _ in poisoned] == [
@@ -1654,31 +1694,31 @@ def test_poisoned_fiber_memo_fails_the_extend_check_without_raising():
 
 
 @pytest.mark.stretch
-def test_bogus_map_memos_change_no_stretch_verdict():
+def test_bogus_map_memos_change_no_stretch_verdict(monkeypatch):
     b = Bounds()
     z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
     cert = witness_square_free(z30, other, b)
-    _assert_bogus_map_memos_change_no_verdict(cert, z30, other, b)
+    _assert_bogus_map_memos_change_no_verdict(monkeypatch, cert, z30, other,
+                                              b)
 
 
-def test_wrong_map_memos_change_no_verdict():
+def test_wrong_map_memos_change_no_verdict(monkeypatch):
     from dataclasses import replace
 
     l1, l2 = named_group("D8"), named_group("Q8")
     cert = witness_nilpotent(l1, l2)
     genuine = _verdicts(cert, l1, l2)
     p1, wrong = cert.p1, cert.witness.trivial_subgroup()
-    fibers = dict(p1.fibers())
-    first, second = list(fibers)[:2]
-    fibers[first], fibers[second] = fibers[second], fibers[first]
-    for memo in ({"_fibers": fibers}, {"_kernel": wrong},
-                 {"_fibers": fibers, "_kernel": wrong}):
-        p1._fibers = p1._kernel = None
-        for name, value in memo.items():
-            setattr(p1, name, value)
-        assert "_fibers" not in memo or p1.fibers() is fibers
-        assert "_kernel" not in memo or p1.kernel() is wrong
-        assert _verdicts(cert, l1, l2) == genuine
+    first, second = list(p1.section())[:2]
+    fiber = p1.preimage_members([first])
+    for swapped, kernel in ((True, None), (False, wrong), (True, wrong)):
+        with monkeypatch.context() as m:
+            if swapped:  # the first two fibers trade places
+                _swap_fibers(m, p1, first, second)
+                assert p1.preimage_members([second]) == fiber
+            p1._kernel = kernel
+            assert kernel is None or p1.kernel() is wrong
+            assert _verdicts(cert, l1, l2) == genuine
     # a wrong certificate kernel still fails, whatever the memos hold
     checks = {n: (ok, d) for n, ok, d
               in _verdicts(replace(cert, ker1=wrong), l1, l2)}
