@@ -6,12 +6,15 @@ generator-based groups. The homomorphism law f(x*s) = f(x)f(s) has one
 check, `check_table_edges`, over one graph, the source's kept Cayley graph
 (`FiniteGroup.cayley`): every edge checked proves the law for the whole
 table by induction on word length, and a table keyed by anything but the
-source's elements is not total. Every table is proved there, whether it
-comes from generator images (`from_gen_images`, which propagates them
-along a spanning tree of that graph), a coset action, the isomorphism
-search or a certificate file. A block map is proved from its block, which
-every generator must keep, and any other rule out of a group past the
-enumeration bound is left undecided rather than sampled.
+source's elements is not total. A computed table has one source, its
+generator images, which `from_gen_images` propagates along a spanning
+tree of that graph and proves there: coset actions, series maps, twisted
+branch maps, standard embeddings, inner automorphisms and the isomorphism
+search all build their tables that way. A certificate's table is proved
+by the verifier, and `then`, `restrict` and `inverse` derive tables from
+proved ones. A block map is proved from its block, which every generator
+must keep, and any other rule out of a group past the enumeration bound
+is left undecided rather than sampled.
 The check runs on element indices: the graph gives x*s as int columns,
 the table's distinct values are multiplied by each generator's image in
 one batch product (`perms.right_products`), and both sides of the law are
@@ -120,10 +123,7 @@ class Homomorphism:
         return out
 
     @classmethod
-    def of_rule(cls, source, target, fn, label="f", tabulate=False):
-        if tabulate:
-            table = {x: fn(x) for x in source.elements()}
-            return cls(source, target, table=table, label=label)
+    def of_rule(cls, source, target, fn, label="f"):
         return cls(source, target, rule=fn, label=label, check=False)
 
     @classmethod
@@ -167,7 +167,9 @@ class Homomorphism:
         return self._rule(x)
 
     def tabulated(self):
-        """Force a total table (source must be enumerable)."""
+        """Force a total table (source must be enumerable). The table is
+        kept on the map, so later `then`, `restrict` and `preimage_members`
+        calls treat the map as a table map."""
         if self._table is None:
             self._table = {x: self._rule(x) for x in self.source.elements()}
         return self._table
@@ -335,9 +337,9 @@ class Homomorphism:
         """Check f(x*s) = f(x)f(s) on every edge of the source's kept Cayley
         graph (`source.cayley()`), on element indices: by induction on word
         length, the homomorphism law for the whole table. This is the one
-        check of the law: a table from generator images, a coset action,
-        the isomorphism search or a certificate file is proved here. A table
-        whose keys are not the source's elements is not total."""
+        check of the law: a table from generator images (`from_gen_images`)
+        or a certificate file is proved here. A table whose keys are not the
+        source's elements is not total."""
         table = self.tabulated()
         if table.get(self.source.identity) != self.target.identity:
             raise HypothesisError(f"{self.label}: identity not preserved")
@@ -492,10 +494,9 @@ def action_on_cosets(g: FiniteGroup, n: Subgroup, reps=None, label=None):
 
     Points are numbered by `reps` (one element of each coset) when given,
     else by the cosets' least elements in canonical order. Only the
-    generators' point permutations are computed. The rest of the table is
-    read off the induced group when the action is regular (n normal), and
-    otherwise propagated from those generator images and proved by
-    `Homomorphism.from_gen_images`; it keeps g's canonical element order.
+    generators' point permutations are computed; the table is propagated
+    from those images and proved by `Homomorphism.from_gen_images`, in g's
+    canonical element order.
     Returns (reps, rho), rho mapping g onto the induced group `label`.
     """
     if not (n <= g):
@@ -518,19 +519,11 @@ def action_on_cosets(g: FiniteGroup, n: Subgroup, reps=None, label=None):
             raise HypothesisError("representatives do not cover the cosets")
     gens = g.generators
     images = [tuple(point[coset_of[mul(r, s)]] for r in reps) for s in gens]
-    ident = identity_perm(len(reps))
-    image = closure(images or [ident])
+    # the image's elements, kept so that its order takes no stabilizer chain
     target = FiniteGroup(len(reps), images, label or f"{g.label}-cosets",
-                         elements=image)
-    if len(image) != len(reps):
-        return reps, Homomorphism.from_gen_images(
-            g, target, dict(zip(gens, images)), label="rho")
-    # a regular action (n is normal in g): x acts as the one element of the
-    # image that takes the identity's coset to the coset of x
-    start = point[coset_of[g.identity]]
-    moved = {q[start]: q for q in image}
-    table = {e: moved[point[coset_of[e]]] for e in elems}
-    return reps, Homomorphism(g, target, table=table, label="rho", check=False)
+                         elements=closure(images or [identity_perm(len(reps))]))
+    return reps, Homomorphism.from_gen_images(
+        g, target, dict(zip(gens, images)), label="rho")
 
 
 def quotient(g: FiniteGroup, n: Subgroup, label=None):

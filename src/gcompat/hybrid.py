@@ -132,7 +132,8 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     """The base subgroup as the limit of twisted copies of G over the image.
 
     Returns (limit, identification). The limit is the star limit of G at
-    each point v over theta(G), with branch map x -> t_v^-1 theta(x) t_v.
+    each point v over theta(G), with branch map x -> t_v^-1 theta(x) t_v
+    propagated from G's generators (`Homomorphism.from_gen_images`).
     The identification sends each generator w of BW to the limit element
     with root p_theta(w) and coordinate f(v) at branch v, and
     `Homomorphism.from_gen_images` propagates it over BW, which proves it a
@@ -148,14 +149,10 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     if not hw.normal:
         raise HypothesisError("the limit description requires a normal hybrid")
     root = hw.image.group
-    branch_maps = []
-    for v, tv in enumerate(hw.action.labels):
-
-        def twisted(x, tv=tv):
-            return mul(mul(inv(tv), hw.theta(x)), tv)
-
-        branch_maps.append(Homomorphism.of_rule(
-            hw.g_group, root, twisted, label=f"twist@{v}", tabulate=True))
+    branch_maps = [Homomorphism.from_gen_images(
+        hw.g_group, root,
+        {x: mul(mul(inv(tv), hw.theta(x)), tv) for x in hw.g_group.generators},
+        label=f"twist@{v}") for v, tv in enumerate(hw.action.labels)]
     system = star_system(root, [hw.g_group] * hw.npoints, branch_maps)
     lim = star_limit(system, bounds)
 

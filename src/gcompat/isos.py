@@ -165,11 +165,9 @@ def inner_automorphisms(g, bounds=DEFAULT_BOUNDS):
     """Inn(G) = conjugations, deduplicated; |Inn| * |Z| = |G| is checked."""
     seen = {}
     for x in g.sorted_elements(bounds.enum):
-        table = {e: g.conjugate(e, x) for e in g.elements()}
-        key = tuple(sorted(table.items()))
-        if key not in seen:
-            seen[key] = Homomorphism(g, g, table=table,
-                                     label=f"inn", check=False)
+        auto = Homomorphism.from_gen_images(
+            g, g, {s: g.conjugate(s, x) for s in g.generators}, label="inn")
+        seen.setdefault(AutomorphismSet._key(auto), auto)
     autos = list(seen.values())
     if len(autos) * g.center().order() != g.order():
         raise HypothesisError("inner automorphism count is inconsistent")

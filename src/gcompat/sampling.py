@@ -105,12 +105,7 @@ def random_surjective_system(rng: random.Random, poset: Poset,
             k = rng.choice(options)
             big = direct_product(k, base)
             budget = max(1, budget // k.order())
-
-            def proj(p, kdeg=k.degree):
-                return tuple(x - kdeg for x in p[kdeg:])
-
-            trans = Homomorphism.of_rule(big, base, proj, label="proj",
-                                         tabulate=True)
+            trans = Homomorphism.block(big, base, k.degree, label="proj")
         else:
             big = base
             trans = Homomorphism.identity(base)
@@ -149,10 +144,10 @@ def random_quotient_morphism(rng: random.Random, system: InverseSystem):
     t_maps = {}
     for (i, j) in poset.comparable_pairs():
         f = system.maps[(i, j)]
-        section = level[j].section()
-        table = {y: level[i](f(section[y])) for y in t_groups[j].elements()}
-        t_maps[(i, j)] = Homomorphism(t_groups[j], t_groups[i], table=table,
-                                      label="induced", check=False)
+        t_maps[(i, j)] = Homomorphism.from_gen_images(
+            t_groups[j], t_groups[i],
+            {level[j](x): level[i](f(x)) for x in system.groups[j].generators},
+            label="induced")
     target = InverseSystem(poset, t_groups, t_maps)
     return SystemMorphism(system, target, level)
 
@@ -219,12 +214,7 @@ def random_normal_hybrid(rng: random.Random, max_h=24, max_kernel=8,
             continue
         d = rng.choice(kernels + [trivial_group()])
         src = direct_product(k.group, d, label="K x D")
-
-        def theta_rule(p, kdeg=k.group.degree):
-            return tuple(p[:kdeg])
-
-        theta = Homomorphism.of_rule(src, h, theta_rule, label="theta",
-                                     tabulate=True)
+        theta = Homomorphism.block(src, h, 0, label="theta")
         try:
             return hybrid_wreath(src, h, theta, bounds=bounds)
         except HypothesisError:

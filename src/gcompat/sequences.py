@@ -75,7 +75,10 @@ def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
     for i in range(len(chain) - 1):
         if not (chain[i] <= chain[i + 1]):
             raise HypothesisError(f"series term {i} not below term {i + 1}")
-    for term in chain:
+    for i, term in enumerate(chain):
+        if not term <= l_group:
+            raise HypothesisError(
+                f"series term {i} is not inside {l_group.label}")
         if not Subgroup(l_group, members=term.members()).is_normal():
             raise HypothesisError("series term is not normal in the group")
     ell = len(chain) - 1
@@ -93,13 +96,15 @@ def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
         q, pi = quotient(l_group, n, label=f"{l_group.label}/{ell - i}")
         groups.append(q)
         quots.append(pi)
+    # S_i's generators are the images of L's (a quotient's generators are
+    # their point permutations), and the series is nested, so hi(g)
+    # determines lo(g)
     maps = [Homomorphism.trivial(groups[1], groups[0])]
     for i in range(2, ell + 1):
         hi, lo = quots[i - 1], quots[i - 2]
-        section = hi.section()
-        table = {x: lo(section[x]) for x in groups[i].elements()}
-        maps.append(Homomorphism(groups[i], groups[i - 1], table=table,
-                                 label=f"pi_{i}"))
+        maps.append(Homomorphism.from_gen_images(
+            groups[i], groups[i - 1],
+            {hi(g): lo(g) for g in l_group.generators}, label=f"pi_{i}"))
     return GroupSequence(groups, maps)
 
 

@@ -204,7 +204,12 @@ def wreath_product(base_group, action, label=None,
 
 
 class StandardEmbedding:
-    """The injective map of a transitive group into stab wr image."""
+    """The injective map x -> ((t_v x t_{v.x}^-1)_v, rho(x)) of a transitive
+    group into stab wr image, propagated from the generators' images
+    (`Homomorphism.from_gen_images`). The cocycle telescopes, f_xy(v) =
+    f_x(v) f_y(v.x), so once the generators' base entries lie in the
+    stabilizer, every element's do: the check at the generators covers
+    the whole group."""
 
     def __init__(self, action: GroupAction, transversal: PermutationTransversal,
                  bounds=DEFAULT_BOUNDS):
@@ -219,20 +224,17 @@ class StandardEmbedding:
         s_group = action.image_group()
         self.wreath = wreath_product(stab.group, natural_action(s_group),
                                      bounds=bounds)
-        table = {}
+        images = {}
         t = transversal
-        for x in g.elements():
-            fx = []
-            for v in range(action.npoints):
-                w = action.act(v, x)
-                val = mul(mul(t[v], x), inv(t[w]))
-                if not stab.contains(val):
-                    raise HypothesisError(
-                        "broken transversal: cocycle leaves the stabilizer")
-                fx.append(val)
-            table[x] = self.wreath.encode(tuple(fx), action.rho(x))
-        self.map = Homomorphism(g, self.wreath.carrier, table=table,
-                                label="std-embed", check=False)
+        for x in g.generators:
+            fx = tuple(mul(mul(t[v], x), inv(t[action.act(v, x)]))
+                       for v in range(action.npoints))
+            if not all(map(stab.contains, fx)):
+                raise HypothesisError(
+                    "broken transversal: cocycle leaves the stabilizer")
+            images[x] = self.wreath.encode(fx, action.rho(x))
+        self.map = Homomorphism.from_gen_images(g, self.wreath.carrier, images,
+                                                label="std-embed")
 
     def __call__(self, x):
         return self.map(x)

@@ -230,6 +230,21 @@ def test_witness_build_hypothesis_refuted_exit_1(capsys):
                 "--series", "auto-squarefree"]) == 1
 
 
+def test_witness_build_refuses_a_series_term_outside_the_group(tmp_path,
+                                                              capsys):
+    # chain1 ends in the Klein group <(1,0,3,2), (2,3,0,1)>, of Z4's order
+    # but not inside Z4
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({
+        "chain1": [[[2, 3, 0, 1]], [[1, 0, 3, 2], [2, 3, 0, 1]]],
+        "chain2": [[[1, 0, 2, 3]]]}))
+    cert = tmp_path / "cert.json"
+    assert run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2",
+                "--series", str(series), "--out", str(cert)]) == 1
+    assert "series term 2 is not inside Z4" in capsys.readouterr().err
+    assert not cert.exists()
+
+
 def test_witness_build_undecided_exit_2(capsys):
     # the length-4 recursion's hybrid wreath product is past the bound
     assert run(["witness", "build", "--L1", "Z16", "--L2", "E(2,4)"]) == 2

@@ -69,7 +69,8 @@ def test_image_of_diagonal():
     def diag_rule(p):
         return tuple(p) + tuple(x + 2 for x in p)
 
-    diag = Homomorphism.of_rule(z2, prod, diag_rule, tabulate=True)
+    diag = Homomorphism(z2, prod,
+                        table={x: diag_rule(x) for x in z2.elements()})
     img = image(diag)
     # oracle: enumerate images directly
     assert img.members() == frozenset(diag(x) for x in z2.elements())
@@ -262,8 +263,10 @@ def test_then_fuses_block_maps_only():
     outer, _, _, _, out_pr2 = direct_product_with_maps(z2, inner)
     fused = out_pr2.then(in_pr2)
     assert fused.offset == 2 + 3 and fused.label == "pr2*pr2"
-    table_left = Homomorphism.of_rule(outer, inner, out_pr2, tabulate=True)
-    table_right = Homomorphism.of_rule(inner, z4, in_pr2, tabulate=True)
+    table_left = Homomorphism(
+        outer, inner, table={x: out_pr2(x) for x in outer.elements()})
+    table_right = Homomorphism(
+        inner, z4, table={x: in_pr2(x) for x in inner.elements()})
     rule_left = Homomorphism.of_rule(outer, inner, lambda x: out_pr2(x))
     rule_right = Homomorphism.of_rule(inner, z4, lambda y: in_pr2(y))
     for f, g in [(table_left, in_pr2), (out_pr2, table_right),
@@ -303,8 +306,8 @@ def test_rule_map_past_the_enumeration_bound_is_undecided():
     assert rule.validate(Bounds(enum=6)) == 6 * 2  # one check per edge
     # a block map needs no enumeration; a table map is checked on its table
     assert pr2.validate(Bounds(enum=5)) == 2
-    assert Homomorphism.of_rule(prod, z3, pr2, tabulate=True).validate(
-        Bounds(enum=5)) == 6 * 2
+    table = Homomorphism(prod, z3, table={x: pr2(x) for x in prod.elements()})
+    assert table.validate(Bounds(enum=5)) == 6 * 2
 
 
 def test_maps_out_of_a_source_closed_past_the_default_bound():
@@ -517,7 +520,8 @@ def _memo_maps():
         z4, z2, lambda x: z2.generators[0] if x[0] % 2 else z2.identity,
         label="mod2")
     negate = Homomorphism.of_rule(z4, z4, inv, label="neg")  # Z4 abelian
-    table = Homomorphism.of_rule(prod, z4, pr2, label="table", tabulate=True)
+    table = Homomorphism(prod, z4, table={x: pr2(x) for x in prod.elements()},
+                         label="table")
     # pr2's fibers interleave in the canonical order, so merging them must sort
     maps = {"table": table, "rule": sign, "block": pr1,
             "merging": pr2.then(parity), "injective": pr2.then(negate)}

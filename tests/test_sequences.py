@@ -62,6 +62,31 @@ def test_series_to_sequence_f21xz2_length3():
     assert [t.order() for t in series] == [1, 7, 21, 42]
 
 
+def test_series_maps_equal_the_induced_quotient_maps(rng, coset_table):
+    # pi_i is propagated from generator images; the reference is the pair
+    # of coset actions hi, lo of L on S_i and S_{i-1}: pi_i(hi(x)) = lo(x)
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    pool = medium_group_pool(60)
+    checked = 0
+    for _ in range(40):
+        g = rng.choice(pool)
+        n = random_normal_subgroup(rng, g, proper=True)
+        m = g.normal_closure(list(n.group.generators)
+                             + [rng.choice(g.sorted_elements())])
+        if n.order() == 1 or m.order() == g.order():
+            continue
+        seq = series_to_sequence(
+            g, [g.trivial_subgroup(), n, m, g.full_subgroup()])
+        level = [{x: (0,) for x in g.elements()}, coset_table(g, m),
+                 coset_table(g, n), {x: x for x in g.elements()}]
+        for i in (1, 2, 3):
+            hi, lo = level[i], level[i - 1]
+            assert all(seq.map(i)(hi[x]) == lo[x] for x in g.elements())
+        checked += 1
+    assert checked >= 10
+
+
 def test_round_trip_preserves_factor_types():
     z4, chain = z4_series()
     seq = series_to_sequence(z4, chain)

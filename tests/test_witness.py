@@ -673,10 +673,9 @@ def d8_vs_z2z4_pair():
     rot, ref = d8.generators
     k1 = Subgroup(d8, members=closure([d8.power(rot, 2), ref]))
     z2 = cyclic(2)
-    pi21 = Homomorphism.of_rule(
-        d8, z2,
-        lambda p, members=k1.members(): z2.identity if p in members
-        else z2.generators[0], tabulate=True)
+    pi21 = Homomorphism(
+        d8, z2, table={p: z2.identity if p in k1.members()
+                       else z2.generators[0] for p in d8.elements()})
     za = named_group("Z2xZ4")
     g1, g2 = za.generators
     pi22 = Homomorphism.from_gen_images(za, z2,
@@ -689,7 +688,8 @@ def d8_vs_z2z4_pair():
         def proj(p, deg=base.degree):
             return tuple(p[:deg])
 
-        pi3 = Homomorphism.of_rule(ext, base, proj, tabulate=True)
+        pi3 = Homomorphism(ext, base,
+                           table={x: proj(x) for x in ext.elements()})
         triv_map = Homomorphism.trivial(z2, trivial_group())
         tops[name] = GroupSequence([trivial_group(), z2, base, ext],
                                    [triv_map, pi, pi3])
@@ -1475,7 +1475,8 @@ def almost_equal_partner(seq):
     def proj(p, deg=below.degree):
         return tuple(p[:deg])
 
-    new_map = Homomorphism.of_rule(fiber, below, proj, tabulate=True)
+    new_map = Homomorphism(fiber, below,
+                           table={x: proj(x) for x in fiber.elements()})
     return GroupSequence(seq.groups[:-1] + [fiber], seq.maps[:-1] + [new_map])
 
 

@@ -3,7 +3,7 @@ import pytest
 from gcompat.bounds import HypothesisError
 from gcompat.groups import Subgroup, cyclic, symmetric, trivial_group
 from gcompat.homs import Homomorphism
-from gcompat.perms import closure, mul, perm_order
+from gcompat.perms import closure, inv, mul, perm_order
 from gcompat.sampling import (
     medium_group_pool,
     random_subgroup,
@@ -178,6 +178,12 @@ def test_randomized_embeddings(rng):
         emb = standard_embedding(act, tr)
         emb.map.validate()
         assert len({emb(x) for x in g.elements()}) == g.order()
+        # the map is propagated from its generators' images; the reference
+        # is the formula x -> ((t_v x t_{v.x}^-1)_v, rho(x)) at every element
+        for x in g.elements():
+            cocycle = tuple(mul(mul(tr[v], x), inv(tr[act.act(v, x)]))
+                            for v in range(act.npoints))
+            assert emb(x) == emb.wreath.encode(cocycle, act.rho(x))
 
 
 def test_wreath_of_homomorphisms_identity_case():
