@@ -36,14 +36,16 @@ is the block at offset a + b, so `then` fuses a chain of them into one
 slice (Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 2005, section 2.1).
 
-Kernels, preimages and canonical sections each come from one pass over
-the source's elements (`preimage_members`, `section`); a block map
-compares raw slices and decodes nothing, and a composite from `then`
-recurses into its two maps. Nothing reads them at verify time: a
-hand-built composition lifts its extendability evidence through
-preimages once, when it is composed (`witness.lifted_evidence`), and the
-`ker-p{d}-matches` check of `witness.verify_witness` evaluates the map on
-the kernel's generators only (Holt, Eick and O'Brien 2005, section 3.3).
+Kernels, preimages and canonical sections each come from one unsorted
+pass over the source's elements (`preimage_members`, `section`): none of
+them sorts the source, and a section sorts only its |image| least
+preimages, once, at the end. A block map compares raw slices and decodes
+nothing, and a composite from `then` recurses into its two maps. Nothing
+reads them at verify time: a hand-built composition lifts its
+extendability evidence through preimages once, when it is composed
+(`witness.lifted_evidence`), and the `ker-p{d}-matches` check of
+`witness.verify_witness` evaluates the map on the kernel's generators only
+(Holt, Eick and O'Brien 2005, section 3.3).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import repeat
 from math import prod
+from operator import itemgetter
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup
@@ -245,21 +248,27 @@ class Homomorphism:
 
     # -- kernels and images --------------------------------------------------
 
+    def _closed_source(self, what, bound):
+        """Close the source's elements for `what` ("kernel", "section")
+        under `bound` (default `DEFAULT_BOUNDS.enum`), which a refusal
+        names; a source whose elements were already closed under a larger
+        bound is read (`FiniteGroup.can_enumerate`). Returns the bound."""
+        limit = bound if bound is not None else DEFAULT_BOUNDS.enum
+        if not self.source.can_enumerate(limit):
+            raise UndecidedError(
+                f"{what} of {self.label}: source not enumerable (order "
+                f"{self.source.order()}, past the enumeration bound "
+                f"{limit})")
+        self.source.elements(limit)
+        return limit
+
     def kernel(self, bound=None) -> Subgroup:
         """The preimage of the identity, kept on the map. A composite from
         `then` whose outer map has a trivial kernel returns the inner map's
-        kernel Subgroup itself. The source is closed under `bound` (default
-        `DEFAULT_BOUNDS.enum`), and a refusal names it; a source whose
-        elements were already closed under a larger bound is read
-        (`FiniteGroup.can_enumerate`)."""
+        kernel Subgroup itself. The source is closed under `bound`
+        (`_closed_source`)."""
         if self._kernel is None:
-            limit = bound if bound is not None else DEFAULT_BOUNDS.enum
-            if not self.source.can_enumerate(limit):
-                raise UndecidedError(
-                    f"kernel of {self.label}: source not enumerable (order "
-                    f"{self.source.order()}, past the enumeration bound "
-                    f"{limit})")
-            self.source.elements(limit)
+            limit = self._closed_source("kernel", bound)
             if self._then is not None and \
                     self._then[1].kernel(limit).order() == 1:
                 self._kernel = self._then[0].kernel(limit)
@@ -309,27 +318,37 @@ class Homomorphism:
         (`preimage_members`)."""
         return Subgroup(self.source, members=self.preimage_members(members))
 
-    def section(self):
+    def section(self, bound=None):
         """Canonical transversal: target element -> least preimage, keyed
-        in the order of those preimages. A composite from `then` takes, for
-        each outer value, the least of its inner section's values over it;
-        a block map keys its scan by raw slice."""
+        in the order of those preimages (Butler 1991's least coset
+        representatives). One unsorted pass over the source's elements,
+        closed under `bound` (`_closed_source`), keeps the least element
+        per value, keyed by raw slice on a block map and by f(x) on any
+        other; the |image| entries are then ordered by their preimages.
+        A composite from `then` takes, for each outer value, the least of
+        its inner section's values over it."""
         if self._then is not None:
             inner, outer = self._then
             out = {}
-            for y, x in inner.section().items():  # x increasing
+            for y, x in inner.section(bound).items():  # x increasing
                 out.setdefault(outer(y), x)
             return out
+        self._closed_source("section", bound)
         off = self.offset
-        out = {}
         if off is None:
-            for x in self.source.sorted_elements():
-                out.setdefault(self(x), x)
-            return out
-        end = off + self.target.degree
-        for x in self.source.sorted_elements():
-            out.setdefault(x[off:end], x)
-        return {tuple([v - off for v in key]): x for key, x in out.items()}
+            key = self
+        else:
+            key = itemgetter(slice(off, off + self.target.degree))
+        least = {}
+        for x in self.source.elements():
+            k = key(x)
+            y = least.get(k)
+            if y is None or x < y:
+                least[k] = x
+        out = sorted(least.items(), key=itemgetter(1))
+        if off is None:
+            return dict(out)
+        return {tuple([v - off for v in k]): x for k, x in out}
 
     # -- validation ----------------------------------------------------------
 

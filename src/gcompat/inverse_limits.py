@@ -266,6 +266,8 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     branch-kernel generators placed at their branch, so they lie in the
     limit; the group they generate is the limit exactly when its order is
     |root| * prod |ker b|, which is checked (HypothesisError otherwise).
+    The branch maps' sections and kernels close their sources under
+    `bounds.enum`, and a branch past it is refused (UndecidedError).
     Within `bounds.enum` the group is closed once here and callers reuse
     its elements; past it, order and membership come from a stabilizer
     chain.
@@ -283,8 +285,10 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
 
     builder = LimitGroupBuilder(system)
     rg = system.groups[root]
-    sections = {b: system.maps[(root, b)].section() for b in branches}
-    kernels = {b: system.maps[(root, b)].kernel() for b in branches}
+    sections = {b: system.maps[(root, b)].section(bounds.enum)
+                for b in branches}
+    kernels = {b: system.maps[(root, b)].kernel(bounds.enum)
+               for b in branches}
 
     def lift(r):
         asg = {root: r}

@@ -162,14 +162,20 @@ def automorphism_set(g, bounds=DEFAULT_BOUNDS):
 
 
 def inner_automorphisms(g, bounds=DEFAULT_BOUNDS):
-    """Inn(G) = conjugations, deduplicated; |Inn| * |Z| = |G| is checked."""
-    seen = {}
+    """Inn(G) = conjugations, deduplicated; |Inn| * |Z| = |G| is checked.
+    Conjugation by z*x is conjugation by x for z in Z = Z(G), so one map is
+    propagated per coset Z*x, by its least element, in sorted order."""
+    center = g.center(bounds.enum).members()
+    taken, seen = set(), {}
     for x in g.sorted_elements(bounds.enum):
+        if x in taken:
+            continue
+        taken.update(mul(z, x) for z in center)
         auto = Homomorphism.from_gen_images(
             g, g, {s: g.conjugate(s, x) for s in g.generators}, label="inn")
         seen.setdefault(AutomorphismSet._key(auto), auto)
     autos = list(seen.values())
-    if len(autos) * g.center().order() != g.order():
+    if len(autos) * len(center) != g.order():
         raise HypothesisError("inner automorphism count is inconsistent")
     return AutomorphismSet(g, autos)
 

@@ -75,17 +75,20 @@ def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
     for i in range(len(chain) - 1):
         if not (chain[i] <= chain[i + 1]):
             raise HypothesisError(f"series term {i} not below term {i + 1}")
+    terms = []  # each term closed once, as a subgroup of L
     for i, term in enumerate(chain):
         if not term <= l_group:
             raise HypothesisError(
                 f"series term {i} is not inside {l_group.label}")
-        if not Subgroup(l_group, members=term.members()).is_normal():
+        n = Subgroup(l_group, members=term.members())
+        if not n.is_normal():
             raise HypothesisError("series term is not normal in the group")
+        terms.append(n)
     ell = len(chain) - 1
     groups = [trivial_group()]
     quots: list[Homomorphism] = []
     for i in range(1, ell + 1):
-        n = Subgroup(l_group, members=chain[ell - i].members())
+        n = terms[ell - i]
         if n.order() == l_group.order():
             raise HypothesisError("series repeats the whole group")
         if n.order() == 1:

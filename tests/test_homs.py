@@ -244,6 +244,29 @@ def test_section_is_canonical_minimal():
         assert x == min(f.preimage_members([y]))
 
 
+def test_a_section_sorts_nothing():
+    """A block projection's section, and a `then` composite's over it, is
+    one unsorted pass over a closed source: its sorted list is never built,
+    and the least preimages come out in increasing order."""
+    from gcompat.catalog import frobenius21
+
+    f21, z3 = frobenius21(), cyclic(3)
+    onto_z3 = Homomorphism.from_gen_images(
+        f21, z3, {g: (z3.generators[0] if perm_order(g) == 3 else z3.identity)
+                  for g in f21.generators})
+    prod, _, _, pr1, _ = direct_product_with_maps(f21, symmetric(3))
+    prod.elements()
+    composite = pr1.then(onto_z3)
+    assert pr1.offset == 0 and composite._then == (pr1, onto_z3)
+    for f in (pr1, composite):
+        s = f.section()
+        assert prod._sorted is None
+        assert len(s) == f.target.order()
+        assert list(s.values()) == sorted(s.values())
+        for y, x in s.items():
+            assert x == min(f.preimage_members([y]))
+
+
 def test_direct_product_with_maps():
     z2, z3 = cyclic(2), cyclic(3)
     prod, inj1, inj2, pr1, pr2 = direct_product_with_maps(z2, z3)

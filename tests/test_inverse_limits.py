@@ -291,6 +291,32 @@ def test_star_limit_past_the_enumeration_bound_builds_from_generators():
     assert lim.group._elements is None
 
 
+def test_star_limit_closes_its_branches_under_the_callers_bound():
+    """The sign map S8 -> Z2 has a source of order 40320: under the
+    default enumeration bound its section is refused, naming the bound,
+    and under a bound of 50000 the limit (S8 itself) is built."""
+    from gcompat.bounds import UndecidedError
+
+    s8, z2 = symmetric(8), cyclic(2)
+
+    def sign(p):
+        seen, cycles = set(), 0
+        for i in range(len(p)):
+            cycles += i not in seen
+            while i not in seen:
+                seen.add(i)
+                i = p[i]
+        return z2.generators[0] if (len(p) - cycles) % 2 else z2.identity
+
+    system = star_system(z2, [s8],
+                         [Homomorphism.of_rule(s8, z2, sign, label="sign")])
+    with pytest.raises(UndecidedError, match="section of sign: .* 20000"):
+        star_limit(system)
+    lim = star_limit(system, Bounds(enum=50000))
+    assert lim.group.order() == 40320
+    assert lim.projection(0).is_bijective()
+
+
 def test_universal_property_on_small_instance():
     # any competitor cone factors uniquely through the limit
     system, z4, z2, pi = z4_star()

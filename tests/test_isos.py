@@ -88,6 +88,34 @@ def test_inn_times_center_equals_order(g):
     assert len(inn) * g.center().order() == g.order()
 
 
+@pytest.mark.parametrize("name, cosets", [("Z8", 1), ("D8", 4)])
+def test_inner_automorphisms_propagate_one_map_per_center_coset(
+        monkeypatch, name, cosets):
+    g = named_group(name)
+    calls = []
+    real = Homomorphism.from_gen_images.__func__
+    monkeypatch.setattr(
+        Homomorphism, "from_gen_images",
+        classmethod(lambda cls, *a, **k: calls.append(1) or real(cls, *a, **k)))
+    assert len(inner_automorphisms(g)) == len(calls) == cosets
+
+
+def test_inner_automorphisms_equal_the_per_element_deduplication():
+    """Over `sampling.medium_group_pool`: the same maps, in the same order,
+    as one conjugation per element of G deduplicated by table."""
+    from gcompat.isos import AutomorphismSet
+    from gcompat.sampling import medium_group_pool
+
+    for g in medium_group_pool():
+        seen = {}
+        for x in g.sorted_elements():
+            auto = Homomorphism.from_gen_images(
+                g, g, {s: g.conjugate(s, x) for s in g.generators})
+            seen.setdefault(AutomorphismSet._key(auto), auto)
+        got = inner_automorphisms(g)
+        assert [AutomorphismSet._key(a) for a in got] == list(seen), g.label
+
+
 def test_aut_z2xz4_stabilized_and_restricted():
     g = named_group("Z2xZ4")
     auts = automorphism_set(g)

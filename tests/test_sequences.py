@@ -62,6 +62,25 @@ def test_series_to_sequence_f21xz2_length3():
     assert [t.order() for t in series] == [1, 7, 21, 42]
 
 
+@pytest.mark.parametrize("name, series", [("D8", "auto-central"),
+                                          ("Q8", "auto-central"),
+                                          ("F21xZ2", "auto-squarefree")])
+def test_series_to_sequence_closes_each_term_once(monkeypatch, name, series):
+    """One `from_elements` call per term: the term's Subgroup in L serves
+    both its normality test and its quotient."""
+    import gcompat.groups
+    from gcompat.witness import SERIES
+
+    g = named_group(name)
+    chain = SERIES[series][0](g)
+    calls = []
+    real = gcompat.groups.from_elements
+    monkeypatch.setattr(gcompat.groups, "from_elements",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    series_to_sequence(g, chain)
+    assert len(calls) == len(chain) == 4
+
+
 def test_series_maps_equal_the_induced_quotient_maps(rng, coset_table):
     # pi_i is propagated from generator images; the reference is the pair
     # of coset actions hi, lo of L on S_i and S_{i-1}: pi_i(hi(x)) = lo(x)
