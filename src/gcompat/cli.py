@@ -144,13 +144,19 @@ def cmd_hybrid(args) -> int:
 
 def _chain_from_file(path: str, l1, l2):
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError("series file must be a JSON object")
     chains = []
     for key, grp in (("chain1", l1), ("chain2", l2)):
+        terms = data[key]
+        if not isinstance(terms, list):
+            raise ValueError(f"{key}: expected a list of generator lists")
         chain = [grp.trivial_subgroup()]
-        for gens in data[key]:
+        for gens in terms:
+            gens = descriptors.perm_list(gens, f"{key} term")
             if not gens:
                 continue
-            chain.append(Subgroup(grp, gens=[tuple(g) for g in gens]))
+            chain.append(Subgroup(grp, gens=gens))
         if chain[-1].order() != grp.order():
             chain.append(grp.full_subgroup())
         chains.append(chain)

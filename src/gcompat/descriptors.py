@@ -31,8 +31,10 @@ from .witness import (
     certificate_mode,
 )
 
-_SIMPLE_KINDS = {"cyclic", "symmetric", "alternating", "dihedral",
-                 "elementary_abelian"}
+# group kind -> the JSON type and number of its parameters
+_KINDS = {"named": (str, 1), "direct_product": (dict, 2), "cyclic": (int, 1),
+          "symmetric": (int, 1), "alternating": (int, 1), "dihedral": (int, 1),
+          "elementary_abelian": (int, 2)}
 
 
 def group_to_descriptor(g: FiniteGroup) -> dict:
@@ -44,21 +46,38 @@ def group_to_descriptor(g: FiniteGroup) -> dict:
     }
 
 
+def perm_list(obj, what) -> list:
+    """`obj`, a JSON list of permutations, as a list of tuples;
+    ValueError naming `what` unless it is a list of lists of integers."""
+    if not isinstance(obj, list) or not all(
+            isinstance(p, list) and all(type(x) is int for x in p)
+            for p in obj):
+        raise ValueError(f"{what}: expected a list of lists of integers")
+    return [tuple(p) for p in obj]
+
+
 def group_from_descriptor(d: dict) -> FiniteGroup:
+    if not isinstance(d, dict):
+        raise ValueError("group descriptor must be a JSON object")
     if "kind" in d:
-        kind = d["kind"]
-        params = d.get("params", [])
+        kind, params = d["kind"], d.get("params", [])
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        typ, count = _KINDS[kind]
+        if not isinstance(params, list) or len(params) != count \
+                or any(type(p) is not typ for p in params):
+            raise ValueError(f"{kind}: expected {count} parameter(s) of "
+                             f"JSON type {typ.__name__}")
         if kind == "named":
             return named_group(params[0])
         if kind == "direct_product":
-            parts = [group_from_descriptor(p) for p in params]
-            return construct("direct_product", *parts)
-        if kind in _SIMPLE_KINDS:
-            return construct(kind, *params)
-        raise ValueError(f"unknown group kind {d['kind']!r}")
+            params = [group_from_descriptor(p) for p in params]
+        return construct(kind, *params)
     if "generators" not in d or "degree" not in d:
         raise ValueError("group descriptor needs kind or generators/degree")
-    g = FiniteGroup(d["degree"], [tuple(p) for p in d["generators"]],
+    if type(d["degree"]) is not int:
+        raise ValueError("group descriptor degree must be an integer")
+    g = FiniteGroup(d["degree"], perm_list(d["generators"], "generators"),
                     d.get("label", "G"))
     if "order" in d and g.order() != d["order"]:
         raise ValueError("descriptor order does not match the generators")

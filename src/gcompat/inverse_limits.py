@@ -4,7 +4,10 @@ The limit is the coherent-tuple subgroup of the direct product, realized as
 a permutation group on the disjoint union of the node domains (faithful
 because each node realization is). Star-shaped surjective systems, the only
 shape the witness construction needs, get structural generators so the
-limit stays available past the enumeration bound.
+limit stays available past the enumeration bound. Within the bound a star
+limit's elements are not closed from those generators: they are listed as
+the fibered product of the branches over the root, coset by coset of the
+branch kernels (`star_limit`).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, from_elements, trivial_group
 from .homs import Homomorphism
-from .perms import decode_block, place_block
+from .perms import decode_block, left_products, place_block
 from .posets import Poset, star_poset
 
 
@@ -263,14 +266,30 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     """Limit of a surjective star system, built from generators at any size.
 
     The generators are coherent lifts of the root generators plus the
-    branch-kernel generators placed at their branch, so they lie in the
-    limit; the group they generate is the limit exactly when its order is
-    |root| * prod |ker b|, which is checked (HypothesisError otherwise).
-    The branch maps' sections and kernels close their sources under
-    `bounds.enum`, and a branch past it is refused (UndecidedError).
-    Within `bounds.enum` the group is closed once here and callers reuse
-    its elements; past it, order and membership come from a stabilizer
-    chain.
+    branch-kernel generators placed at their branch. The branch maps'
+    sections and kernels close their sources under `bounds.enum`, and a
+    branch past it is refused (UndecidedError).
+
+    Lemma. Let each branch map pi_b: B_b -> R be a surjective homomorphism,
+    K_b <= B_b a subgroup whose generators pi_b sends to 1, and s_b(r) a
+    preimage of r for each r in R. If |B_b| = |R| |K_b| for every b, then
+    K_b = ker pi_b (first isomorphism theorem), the fiber of r is the coset
+    s_b(r) K_b, and the limit is the union over r in R of
+    {r} x prod_b s_b(r) K_b, of order |R| prod |K_b|. It is generated by
+    lifts of R's generators and the placed generators of each K_b: an
+    element over r differs from a word in the lifts by an element of
+    prod_b K_b.
+
+    The hypotheses are checked at every size, and a failed check raises
+    HypothesisError: the maps' surjectivity, K_b <= B_b and |B_b| = |R|
+    |K_b| for each branch ("wrong order") before anything is listed, and
+    the generators' coherence (for a placed kernel generator, pi_b(k) = 1)
+    through the limit's decoder once it exists; the sections are preimages
+    by construction (`Homomorphism.section`). The bound only decides
+    whether the elements are listed: within `bounds.enum` they are the
+    union above (`_fibered_product`), which callers reuse, and nothing is
+    closed; past it none are listed, and the order, when asked, comes from
+    a stabilizer chain.
     """
     root = system.poset.minimal_nodes()
     if len(root) != 1:
@@ -289,6 +308,13 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
                 for b in branches}
     kernels = {b: system.maps[(root, b)].kernel(bounds.enum)
                for b in branches}
+    for b in branches:
+        if not all(map(system.groups[b].contains, kernels[b].group.generators)):
+            raise HypothesisError("star limit kernel lies outside its branch")
+    # the first isomorphism theorem at each branch (the lemma)
+    if any(system.groups[b].order() != rg.order() * kernels[b].order()
+           for b in branches):
+        raise HypothesisError("star limit generator set has wrong order")
 
     def lift(r):
         asg = {root: r}
@@ -303,18 +329,38 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     total = rg.order()
     for b in branches:
         total *= kernels[b].order()
-    group = FiniteGroup(builder.degree, gens, label="lim")
+    elements = None
     if total <= bounds.enum:
-        # closed once under the caller's bound: the order check then needs
-        # no stabilizer chain, and every later element scan reuses the set
-        group.elements(bounds.enum)
-    if group.order() != total:
-        raise HypothesisError("star limit generator set has wrong order")
-
-    out = LimitGroup(system, group)
+        elements = _fibered_product(builder, root, rg, sections, kernels,
+                                    bounds.enum)
+    out = LimitGroup(system, FiniteGroup(builder.degree, gens, label="lim",
+                                         elements=elements))
     for g in gens:
         if not out.is_coherent(g):
             raise HypothesisError("star limit generator is not coherent")
+    return out
+
+
+def _fibered_product(builder, root, rg, sections, kernels, bound):
+    """The union over r in rg of {r} x prod_b sections[b][r] kernels[b],
+    encoded in `builder.node_order` (`star_limit`'s lemma). Each kernel's
+    members are shifted to their branch's offset once, so a fiber is one
+    `left_products` gather of them; the elements grow node by node, one
+    tuple concatenation per partial element."""
+    offsets = builder.offsets
+    shifted = {b: [tuple([v + offsets[b] for v in k])
+                   for k in kern.members(bound)]
+               for b, kern in kernels.items()}
+    out = []
+    for r in rg.elements(bound):
+        prefixes = [()]
+        for n in builder.node_order:
+            if n == root:
+                part = [tuple([v + offsets[n] for v in r])]
+            else:
+                part = list(left_products(sections[n][r], shifted[n]))
+            prefixes = [p + x for p in prefixes for x in part]
+        out.extend(prefixes)
     return out
 
 

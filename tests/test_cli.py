@@ -287,6 +287,25 @@ def test_limit_malformed_file_exits_3(tmp_path):
     assert run(["limit", "--system", str(path)]) == 3
 
 
+def test_group_descriptor_with_a_string_point_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["group", '{"degree": 3, "generators": [["a",1,2]]}',
+                "--out", "group.json"]) == 3
+    assert capsys.readouterr().err.startswith("malformed input: generators:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_series_file_with_a_number_for_a_chain_exits_3(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "series.json").write_text('{"chain1": 3, "chain2": []}')
+    assert run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2",
+                "--series", "series.json", "--out", "cert.json"]) == 3
+    assert capsys.readouterr().err.startswith("malformed input: chain1:")
+    assert [p.name for p in tmp_path.iterdir()] == ["series.json"]
+
+
 def test_wreath_command(capsys):
     assert run(["wreath", "--base", "Z2", "--top", "Z2"]) == 0
     out = capsys.readouterr().out

@@ -34,6 +34,21 @@ def test_group_kind_descriptors():
         descriptors.group_from_descriptor({"kind": "nonsense"})
 
 
+@pytest.mark.parametrize("d", [
+    3, ["kind"], {"kind": ["cyclic"]}, {"kind": "cyclic", "params": ["a"]},
+    {"kind": "cyclic", "params": [True]}, {"kind": "cyclic", "params": []},
+    {"kind": "named", "params": 5}, {"kind": "named", "params": []},
+    {"kind": "direct_product", "params": [{"kind": "cyclic", "params": [2]}]},
+    {"kind": "elementary_abelian", "params": [2, 1.5]},
+    {"degree": "3", "generators": [[1, 0, 2]]},
+    {"degree": 3, "generators": [[1, 0, None]]},
+    {"degree": 3, "generators": [1, 0, 2]}])
+def test_malformed_group_descriptors_raise_value_error(d):
+    # the CLI maps ValueError to exit 3
+    with pytest.raises(ValueError):
+        descriptors.group_from_descriptor(d)
+
+
 def test_descriptor_order_check():
     g = cyclic(4)
     d = descriptors.group_to_descriptor(g)

@@ -97,6 +97,85 @@ def test_star_limit_refutes_a_wrong_kernel():
         star_limit(star_system(z2, [z4, z4], pis))
 
 
+@pytest.mark.parametrize("stretch", [False, True])
+def test_star_limit_order_check_holds_past_the_bound(stretch):
+    # three Z4 branches over Z2: each branch is enumerable under enum=4,
+    # the order-16 limit is not
+    bounds = Bounds(enum=4) if stretch else Bounds()
+    z4, z2 = cyclic(4), cyclic(2)
+
+    def pis():
+        return [Homomorphism.from_gen_images(
+            z4, z2, {z4.generators[0]: z2.generators[0]}) for _ in range(3)]
+
+    lim = star_limit(star_system(z2, [z4] * 3, pis()), bounds)
+    assert (lim.group._elements is None) == stretch
+    assert lim.group.order() == 16
+    wrong = pis()
+    wrong[2]._kernel = z4.trivial_subgroup()
+    with pytest.raises(HypothesisError, match="wrong order"):
+        star_limit(star_system(z2, [z4] * 3, wrong), bounds)
+
+
+def test_enumerated_star_limit_equals_closure_and_generic_limit(rng):
+    # random surjective stars with the root last in node_order, and their
+    # branch maps as drawn (block, `then` composite or rule) or redrawn as
+    # tables from their generator images
+    kinds, sizes = set(), set()
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        poset = Poset(tuple(range(n)) + ("r",), [("r", i) for i in range(n)])
+        drawn = random_surjective_system(rng, poset)
+        maps = dict(drawn.maps)
+        for key, f in drawn.maps.items():
+            if rng.random() < 0.3:
+                maps[key] = Homomorphism.from_gen_images(
+                    f.source, f.target, f.gen_images(), label="table")
+        system = InverseSystem(poset, drawn.groups, maps)
+        assert system.node_list()[-1] == "r"
+        for f in maps.values():
+            kinds.add("table" if f._table is not None else "block"
+                      if f.offset is not None else "then"
+                      if f._then is not None else "rule")
+        lim = star_limit(system)
+        elems = lim.group._elements
+        assert elems is not None
+        gens = lim.group.generators or (lim.group.identity,)
+        assert elems == closure(gens) == limit(system).group.elements()
+        sizes.add(len(elems))
+    assert kinds == {"table", "block", "then", "rule"}
+    assert len(sizes) > 5
+
+
+def test_star_limit_refutes_a_kernel_memo_outside_the_kernel():
+    # Z2xZ2 -> Z2 onto the first factor: the second factor is its kernel,
+    # and the first, of the same order, passes the order check but places
+    # a generator that is not coherent
+    from gcompat.groups import direct_product
+    from gcompat.perms import place_block
+
+    z2 = cyclic(2)
+    v4 = direct_product(z2, z2)
+    for branches in (1, 2):
+        pis = [Homomorphism.block(v4, z2, 0, label="first")
+               for _ in range(branches)]
+        pis[-1]._kernel = Subgroup(
+            v4, gens=[place_block(z2.generators[0], 0, 4)])
+        assert pis[-1]._kernel.order() * 2 == v4.order()
+        with pytest.raises(HypothesisError, match="not coherent"):
+            star_limit(star_system(z2, [v4] * branches, pis))
+
+
+def test_star_limit_refutes_a_kernel_memo_outside_its_branch():
+    # a kernel memo of the right order whose generator lies outside Z4
+    z4, z2 = cyclic(4), cyclic(2)
+    pi = Homomorphism.from_gen_images(z4, z2,
+                                      {z4.generators[0]: z2.generators[0]})
+    pi._kernel = Subgroup(symmetric(4), gens=[(1, 0, 2, 3)])
+    with pytest.raises(HypothesisError, match="outside its branch"):
+        star_limit(star_system(z2, [z4], [pi]))
+
+
 def test_limit_encode_concatenates_shifted_blocks(rng):
     from gcompat.inverse_limits import LimitGroup, LimitGroupBuilder
 

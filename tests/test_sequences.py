@@ -81,6 +81,26 @@ def test_series_to_sequence_closes_each_term_once(monkeypatch, name, series):
     assert len(calls) == len(chain) == 4
 
 
+def test_series_terms_are_tested_normal_once(monkeypatch):
+    # `quotient` is the one normality test: once per proper nontrivial
+    # term, and a term that is not normal is still refused
+    from gcompat.witness import SERIES
+
+    s3 = symmetric(3)
+    with pytest.raises(HypothesisError, match="not normal"):
+        series_to_sequence(s3, [s3.trivial_subgroup(),
+                                Subgroup(s3, gens=[(1, 0, 2)]),
+                                s3.full_subgroup()])
+    d8 = named_group("D8")
+    chain = SERIES["auto-central"][0](d8)
+    tested, real = [], Subgroup.is_normal
+    monkeypatch.setattr(Subgroup, "is_normal",
+                        lambda self: tested.append(self.order()) or real(self))
+    series_to_sequence(d8, chain)
+    proper = [t.order() for t in chain if 1 < t.order() < d8.order()]
+    assert proper and sorted(tested) == sorted(proper)
+
+
 def test_series_maps_equal_the_induced_quotient_maps(rng, coset_table):
     # pi_i is propagated from generator images; the reference is the pair
     # of coset actions hi, lo of L on S_i and S_{i-1}: pi_i(hi(x)) = lo(x)

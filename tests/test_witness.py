@@ -1044,6 +1044,36 @@ def test_stretch_length2_kernel_iso_is_a_rule(monkeypatch):
     _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim)
 
 
+@pytest.mark.parametrize("a,b,build,most", [
+    ("D8", "Q8", witness_nilpotent, 2048),
+    ("Z21", "F21", witness_square_free, 147),
+    pytest.param("Z30", "Z5xS3", witness_square_free, 3750,
+                 marks=pytest.mark.stretch),
+    pytest.param("F21xZ2", "Z7xS3", witness_square_free, 14406,
+                 marks=pytest.mark.stretch)])
+def test_enumerated_star_limits_of_a_build_equal_their_closures(
+        monkeypatch, a, b, build, most):
+    # every star limit listed within the bound while a witness is built is
+    # the group its generators close to, and the witness verifies
+    import gcompat.witness as witness
+
+    star, listed = witness.star_limit, []
+
+    def record_limit(*args, **kw):
+        lim = star(*args, **kw)
+        if lim.group._elements is not None:
+            listed.append(lim.group)
+        return lim
+
+    monkeypatch.setattr(witness, "star_limit", record_limit)
+    l1, l2 = named_group(a), named_group(b)
+    cert = build(l1, l2, Bounds())
+    assert max(g.order() for g in listed) == most
+    for g in listed:
+        assert g.elements() == closure(g.generators or (g.identity,))
+    assert verify_witness(cert, l1, l2, Bounds()).passed
+
+
 DERIVED = {d: f"from p{d}-homomorphism, p{d}-surjective, ker-p{d}-matches"
            for d in (1, 2)}
 
