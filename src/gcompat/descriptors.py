@@ -4,7 +4,8 @@ All dumps are canonical (sorted keys, deterministic ordering) so identical
 objects serialize byte-identically. Certificates carry full map tables when
 the witness is enumerable and generator images otherwise. Map tables and
 generator images hold the maps' own permutation tuples, written exactly as
-lists are, so no permutation is copied to serialize it.
+lists are, so no permutation is copied to serialize it. The loaders check
+the JSON shape of every field they read and raise ValueError for a wrong one.
 
 `dumps` writes the same bytes as `json.dumps(obj, sort_keys=True,
 indent=1)` for the types descriptors hold (dicts with str keys, lists,
@@ -15,6 +16,7 @@ a sequence of ints it has already written at the same depth.
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .bounds import DEFAULT_BOUNDS
@@ -22,6 +24,7 @@ from .catalog import construct, named_group
 from .groups import FiniteGroup, Subgroup
 from .homs import Homomorphism
 from .inverse_limits import InverseSystem
+from .perms import is_perm
 from .posets import Poset
 from .witness import (
     ExtendEvidence,
@@ -46,14 +49,58 @@ def group_to_descriptor(g: FiniteGroup) -> dict:
     }
 
 
+# a JSON array: a list once loaded, a list or a tuple in a descriptor
+# built in memory (map tables hold the maps' own permutation tuples)
+_ARRAY = (list, tuple)
+
+
 def perm_list(obj, what) -> list:
     """`obj`, a JSON list of permutations, as a list of tuples;
-    ValueError naming `what` unless it is a list of lists of integers."""
-    if not isinstance(obj, list) or not all(
-            isinstance(p, list) and all(type(x) is int for x in p)
-            for p in obj):
+    ValueError naming `what` unless it is a list of lists of integers.
+    The points are checked by their sum, taken in C: a string, null, list
+    or object point raises TypeError, and a float point makes the sum a
+    float (a JSON true or false is the 1 or 0 that a Python bool is)."""
+    try:
+        ints = isinstance(obj, _ARRAY) and set(map(type, obj)) <= {*_ARRAY} \
+            and type(sum(map(sum, obj))) is int
+    except TypeError:
+        ints = False
+    if not ints:
         raise ValueError(f"{what}: expected a list of lists of integers")
     return [tuple(p) for p in obj]
+
+
+def perm_pairs(obj, what) -> list:
+    """`obj`, a JSON list of [perm, perm] pairs (a map table or generator
+    images), as a list of tuple pairs; ValueError naming `what` unless
+    every entry is a pair (`_entries`) of permutations (`perm_list`)."""
+    flat = chain.from_iterable(_entries(obj, 2, what))
+    flat = iter(perm_list(list(flat), what))
+    return list(zip(flat, flat))
+
+
+def _object(obj, what) -> dict:
+    """`obj`; ValueError naming `what` unless it is a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    return obj
+
+
+def _items(obj, size, what) -> list:
+    """`obj`; ValueError naming `what` unless it is a list of `size`
+    items."""
+    if not isinstance(obj, _ARRAY) or len(obj) != size:
+        raise ValueError(f"{what}: expected a list of {size} items")
+    return obj
+
+
+def _entries(obj, size, what) -> list:
+    """`obj`; ValueError naming `what` unless it is a list of lists of
+    `size` items each."""
+    if not isinstance(obj, _ARRAY) or not set(map(type, obj)) <= {*_ARRAY} \
+            or not set(map(len, obj)) <= {size}:
+        raise ValueError(f"{what}: expected a list of {size}-item lists")
+    return obj
 
 
 def group_from_descriptor(d: dict) -> FiniteGroup:
@@ -96,19 +143,33 @@ def hom_to_descriptor(f: Homomorphism, *, with_table=False) -> dict:
     return out
 
 
-def hom_from_descriptor(d: dict, source=None, target=None) -> Homomorphism:
+def hom_from_descriptor(d: dict, source=None, target=None,
+                        what="map") -> Homomorphism:
     """A map from its table, loaded as given (`validate` proves it), or,
     when the table is absent or null, from its generator images, which
-    must extend to a homomorphism."""
+    must extend to a homomorphism. ValueError naming `what` for a
+    descriptor of the wrong shape."""
+    _object(d, what)
     src = source or group_from_descriptor(d["source"])
     tgt = target or group_from_descriptor(d["target"])
     if d.get("table") is not None:
-        table = {tuple(x): tuple(y) for x, y in d["table"]}
+        table = dict(perm_pairs(d["table"], f"{what} table"))
         return Homomorphism(src, tgt, table=table, label=d.get("label", "f"),
                             check=False)
-    images = {tuple(g): tuple(v) for g, v in d["gen_images"]}
+    images = _gen_images(d["gen_images"], tgt, f"{what} gen_images")
     return Homomorphism.from_gen_images(src, tgt, images,
                                         label=d.get("label", "f"))
+
+
+def _gen_images(obj, target, what) -> dict:
+    """Generator images from their [perm, perm] pairs (`perm_pairs`);
+    ValueError naming `what` unless each image is a permutation of the
+    target's degree."""
+    images = dict(perm_pairs(obj, what))
+    if not all(is_perm(v, target.degree) for v in images.values()):
+        raise ValueError(f"{what}: expected permutations of degree "
+                         f"{target.degree}")
+    return images
 
 
 def poset_to_descriptor(p: Poset) -> dict:
@@ -118,7 +179,13 @@ def poset_to_descriptor(p: Poset) -> dict:
 
 
 def poset_from_descriptor(d: dict) -> Poset:
-    return Poset(tuple(d["nodes"]), [tuple(x) for x in d["leq"]])
+    """ValueError for a descriptor of the wrong shape: nodes must be JSON
+    scalars and `leq` a list of pairs of them."""
+    nodes, leq = _object(d, "poset").get("nodes"), d.get("leq")
+    if not isinstance(nodes, _ARRAY) or any(
+            isinstance(n, (*_ARRAY, dict)) for n in nodes):
+        raise ValueError("poset nodes: expected a list of names")
+    return Poset(tuple(nodes), [tuple(x) for x in _entries(leq, 2, "leq")])
 
 
 def system_to_descriptor(s: InverseSystem) -> dict:
@@ -140,20 +207,21 @@ def system_to_descriptor(s: InverseSystem) -> dict:
 
 
 def system_from_descriptor(d: dict) -> InverseSystem:
-    poset = poset_from_descriptor(d["poset"])
-    defs = {gid: group_from_descriptor(gd)
-            for gid, gd in d.get("group_defs", {}).items()}
+    """ValueError for a descriptor of the wrong shape (`_entries`)."""
+    poset = poset_from_descriptor(_object(d, "system").get("poset"))
+    defs = {gid: group_from_descriptor(gd) for gid, gd in
+            _object(d.get("group_defs", {}), "group_defs").items()}
     groups = {}
-    for n, ref in d["groups"]:
+    for n, ref in _entries(d.get("groups"), 2, "groups"):
         n = _node_key(n, poset)
         if isinstance(ref, str):
             groups[n] = defs[ref]
         else:
             groups[n] = group_from_descriptor(ref)  # inline form
     maps = {}
-    for i, j, gen_images in d["transitions"]:
+    for i, j, gen_images in _entries(d.get("transitions"), 3, "transitions"):
         i, j = _node_key(i, poset), _node_key(j, poset)
-        images = {tuple(g): tuple(v) for g, v in gen_images}
+        images = _gen_images(gen_images, groups[i], "transition gen_images")
         maps[(i, j)] = Homomorphism.from_gen_images(groups[j], groups[i],
                                                     images)
     return InverseSystem(poset, groups, maps)
@@ -173,8 +241,9 @@ def subgroup_to_descriptor(s: Subgroup) -> dict:
             "order": s.order()}
 
 
-def subgroup_from_descriptor(d: dict, parent: FiniteGroup) -> Subgroup:
-    gens = [tuple(g) for g in d["generators"]]
+def subgroup_from_descriptor(d: dict, parent: FiniteGroup,
+                             what="subgroup") -> Subgroup:
+    gens = perm_list(_object(d, what).get("generators"), f"{what} generators")
     if not gens:
         return parent.trivial_subgroup()
     return Subgroup(parent, gens=gens)
@@ -245,10 +314,13 @@ def _evidence_to_descriptor(ev, ker):
 
 def certificate_from_descriptor(d: dict, l1: FiniteGroup,
                                 l2: FiniteGroup) -> WitnessCertificate:
-    """Rebuild an enumerable certificate for independent re-verification."""
-    if d.get("format") != "witness-certificate-v1":
+    """Rebuild an enumerable certificate for independent re-verification.
+    Every field read has its JSON shape checked before it is used, and a
+    field of the wrong shape raises ValueError naming it."""
+    if _object(d, "certificate").get("format") != "witness-certificate-v1":
         raise ValueError("not a witness certificate")
-    if d.get("mode") == "stretch" or "table" not in d.get("p1", {}):
+    if d.get("mode") == "stretch" or "table" not in _object(
+            d.get("p1", {}), "p1"):
         from .bounds import UndecidedError
 
         raise UndecidedError(
@@ -257,35 +329,54 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup,
     witness = group_from_descriptor(d["witness"])
     # the tables of p1, p2 and the kernel map are loaded as given:
     # verify_witness gives their only proof
-    p1 = hom_from_descriptor(d["p1"], source=witness, target=l1)
-    p2 = hom_from_descriptor(d["p2"], source=witness, target=l2)
-    ker1 = subgroup_from_descriptor(d["kernel1"], witness)
-    ker2 = subgroup_from_descriptor(d["kernel2"], witness)
-    kernel_iso = hom_from_descriptor(dict(d["kernel_iso"], label="kernel-iso"),
-                                     source=ker1.group, target=ker2.group)
-    n1 = subgroup_from_descriptor(d["good_at"][0], l1)
-    n2 = subgroup_from_descriptor(d["good_at"][1], l2)
+    p1 = hom_from_descriptor(d["p1"], witness, l1, what="p1")
+    p2 = hom_from_descriptor(d["p2"], witness, l2, what="p2")
+    ker1 = subgroup_from_descriptor(d["kernel1"], witness, "kernel1")
+    ker2 = subgroup_from_descriptor(d["kernel2"], witness, "kernel2")
+    kernel_iso = hom_from_descriptor(
+        dict(_object(d["kernel_iso"], "kernel_iso"), label="kernel-iso"),
+        ker1.group, ker2.group, what="kernel_iso")
+    good_at = _items(d["good_at"], 2, "good_at")
+    n1 = subgroup_from_descriptor(good_at[0], l1, "good_at[0]")
+    n2 = subgroup_from_descriptor(good_at[1], l2, "good_at[1]")
     evidence = []
-    for ev_d, n in zip(d["evidence"], (n1, n2)):
-        comps = {frozenset(tuple(m) for m in ms):
-                 frozenset(tuple(c) for c in cs)
-                 for ms, cs in ev_d["complements"]}
-        evidence.append(ExtendEvidence(n, ev_d["kind"], comps))
+    for i, (ev_d, n) in enumerate(zip(_items(d["evidence"], 2, "evidence"),
+                                      (n1, n2))):
+        what = f"evidence[{i}]"
+        kind = _object(ev_d, what).get("kind")
+        if not isinstance(kind, str):
+            raise ValueError(f"{what} kind: expected a string")
+        comps = {frozenset(perm_list(ms, f"{what} complements")):
+                 frozenset(perm_list(cs, f"{what} complements"))
+                 for ms, cs in _entries(ev_d.get("complements"), 2,
+                                        f"{what} complements")}
+        evidence.append(ExtendEvidence(n, kind, comps))
     prov = _provenance_from_dict(d.get("provenance", {}))
     return WitnessCertificate(witness, p1, p2, ker1, ker2, kernel_iso,
                               (n1, n2), tuple(evidence), prov)
 
 
 def _provenance_from_dict(d: dict) -> ProvenanceNode:
+    """A provenance tree; ValueError unless each node is an object whose
+    `kind` is a string, `info` an object, `checks` [str, bool, str]
+    entries and `children` a list of such nodes."""
     from .witness import CheckResult
 
-    if not d:
+    if not _object(d, "provenance"):
         return ProvenanceNode("imported")
+    kind, checks = d.get("kind", "imported"), d.get("checks", [])
+    children = d.get("children", [])
+    if not isinstance(kind, str):
+        raise ValueError("provenance kind: expected a string")
+    if not all(list(map(type, c)) == [str, bool, str]
+               for c in _entries(checks, 3, "provenance checks")):
+        raise ValueError("provenance checks: expected [str, bool, str] items")
+    if not isinstance(children, _ARRAY):
+        raise ValueError("provenance children: expected a list")
     return ProvenanceNode(
-        d.get("kind", "imported"),
-        info=d.get("info", {}),
-        checks=[CheckResult(n, p, det) for n, p, det in d.get("checks", [])],
-        children=[_provenance_from_dict(c) for c in d.get("children", [])])
+        kind, info=_object(d.get("info", {}), "provenance info"),
+        checks=[CheckResult(*c) for c in checks],
+        children=[_provenance_from_dict(c) for c in children])
 
 
 def dumps(obj) -> str:

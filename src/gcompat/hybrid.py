@@ -143,8 +143,10 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
     projections, the evaluation maps and p_theta are homomorphisms that
     agree on BW's generators by construction. The twisted-cone identity
     t_v^-1 theta(f(v)) t_v = p_theta(w) is the coherence of the limit's
-    elements: `star_limit` checks its generators coherent, and coherent
-    tuples form a subgroup because the branch maps are homomorphisms.
+    elements: `star_limit`'s generators are coherent (its lifts are section
+    values, and it checks each placed kernel generator maps to 1), and
+    coherent tuples form a subgroup because the branch maps are
+    homomorphisms.
     """
     if not hw.normal:
         raise HypothesisError("the limit description requires a normal hybrid")

@@ -2,15 +2,20 @@
 
 The limit is the coherent-tuple subgroup of the direct product, realized as
 a permutation group on the disjoint union of the node domains (faithful
-because each node realization is). Star-shaped surjective systems, the only
-shape the witness construction needs, get structural generators so the
-limit stays available past the enumeration bound. Within the bound a star
-limit's elements are not closed from those generators: they are listed as
-the fibered product of the branches over the root, coset by coset of the
+because each node realization is). Coherence is checked once, on data
+already at hand: the generic `limit` filters each node through its lower
+covers only, and `star_limit` reads its hypotheses off the branch maps'
+sections and kernels. Star-shaped surjective systems, the only shape the
+witness construction needs, get structural generators so the limit stays
+available past the enumeration bound. Within the bound a star limit's
+elements are not closed from those generators: they are listed as the
+fibered product of the branches over the root, coset by coset of the
 branch kernels (`star_limit`).
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup, from_elements, trivial_group
@@ -176,13 +181,6 @@ class LimitGroup:
     def projection(self, node) -> Homomorphism:
         return self.projections[node]
 
-    def is_coherent(self, perm) -> bool:
-        vals = self.decode_all(perm)
-        for (i, j) in self.system.poset.comparable_pairs():
-            if self.system.maps[(i, j)](vals[j]) != vals[i]:
-                return False
-        return True
-
 
 def _layout(system):
     """node order, node -> offset of its block, and the limit's degree."""
@@ -197,20 +195,26 @@ def _layout(system):
 def limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     """Inverse limit by coherent-tuple enumeration (any finite poset).
 
-    Nodes are processed minimal-first; partial assignments exceed the
-    enumeration bound only by raising UndecidedError.
+    Nodes are processed minimal-first, and a node's values are filtered
+    through the fibers of its lower covers only: every i < j lies below
+    some cover c of j, and transitions compose (`InverseSystem.validate`),
+    so x_c = f_cj(x_j) with x_c coherent gives x_i = f_ic(x_c) = f_ij(x_j).
+    Partial assignments exceed the enumeration bound only by raising
+    UndecidedError.
     """
     order = system.poset.linear_extension()
+    covers = {j: system.poset.lower_covers(j) for j in order}
     fibers = {}
-    for (i, j) in system.poset.comparable_pairs():
-        fb = {}
-        for x in system.groups[j].sorted_elements(bounds.enum):
-            fb.setdefault(system.maps[(i, j)](x), []).append(x)
-        fibers[(i, j)] = fb
+    for j in order:
+        for i in covers[j]:
+            fb = {}
+            for x in system.groups[j].sorted_elements(bounds.enum):
+                fb.setdefault(system.maps[(i, j)](x), []).append(x)
+            fibers[(i, j)] = fb
 
     partials = [{}]
     for j in order:
-        below = [i for i in order[:order.index(j)] if system.poset.le(i, j)]
+        below = covers[j]
         nxt = []
         elems_j = system.groups[j].sorted_elements(bounds.enum)
         for part in partials:
@@ -268,7 +272,8 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     The generators are coherent lifts of the root generators plus the
     branch-kernel generators placed at their branch. The branch maps'
     sections and kernels close their sources under `bounds.enum`, and a
-    branch past it is refused (UndecidedError).
+    branch past it is refused (UndecidedError) before any hypothesis on
+    it is checked.
 
     Lemma. Let each branch map pi_b: B_b -> R be a surjective homomorphism,
     K_b <= B_b a subgroup whose generators pi_b sends to 1, and s_b(r) a
@@ -280,16 +285,17 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     element over r differs from a word in the lifts by an element of
     prod_b K_b.
 
-    The hypotheses are checked at every size, and a failed check raises
-    HypothesisError: the maps' surjectivity, K_b <= B_b and |B_b| = |R|
-    |K_b| for each branch ("wrong order") before anything is listed, and
-    the generators' coherence (for a placed kernel generator, pi_b(k) = 1)
-    through the limit's decoder once it exists; the sections are preimages
-    by construction (`Homomorphism.section`). The bound only decides
-    whether the elements are listed: within `bounds.enum` they are the
-    union above (`_fibered_product`), which callers reuse, and nothing is
-    closed; past it none are listed, and the order, when asked, comes from
-    a stabilizer chain.
+    The hypotheses are checked once per branch, on its section and
+    kernel, at every size and before anything is listed; a failed check
+    raises HypothesisError. pi_b is surjective when its section has |R|
+    keys; K_b <= B_b when B_b contains K_b's generators; a placed kernel
+    generator k is coherent exactly when pi_b(k) = 1, and a lift is
+    coherent because a section value is a preimage
+    (`Homomorphism.section`); last, |B_b| = |R| |K_b| ("wrong order").
+    The bound only decides whether the elements are listed: within
+    `bounds.enum` they are the union above (`_fibered_product`), which
+    callers reuse, and nothing is closed; past it none are listed, and
+    the order, when asked, comes from a stabilizer chain.
     """
     root = system.poset.minimal_nodes()
     if len(root) != 1:
@@ -298,9 +304,6 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     branches = [n for n in system.poset.nodes if n != root]
     if any(system.poset.le(a, b) for a in branches for b in branches if a != b):
         raise ValueError("not a star system")
-    for b in branches:
-        if not system.maps[(root, b)].is_surjective():
-            raise HypothesisError("star limit requires surjective branch maps")
 
     builder = LimitGroupBuilder(system)
     rg = system.groups[root]
@@ -309,36 +312,29 @@ def star_limit(system: InverseSystem, bounds=DEFAULT_BOUNDS) -> LimitGroup:
     kernels = {b: system.maps[(root, b)].kernel(bounds.enum)
                for b in branches}
     for b in branches:
-        if not all(map(system.groups[b].contains, kernels[b].group.generators)):
+        pi, kgens = system.maps[(root, b)], kernels[b].group.generators
+        if len(sections[b]) != rg.order():
+            raise HypothesisError("star limit requires surjective branch maps")
+        if not all(map(system.groups[b].contains, kgens)):
             raise HypothesisError("star limit kernel lies outside its branch")
-    # the first isomorphism theorem at each branch (the lemma)
-    if any(system.groups[b].order() != rg.order() * kernels[b].order()
-           for b in branches):
-        raise HypothesisError("star limit generator set has wrong order")
+        if any(pi(k) != rg.identity for k in kgens):
+            raise HypothesisError("star limit generator is not coherent")
+        # the first isomorphism theorem at the branch (the lemma)
+        if system.groups[b].order() != rg.order() * kernels[b].order():
+            raise HypothesisError("star limit generator set has wrong order")
 
-    def lift(r):
-        asg = {root: r}
-        for b in branches:
-            asg[b] = sections[b][r]
-        return builder.encode(asg)
-
-    gens = [lift(r) for r in rg.generators]
+    gens = [builder.encode({root: r} | {b: sections[b][r] for b in branches})
+            for r in rg.generators]
     for b in branches:
         gens.extend(builder.place(b, k) for k in kernels[b].group.generators)
 
-    total = rg.order()
-    for b in branches:
-        total *= kernels[b].order()
+    total = rg.order() * prod(kernels[b].order() for b in branches)
     elements = None
     if total <= bounds.enum:
         elements = _fibered_product(builder, root, rg, sections, kernels,
                                     bounds.enum)
-    out = LimitGroup(system, FiniteGroup(builder.degree, gens, label="lim",
-                                         elements=elements))
-    for g in gens:
-        if not out.is_coherent(g):
-            raise HypothesisError("star limit generator is not coherent")
-    return out
+    return LimitGroup(system, FiniteGroup(builder.degree, gens, label="lim",
+                                          elements=elements))
 
 
 def _fibered_product(builder, root, rg, sections, kernels, bound):
@@ -370,9 +366,9 @@ def subsystem_limit(lim: LimitGroup, sub: Subsystem,
     if sub.system is not lim.system:
         raise ValueError("subsystem belongs to a different system")
     sub_lim = limit(sub.as_system(), bounds)
-    members = [lim.encode(sub_lim.decode_all(p))
-               for p in sub_lim.group.elements()]
-    return Subgroup(lim.group, members=members, label="sublim")
+    # one poset and the same node degrees: the two limits share a layout
+    return Subgroup(lim.group, members=sub_lim.group.elements(),
+                    label="sublim")
 
 
 def preimage_system(phi: SystemMorphism, z: Subsystem) -> Subsystem:

@@ -287,6 +287,78 @@ def test_limit_malformed_file_exits_3(tmp_path):
     assert run(["limit", "--system", str(path)]) == 3
 
 
+# the Z4 star over Z2 with the image of Z4's generator given as [5, 0]
+_BAD_IMAGE = ('{"poset": {"nodes": ["r", 0], "leq": [["r", 0]]}, '
+              '"groups": [["r", {"kind": "cyclic", "params": [2]}], '
+              '[0, {"kind": "cyclic", "params": [4]}]], '
+              '"transitions": [["r", 0, [[[1, 2, 3, 0], [5, 0]]]]]}')
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"poset": 3}', "poset: expected a JSON object"),
+    ("[1, 2]", "system: expected a JSON object"),
+    (_BAD_IMAGE, "transition gen_images: expected permutations of degree 2")],
+    ids=["poset-number", "array", "image-out-of-range"])
+def test_limit_system_file_of_the_wrong_shape_exits_3(text, message, tmp_path,
+                                                      capsys):
+    path = tmp_path / "system.json"
+    path.write_text(text)
+    assert run(["limit", "--system", str(path)]) == 3
+    assert capsys.readouterr().err == f"malformed input: {message}\n"
+
+
+def test_certificate_type_mutants_exit_0_to_3(tmp_path, capsys):
+    """Each of 200 seeded mutants of the Z4|Z2xZ2 certificate replaces one
+    JSON value, anywhere in the tree, by a value of another JSON type; each
+    is verified in-process, and none may raise out of `run`."""
+    import random
+
+    cert = tmp_path / "cert.json"
+    assert run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+                str(cert)]) == 0
+    data = json.loads(cert.read_text())
+
+    def sites(node, path=()):
+        yield path
+        items = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            yield from sites(child, path + (key,))
+
+    def at(doc, path):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    paths = list(sites(data))
+    assert len(paths) > 150
+    rng, bad = random.Random(7), tmp_path / "mutant.json"
+    codes = set()
+    for _ in range(200):
+        path = rng.choice(paths)
+        old = at(data, path)
+        new = rng.choice([v for v in ("x", 7, None, True, [], {})
+                          if type(v) is not type(old)])
+        doc = json.loads(cert.read_text())
+        if path:
+            at(doc, path[:-1])[path[-1]] = new
+        else:
+            doc = new
+        bad.write_text(json.dumps(doc))
+        code = run(["witness", "verify", "--cert", str(bad),
+                    "--L1", "Z4", "--L2", "Z2xZ2"])
+        assert code in (0, 1, 2, 3), (path, new)
+        codes.add(code)
+    assert {0, 3} <= codes
+    data["provenance"] = "x"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(bad),
+                "--L1", "Z4", "--L2", "Z2xZ2"]) == 3
+    assert capsys.readouterr().err == \
+        "malformed input: provenance: expected a JSON object\n"
+
+
 def test_group_descriptor_with_a_string_point_exits_3(tmp_path, monkeypatch,
                                                       capsys):
     monkeypatch.chdir(tmp_path)

@@ -176,6 +176,83 @@ def test_star_limit_refutes_a_kernel_memo_outside_its_branch():
         star_limit(star_system(z2, [z4], [pi]))
 
 
+def squaring_star():
+    """Z4 over Z4 by the rule x -> x^2, whose image is the Z2 inside the
+    root; the branch's elements are not closed yet."""
+    z4 = cyclic(4)
+    sq = Homomorphism.of_rule(z4, cyclic(4), lambda x: mul(x, x), label="sq")
+    return star_system(sq.target, [z4], [sq])
+
+
+def test_star_limit_refutes_a_branch_map_that_is_not_surjective():
+    with pytest.raises(HypothesisError, match="requires surjective"):
+        star_limit(squaring_star())
+
+
+def test_star_limit_past_the_bound_leaves_a_branch_undecided():
+    # the branch's section is refused before its surjectivity is read off
+    from gcompat.bounds import UndecidedError
+
+    with pytest.raises(UndecidedError, match=r"section of sq: .*\(order 4, "
+                       r"past the enumeration bound 3\)"):
+        star_limit(squaring_star(), Bounds(enum=3))
+
+
+def test_star_limit_refuses_before_listing_anything(monkeypatch):
+    """Every hypothesis is refused from the sections and kernels, before
+    `_fibered_product` lists an element."""
+    from gcompat import inverse_limits
+    from gcompat.groups import direct_product
+    from gcompat.perms import place_block
+
+    def no_listing(*args):
+        raise AssertionError("elements listed before a refusal")
+
+    monkeypatch.setattr(inverse_limits, "_fibered_product", no_listing)
+    z4, z2 = cyclic(4), cyclic(2)
+    v4 = direct_product(z2, z2)
+
+    def parity():
+        return Homomorphism.from_gen_images(
+            z4, z2, {z4.generators[0]: z2.generators[0]})
+
+    outside, wrong = parity(), parity()
+    outside._kernel = Subgroup(symmetric(4), gens=[(1, 0, 2, 3)])
+    wrong._kernel = z4.trivial_subgroup()
+    first = Homomorphism.block(v4, z2, 0, label="first")
+    first._kernel = Subgroup(v4, gens=[place_block(z2.generators[0], 0, 4)])
+    cases = [(squaring_star(), "requires surjective"),
+             (star_system(z2, [z4], [outside]), "outside its branch"),
+             (star_system(z2, [v4], [first]), "not coherent"),
+             (star_system(z2, [z4, z4], [parity(), wrong]), "wrong order")]
+    for system, message in cases:
+        with pytest.raises(HypothesisError, match=message):
+            star_limit(system)
+
+
+def test_limit_over_a_diamond_is_the_coherent_tuple_filter():
+    """0 < 1, 0 < 2, 1 < 3, 2 < 3 carrying Z2, Z4, Z6, Z12 and the
+    reductions between them: node 3 has two lower covers, so its values
+    are the intersection of two fibers, and (0, 3) is checked only
+    through them."""
+    from itertools import product
+
+    poset = Poset((0, 1, 2, 3), [(0, 1), (0, 2), (1, 3), (2, 3)])
+    groups = {0: cyclic(2), 1: cyclic(4), 2: cyclic(6), 3: cyclic(12)}
+    maps = {(i, j): Homomorphism.from_gen_images(
+                groups[j], groups[i],
+                {groups[j].generators[0]: groups[i].generators[0]})
+            for (i, j) in poset.comparable_pairs()}
+    assert len(maps) == 5 and poset.lower_covers(3) == [1, 2]
+    system = InverseSystem(poset, groups, maps)
+    lim = limit(system)
+    coherent = {t for t in product(*(groups[n].elements() for n in range(4)))
+                if all(maps[(i, j)](t[j]) == t[i] for (i, j) in maps)}
+    assert len(coherent) == 12
+    assert {tuple(lim.decode(p, n) for n in range(4))
+            for p in lim.group.elements()} == coherent
+
+
 def test_limit_encode_concatenates_shifted_blocks(rng):
     from gcompat.inverse_limits import LimitGroup, LimitGroupBuilder
 
