@@ -77,6 +77,7 @@ from .witness import (
     compatible_central_series,
     compose_witness,
     is_trivially_extendable,
+    sequences_from_series,
     square_free_series,
     verify_witness,
     witness_nilpotent,

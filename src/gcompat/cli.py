@@ -30,6 +30,7 @@ from .witness import (
     comp_membership,
     compatible_central_series,
     is_trivially_extendable,
+    sequences_from_series,
     verify_witness,
     witness_nilpotent,
     witness_square_free,
@@ -90,8 +91,9 @@ def cmd_limit(args) -> int:
     print(f"limit order: {lim.group.order()}")
     for n in lim.node_order:
         p = lim.projection(n)
-        print(f"projection to {n}: image order {p.image().order()} "
-              f"(surjective: {p.is_surjective()})")
+        order = p.image().order()
+        print(f"projection to {n}: image order {order} "
+              f"(surjective: {order == p.target.order()})")
     _emit(args, descriptors.group_to_descriptor(lim.group))
     return 0
 
@@ -164,23 +166,18 @@ def _chain_from_file(path: str, l1, l2):
 
 
 def _sequences_for(args, l1, l2, bounds):
+    """The two sequences of `--series`: a `SERIES` name or a series file."""
     if args.series in SERIES:
-        series, _ = SERIES[args.series]
-        c1, c2 = series(l1, bounds), series(l2, bounds)
-    else:
-        c1, c2 = _chain_from_file(args.series, l1, l2)
+        return sequences_from_series(l1, l2, SERIES[args.series], bounds)
+    c1, c2 = _chain_from_file(args.series, l1, l2)
     return series_to_sequence(l1, c1), series_to_sequence(l2, c2)
 
 
 def cmd_witness_build(args) -> int:
     bounds = _bounds(args)
     l1, l2 = _group_arg(args.L1), _group_arg(args.L2)
-    if args.series in SERIES:
-        _, witness = SERIES[args.series]
-        cert = witness(l1, l2, bounds)
-    else:
-        s1, s2 = _sequences_for(args, l1, l2, bounds)
-        cert = build_good_witness(s1, s2, None, bounds)
+    cert = build_good_witness(*_sequences_for(args, l1, l2, bounds), None,
+                              bounds)
     print(f"witness order: {cert.witness.order()}")
     print(f"kernel orders: {cert.ker1.order()}, {cert.ker2.order()}")
     print(f"mode: {certificate_mode(cert, bounds)}")

@@ -410,7 +410,7 @@ def certificate_mode(cert: WitnessCertificate, bounds=DEFAULT_BOUNDS) -> str:
 
 
 def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
-                          comp: CompData | None = None,
+                          comp: CompData | None,
                           bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Base case: the fiber of the two tops over the common bottom group.
 
@@ -436,7 +436,6 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     """
     if s1.length != 2 or s2.length != 2:
         raise HypothesisError("length-2 builder needs length-2 sequences")
-    comp = comp or comp_membership(s1, s2, bounds)
     if comp is None:
         raise HypothesisError("pair fails the restriction condition")
     sigma1 = comp.kernel_isos[1]
@@ -491,7 +490,6 @@ class RecursionStep:
     n: int
     g_lims: dict            # delta -> LimitGroup (star of twisted top copies)
     rho: dict               # delta -> Homomorphism G_delta -> S_{l;delta}
-    thetas: dict            # delta -> Homomorphism
     hybrids: dict           # delta -> HybridWreath
     phis: dict              # delta -> standard maps
     eta: dict               # delta -> Homomorphism BW_delta -> limZ_{bar} <= G_bar
@@ -523,7 +521,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         raise HypothesisError("middle quotients have different orders")
     sigma = comp.kernel_isos[ell - 1]
 
-    g_lims, rhos, t_subs, thetas, hybrids, phis = {}, {}, {}, {}, {}, {}
+    g_lims, rhos, t_subs, hybrids, phis = {}, {}, {}, {}, {}
     for d in (1, 2):
         bar = 3 - d
         seq = seqs[d]
@@ -548,10 +546,10 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         pi_bar_restr = seqs[bar].map(ell).restrict(t_bar, k_bar)
         back = _sigma_power(sigma, d, forward=False)  # K_bar -> K_d
         incl = Homomorphism.inclusion(k_d)
-        thetas[d] = pi_bar_restr.then(back).then(incl, label=f"theta_{d}")
+        theta = pi_bar_restr.then(back).then(incl, label=f"theta_{d}")
         tau = comp.taus[(ell - 1, d)]
         reps = [tau[x] for x in x_lists[d]]
-        hw = hybrid_wreath(t_bar.group, seq.group(ell - 1), thetas[d],
+        hw = hybrid_wreath(t_bar.group, seq.group(ell - 1), theta,
                            transversal_elems=reps, bounds=bounds,
                            label=f"H_{d}")
         if hw.npoints != n:
@@ -604,7 +602,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         if not ok:
             raise HypothesisError(f"kernel square {d} does not commute")
 
-    return RecursionStep(n, g_lims, rhos, thetas, hybrids, phis, etas, checks)
+    return RecursionStep(n, g_lims, rhos, hybrids, phis, etas, checks)
 
 
 def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
@@ -858,10 +856,13 @@ def normal_series(l_group: FiniteGroup, pick, bounds=DEFAULT_BOUNDS):
 def compatible_central_series(l_group: FiniteGroup, bounds=DEFAULT_BOUNDS):
     """A central series with cyclic prime factors, smallest prime first
     (each pick is central of the smallest prime order in its quotient).
+    A group that is not nilpotent is refused: "{label} is not nilpotent".
 
     Two groups of the same order get series with matching factor lists, so
     the derived sequences are compatible level by level.
     """
+    if not l_group.is_nilpotent(bounds.enum):
+        raise HypothesisError(f"{l_group.label} is not nilpotent")
     return normal_series(l_group, central_subgroup_of_order_p, bounds)
 
 
@@ -872,37 +873,37 @@ def square_free_series(l_group: FiniteGroup, bounds=DEFAULT_BOUNDS):
     return normal_series(l_group, normal_sylow, bounds)
 
 
-def _witness_from_series(l1: FiniteGroup, l2: FiniteGroup, series,
-                         bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
-    """Witness for two groups of the same order from the sequences of
-    `series(L_d, bounds)`: the shared tail of the entry points below."""
+def sequences_from_series(l1: FiniteGroup, l2: FiniteGroup, series,
+                          bounds=DEFAULT_BOUNDS):
+    """The sequences of `series(L_d, bounds)`, the one route from a named
+    series to `build_good_witness` (the entry points below and the CLI).
+    Unequal orders are refused first; a group outside a series' class is
+    refused by the series itself."""
     if l1.order() != l2.order():
         raise HypothesisError("groups have different orders")
-    s1 = series_to_sequence(l1, series(l1, bounds))
-    s2 = series_to_sequence(l2, series(l2, bounds))
-    return build_good_witness(s1, s2, None, bounds)
+    return (series_to_sequence(l1, series(l1, bounds)),
+            series_to_sequence(l2, series(l2, bounds)))
 
 
 def witness_nilpotent(l1: FiniteGroup, l2: FiniteGroup,
                       bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Witness for two nilpotent groups of the same order, via compatible
-    central series (the restriction condition is vacuous there)."""
-    if l1.order() == l2.order():  # unequal orders are refused by the tail
-        for g in (l1, l2):
-            if not g.is_nilpotent(bounds.enum):
-                raise HypothesisError(f"{g.label} is not nilpotent")
-    return _witness_from_series(l1, l2, compatible_central_series, bounds)
+    central series (the restriction condition is vacuous there), which
+    refuse a group that is not nilpotent."""
+    return build_good_witness(*sequences_from_series(
+        l1, l2, compatible_central_series, bounds), None, bounds)
 
 
 def witness_square_free(l1: FiniteGroup, l2: FiniteGroup,
                         bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Witness for two groups of the same square-free order."""
-    return _witness_from_series(l1, l2, square_free_series, bounds)
+    return build_good_witness(*sequences_from_series(
+        l1, l2, square_free_series, bounds), None, bounds)
 
 
-# `--series` name -> (series of one group, witness entry point)
-SERIES = {"auto-central": (compatible_central_series, witness_nilpotent),
-          "auto-squarefree": (square_free_series, witness_square_free)}
+# `--series` name -> the series of one group
+SERIES = {"auto-central": compatible_central_series,
+          "auto-squarefree": square_free_series}
 
 
 def assemble_certificate(witness: FiniteGroup, p1: Homomorphism,

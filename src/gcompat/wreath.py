@@ -12,7 +12,7 @@ from functools import partial
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup
 from .homs import Homomorphism, action_on_cosets
-from .perms import identity_perm, inv, is_perm, mul, place_block
+from .perms import inv, is_perm, mul, place_block
 
 
 class GroupAction:
@@ -59,12 +59,6 @@ class GroupAction:
 
     def kernel(self) -> Subgroup:
         return self.rho.kernel()
-
-    def validate(self):
-        ident = self.group.identity
-        if self.rho(ident) != identity_perm(self.npoints):
-            raise HypothesisError("identity does not act trivially")
-        self.rho.validate()
 
 
 def natural_action(g: FiniteGroup) -> GroupAction:

@@ -25,6 +25,18 @@ def test_group_command_reads_bound_enum(capsys):
                          "center order: 1"]
 
 
+def test_group_file_argument_reads_the_descriptor(tmp_path, capsys):
+    # `@file.json` names a file holding what the inline form spells out
+    spec = '{"degree": 3, "generators": [[1, 2, 0], [1, 0, 2]]}'
+    assert run(["group", spec]) == 0
+    inline = capsys.readouterr().out
+    path = tmp_path / "s3.json"
+    path.write_text(spec)
+    assert run(["group", f"@{path}"]) == 0
+    assert capsys.readouterr().out == inline
+    assert "order 6, degree 3" in inline
+
+
 def test_group_bad_spec_exits_3(capsys):
     assert run(["group", "Zx--"]) == 3
 
@@ -61,6 +73,44 @@ def test_witness_build_verify_cycle(tmp_path, capsys):
                 "--L1", "Z4", "--L2", "Z2xZ2"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("name, series, order, kernels", [
+    ("Z2", "auto-central", 4, "2, 2"),
+    ("Z3", "auto-squarefree", 9, "3, 3"),
+    ("Z5", "auto-central", 25, "5, 5")])
+def test_prime_order_pairs_round_trip(name, series, order, kernels, tmp_path,
+                                      capsys):
+    # a prime-order group's series has one factor: `build_good_witness`
+    # pads both length-1 sequences to length 2 (`pad_to_length`)
+    cert = tmp_path / "cert.json"
+    assert run(["witness", "build", "--L1", name, "--L2", name,
+                "--series", series, "--out", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"witness order: {order}", f"kernel orders: {kernels}",
+        "mode: enumerated", f"wrote {cert} (all checks passed)"]
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", name, "--L2", name]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == "verdict: all checks passed"
+
+
+def test_witness_build_writes_a_certificate_that_fails_its_checks(
+        tmp_path, monkeypatch, capsys):
+    # the build's own verification decides the exit code; the file is
+    # written either way, with the failing check in its report
+    import gcompat.cli
+    from gcompat.witness import CheckResult, VerificationReport
+
+    monkeypatch.setattr(gcompat.cli, "verify_witness", lambda *a: (
+        VerificationReport([CheckResult("forced", False)])))
+    cert = tmp_path / "cert.json"
+    assert run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2",
+                "--out", str(cert)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] \
+        == f"wrote {cert} (CHECKS FAILED)"
+    manifest = json.loads(cert.read_text())["check_manifest"]
+    assert ["verify:forced", False, ""] in manifest
 
 
 def test_witness_verify_tampered_exits_1(tmp_path, capsys):
@@ -251,6 +301,22 @@ def test_witness_build_undecided_exit_2(capsys):
     assert "exceeds bound 20000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("l1, l2, message", [
+    ("S3", "Z6", "S3 is not nilpotent"),
+    ("D8", "S3xZ2", "groups have different orders")])
+def test_witness_build_and_comp_check_refuse_alike(l1, l2, message, capsys):
+    # one route from a series name to sequences: the same refusal
+    for command in (["witness", "build"], ["comp", "check"]):
+        assert run(command + ["--L1", l1, "--L2", l2]) == 1
+        assert capsys.readouterr().err == f"hypothesis refuted: {message}\n"
+
+
+def test_series_central_refuses_a_non_nilpotent_group(capsys):
+    assert run(["series", "central", "--L", "S3"]) == 1
+    assert capsys.readouterr().err \
+        == "hypothesis refuted: S3 is not nilpotent\n"
+
+
 def test_comp_check_length2_member(capsys):
     assert run(["comp", "check", "--L1", "Z6", "--L2", "S3",
                 "--series", "auto-squarefree"]) == 0
@@ -269,16 +335,23 @@ def test_series_central_command(capsys):
     assert "1 <= 2 <= 4 <= 8" in out
 
 
-def test_limit_command(tmp_path, capsys):
+def test_limit_command(tmp_path, monkeypatch, capsys):
     z4, z2 = cyclic(4), cyclic(2)
     pi = Homomorphism.from_gen_images(z4, z2,
                                       {z4.generators[0]: z2.generators[0]})
     system = star_system(z2, [z4, z4], [pi, pi])
     path = tmp_path / "system.json"
     path.write_text(descriptors.dumps(descriptors.system_to_descriptor(system)))
+    images = []
+    real = Homomorphism.image
+    monkeypatch.setattr(Homomorphism, "image",
+                        lambda self: images.append(1) or real(self))
     assert run(["limit", "--system", str(path)]) == 0
     out = capsys.readouterr().out
     assert "limit order: 8" in out
+    assert "projection to 0: image order 4 (surjective: True)" in out
+    # one image per projection, read for its order and surjectivity
+    assert len(images) == 3
 
 
 def test_limit_malformed_file_exits_3(tmp_path):

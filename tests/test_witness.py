@@ -655,7 +655,7 @@ def test_recursion_step_degenerate_trivial_kernels():
     step = build_recursion_step(seq, seq, comp)
     for d in (1, 2):
         assert step.hybrids[d].order() == 2
-        assert step.thetas[d].image().order() == 1
+        assert step.hybrids[d].theta.image().order() == 1
 
 
 def d8_vs_z2z4_pair():
