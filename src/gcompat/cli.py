@@ -21,7 +21,6 @@ from .homs import Homomorphism
 from .hybrid import bw_as_limit, evaluation_maps, hybrid_wreath
 from .inverse_limits import limit
 from .isos import find_isomorphism
-from .sequences import series_to_sequence
 from .witness import (
     SERIES,
     assemble_certificate,
@@ -166,11 +165,10 @@ def _chain_from_file(path: str, l1, l2):
 
 
 def _sequences_for(args, l1, l2, bounds):
-    """The two sequences of `--series`: a `SERIES` name or a series file."""
-    if args.series in SERIES:
-        return sequences_from_series(l1, l2, SERIES[args.series], bounds)
-    c1, c2 = _chain_from_file(args.series, l1, l2)
-    return series_to_sequence(l1, c1), series_to_sequence(l2, c2)
+    """The two sequences of `--series`, a `SERIES` name or the chains of a
+    series file, both through `sequences_from_series`."""
+    series = SERIES.get(args.series) or _chain_from_file(args.series, l1, l2)
+    return sequences_from_series(l1, l2, series, bounds)
 
 
 def cmd_witness_build(args) -> int:

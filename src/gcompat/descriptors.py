@@ -340,10 +340,12 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup,
     n1 = subgroup_from_descriptor(good_at[0], l1, "good_at[0]")
     n2 = subgroup_from_descriptor(good_at[1], l2, "good_at[1]")
     evidence = []
-    for i, (ev_d, n) in enumerate(zip(_items(d["evidence"], 2, "evidence"),
-                                      (n1, n2))):
+    for i, (ev_d, l_d) in enumerate(zip(_items(d["evidence"], 2, "evidence"),
+                                        (l1, l2))):
         what = f"evidence[{i}]"
-        kind = _object(ev_d, what).get("kind")
+        n = subgroup_from_descriptor(_object(ev_d, what).get("n"), l_d,
+                                     f"{what} n")
+        kind = ev_d.get("kind")
         if not isinstance(kind, str):
             raise ValueError(f"{what} kind: expected a string")
         comps = {frozenset(perm_list(ms, f"{what} complements")):

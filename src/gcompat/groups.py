@@ -467,7 +467,8 @@ def central_subgroup_of_order_p(g, p=None, bound=None):
     claim; absence of an order-p central element is reported as a refuted
     hypothesis.
     """
-    p = p or _smallest_prime(g.order())
+    # order 1 has no prime factor: 2 stands in and is refused below
+    p = p or (prime_factors(g.order()) + [2])[0]
     if g.order() % p:
         raise HypothesisError(f"{p} does not divide |{g.label}| = {g.order()}")
     z = g.center(bound)
@@ -486,9 +487,10 @@ def normal_sylow(g, bound=None):
     generated by the elements of order p. It is refused unless it has
     order p; it is then the only Sylow p-subgroup, so it is normal."""
     n = g.order()
-    if not _is_square_free(n):
+    primes = prime_factors(n)
+    if len(set(primes)) != len(primes):
         raise HypothesisError(f"|{g.label}| = {n} is not square-free")
-    p = _largest_prime_factor(n)
+    p = max(primes, default=1)
     orders = g.element_orders(bound)
     p_elems = [e for e in g.elements(bound) if orders[e] == p]
     members = closure(p_elems, bound=bound or DEFAULT_BOUNDS.enum)
@@ -497,32 +499,16 @@ def normal_sylow(g, bound=None):
     return Subgroup(g, members=members, label=f"P{p}")
 
 
-def _smallest_prime(n):
-    d = 2
-    while n % d and d < n:  # 2 for n = 1, which no prime divides
-        d += 1
-    return d
-
-
-def _is_square_free(n):
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        else:
-            d += 1
-    return True
-
-
-def _largest_prime_factor(n):
-    best, d = 1, 2
+def prime_factors(n):
+    """The prime factors of n >= 1, ascending, with multiplicity (none for
+    n = 1), by one trial division."""
+    out, d = [], 2
     while d * d <= n:
         while n % d == 0:
-            best, n = d, n // d
+            out.append(d)
+            n //= d
         d += 1
-    return max(best, n) if n > 1 else best
+    return out + [n] if n > 1 else out
 
 
 SUBGROUP_CAP = 20000  # subgroups `all_subgroups` lists before giving up

@@ -100,8 +100,8 @@ def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
         quots.append(pi)
     # S_i's generators are the images of L's (a quotient's generators are
     # their point permutations), and the series is nested, so hi(g)
-    # determines lo(g)
-    maps = [Homomorphism.trivial(groups[1], groups[0])]
+    # determines lo(g); the one-term series [1] gives length 0
+    maps = [Homomorphism.trivial(g, groups[0]) for g in groups[1:2]]
     for i in range(2, ell + 1):
         hi, lo = quots[i - 1], quots[i - 2]
         maps.append(Homomorphism.from_gen_images(
@@ -178,8 +178,9 @@ def pad_to_length(seq: GroupSequence, length: int) -> GroupSequence:
     while out.length < length:
         triv = trivial_group()
         groups = [out.groups[0], triv] + out.groups[1:]
-        maps = [Homomorphism.trivial(triv, out.groups[0]),
-                Homomorphism.trivial(out.groups[1], triv)] + out.maps[1:]
+        maps = [Homomorphism.trivial(triv, out.groups[0])] \
+            + [Homomorphism.trivial(g, triv) for g in out.groups[1:2]] \
+            + out.maps[1:]
         out = GroupSequence(groups, maps)
     return out
 

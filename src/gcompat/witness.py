@@ -701,14 +701,12 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
 def build_good_witness(s1: GroupSequence, s2: GroupSequence,
                        comp: CompData | None = None,
                        bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
-    """The recursive construction: base fiber at length 2, else one
+    """The recursive construction on a pair of length at least 2 (as
+    `sequences_from_series` pads it): base fiber at length 2, else one
     recursion step, a recursive call on the contracted pair, and the
     quotient composition."""
     if s1.length != s2.length:
         raise HypothesisError("sequences have different lengths")
-    if s1.length < 2:
-        s1, s2 = pad_to_length(s1, 2), pad_to_length(s2, 2)
-        comp = None
     if comp is None:
         comp = comp_membership(s1, s2, bounds)
         if comp is None:
@@ -875,14 +873,21 @@ def square_free_series(l_group: FiniteGroup, bounds=DEFAULT_BOUNDS):
 
 def sequences_from_series(l1: FiniteGroup, l2: FiniteGroup, series,
                           bounds=DEFAULT_BOUNDS):
-    """The sequences of `series(L_d, bounds)`, the one route from a named
-    series to `build_good_witness` (the entry points below and the CLI).
-    Unequal orders are refused first; a group outside a series' class is
-    refused by the series itself."""
+    """The one route from a series choice to the pair of sequences that
+    `build_good_witness` and `comp_membership` take (the entry points below
+    and the CLI). `series` is a `SERIES` function, run on each group, or the
+    pair of chains of a series file. Unequal orders are refused first,
+    before any series function runs; a group outside a series' class is
+    refused by the series itself. A pair shorter than 2 (a group of prime
+    order, or the trivial group) is padded to length 2."""
     if l1.order() != l2.order():
         raise HypothesisError("groups have different orders")
-    return (series_to_sequence(l1, series(l1, bounds)),
-            series_to_sequence(l2, series(l2, bounds)))
+    chains = (series(l1, bounds), series(l2, bounds)) if callable(series) \
+        else series
+    s1, s2 = (series_to_sequence(l, c) for l, c in zip((l1, l2), chains))
+    if s1.length == s2.length < 2:
+        s1, s2 = pad_to_length(s1, 2), pad_to_length(s2, 2)
+    return s1, s2
 
 
 def witness_nilpotent(l1: FiniteGroup, l2: FiniteGroup,

@@ -76,13 +76,15 @@ def test_witness_build_verify_cycle(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, series, order, kernels", [
+    ("Z1", "auto-central", 1, "1, 1"),
     ("Z2", "auto-central", 4, "2, 2"),
     ("Z3", "auto-squarefree", 9, "3, 3"),
     ("Z5", "auto-central", 25, "5, 5")])
 def test_prime_order_pairs_round_trip(name, series, order, kernels, tmp_path,
                                       capsys):
-    # a prime-order group's series has one factor: `build_good_witness`
-    # pads both length-1 sequences to length 2 (`pad_to_length`)
+    # a prime-order group's series has one factor and the trivial group's
+    # none: `sequences_from_series` pads both sequences to length 2
+    # (`pad_to_length`)
     cert = tmp_path / "cert.json"
     assert run(["witness", "build", "--L1", name, "--L2", name,
                 "--series", series, "--out", str(cert)]) == 0
@@ -162,6 +164,27 @@ def test_witness_verify_complement_outside_the_witness_fails(tmp_path,
     out = capsys.readouterr().out
     assert "[FAIL] good-at-1-extendable  (complement leaves the witness)" \
         in out.splitlines()
+
+
+def test_witness_verify_reads_the_evidence_subgroup(tmp_path, capsys):
+    # the loader reads evidence[0].n itself: Z4 in place of the designated
+    # order-2 subgroup fails the designation check, and Z4's subgroups
+    # outrun the recorded complements
+    cert = tmp_path / "cert.json"
+    run(["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2", "--out",
+         str(cert)])
+    data = json.loads(cert.read_text())
+    data["evidence"][0]["n"]["generators"] = [[1, 2, 3, 0]]
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "Z4", "--L2", "Z2xZ2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] good-at-1-designated  (N_1 order 2)",
+        "[FAIL] good-at-1-extendable  (missing complement: no complement "
+        "recorded for this subgroup)"]
+    assert lines[-1] == "verdict: FAILED"
 
 
 def test_witness_verify_kernel_generator_outside_the_witness_fails(
@@ -301,14 +324,30 @@ def test_witness_build_undecided_exit_2(capsys):
     assert "exceeds bound 20000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("l1, l2, message", [
-    ("S3", "Z6", "S3 is not nilpotent"),
-    ("D8", "S3xZ2", "groups have different orders")])
-def test_witness_build_and_comp_check_refuse_alike(l1, l2, message, capsys):
-    # one route from a series name to sequences: the same refusal
+@pytest.mark.parametrize("l1, l2, chains, message", [
+    ("S3", "Z6", None, "S3 is not nilpotent"),
+    ("D8", "S3xZ2", None, "groups have different orders"),
+    ("Z2", "Z3", {"chain1": [[[1, 0]]], "chain2": [[[1, 2, 0]]]},
+     "groups have different orders")],
+    ids=["S3-Z6-S3 is not nilpotent", "D8-S3xZ2-groups have different orders",
+         "Z2-Z3-series file-groups have different orders"])
+def test_witness_build_and_comp_check_refuse_alike(l1, l2, chains, message,
+                                                   tmp_path, capsys):
+    # one route from a series name or file to sequences: the same refusal
+    series = []
+    if chains is not None:
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(chains))
+        series = ["--series", str(path)]
     for command in (["witness", "build"], ["comp", "check"]):
-        assert run(command + ["--L1", l1, "--L2", l2]) == 1
+        assert run(command + ["--L1", l1, "--L2", l2] + series) == 1
         assert capsys.readouterr().err == f"hypothesis refuted: {message}\n"
+
+
+def test_comp_check_pads_a_prime_order_pair_as_the_build_does(capsys):
+    assert run(["comp", "check", "--L1", "Z2", "--L2", "Z2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "member of Comp_2", "kernel orders: (1, 2)"]
 
 
 def test_series_central_refuses_a_non_nilpotent_group(capsys):

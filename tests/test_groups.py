@@ -16,6 +16,7 @@ from gcompat.groups import (
     elementary_abelian,
     from_elements,
     normal_sylow,
+    prime_factors,
     symmetric,
     trivial_group,
 )
@@ -158,6 +159,17 @@ def test_normal_sylow_and_complement_z30():
 def test_normal_sylow_rejects_non_square_free():
     with pytest.raises(HypothesisError):
         normal_sylow(cyclic(4))
+
+
+def test_prime_factors_match_a_brute_force_factorisation():
+    primes = [p for p in range(2, 1001) if all(p % d for d in range(2, p))]
+    for n in range(1, 1001):
+        expected, m = [], n
+        for p in primes:
+            while m % p == 0:
+                expected.append(p)
+                m //= p
+        assert prime_factors(n) == expected, n
 
 
 def test_subgroup_normality_and_membership():
