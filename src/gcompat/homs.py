@@ -12,9 +12,10 @@ tree of that graph and proves there: coset actions, series maps, twisted
 branch maps, standard embeddings, inner automorphisms and the isomorphism
 search all build their tables that way. A certificate's table is proved
 by the verifier, and `then`, `restrict` and `inverse` derive tables from
-proved ones. A block map is proved from its block, which every generator
-must keep, and any other rule out of a group past the enumeration bound
-is left undecided rather than sampled.
+proved ones. `validate` proves a map by its form, sampling nothing: a
+block map by its block, which every generator must keep, a held table by
+its edges, and a rule by its tabulation's edges within the enumeration
+bound or by its graph chain past it.
 The check runs on element indices: the graph gives x*s as int columns,
 the table's distinct values are multiplied by each generator's image in
 one batch product (`perms.right_products`), and both sides of the law are
@@ -23,10 +24,10 @@ compared as int lists.
 A rule map's generator images are proved by its graph chain
 (`graph_chain`), the stabilizer chain of <(f(g), g)> with the target's
 base first: its order is |source| exactly when the images define a
-homomorphism, and its levels past that prefix hold ker f. Sifting through
-the prefix inverts a bijection, so `inverse()` of a rule map is a rule and
-tabulates nothing (Holt, Eick and O'Brien 2005, section 3.3; Sims 1970);
-a table map's inverse flips its table.
+homomorphism, and `graph_orders` reads |im f| and |ker f| off it. Sifting
+through the prefix inverts a bijection, so `inverse()` of a rule map is a
+rule and tabulates nothing (Holt, Eick and O'Brien 2005, section 3.3; Sims
+1970); a table map's inverse flips its table.
 
 A block map projects a group acting on a disjoint union of domains (a
 direct product or an inverse limit) onto the block of points at one
@@ -54,6 +55,7 @@ from functools import partial
 from itertools import repeat
 from math import prod
 from operator import itemgetter
+from types import MappingProxyType
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError, UndecidedError
 from .groups import FiniteGroup, Subgroup
@@ -158,6 +160,11 @@ class Homomorphism:
         return cls.of_rule(sub.group, sub.parent, lambda x: x,
                            label=label or "incl")
 
+    @property
+    def table(self):
+        """A read-only view of the map's table; None for a rule map."""
+        return None if self._table is None else MappingProxyType(self._table)
+
     # -- application -------------------------------------------------------
 
     def __call__(self, x):
@@ -218,22 +225,21 @@ class Homomorphism:
         """Inverse of a bijective homomorphism. A table map flips its
         table. A rule map is proved a bijective homomorphism by its graph
         chain (`graph_chain`) and inverted by sifting through it, at any
-        size and with nothing tabulated: the chain's order is |target| and
-        no level past the target's base is left, so ker f = 1. Sifting
+        size and with nothing tabulated: the orders it reads off the chain
+        (`graph_orders`) are |im f| = |target| and |ker f| = 1. Sifting
         (y, 1) through those levels leaves (1, x^-1) with f(x) = y; a y
         outside the image leaves a nontrivial target part and raises
         ValueError."""
         name = label or f"{self.label}^-1"
         if self._table is None:
-            graph = self.graph_chain()
-            kernel = graph.orbits[len(self.target.chain().base):]
-            if prod(map(len, kernel)) != 1:
+            image, kernel = self.graph_orders()
+            if kernel != 1:
                 raise HypothesisError(f"{self.label} is not injective")
-            if graph.order != self.target.order():
+            if image != self.target.order():
                 raise HypothesisError(f"{self.label} is not surjective")
-            return Homomorphism.of_rule(self.target, self.source,
-                                        partial(_sift_back, graph,
-                                                self.target.degree, name),
+            sift = partial(_sift_back, self.graph_chain(),
+                           self.target.degree, name)
+            return Homomorphism.of_rule(self.target, self.source, sift,
                                         label=name)
         table = self._table
         back = {}
@@ -396,9 +402,10 @@ class Homomorphism:
         A block map is proved from its block: restriction to a block that
         every generator keeps is a homomorphism, so each generator must keep
         the block and send its image into the target (|gens| checks, nothing
-        tabulated). A table map, or a map out of an enumerable source, gets
-        the complete Cayley-edge check. Any other map raises
-        UndecidedError: nothing is sampled.
+        tabulated). A held table gets the complete Cayley-edge check at every
+        bound, and a rule out of a source within `bounds.enum` gets it on its
+        tabulation. Any other rule is proved by its graph chain, of order
+        |source|.
         """
         gens = self.source.generators
         off = self.offset
@@ -415,17 +422,12 @@ class Homomorphism:
                         f"{self.label}: a generator's block image is not in "
                         "the target")
             return len(gens)
-        enumerable = self.source.is_enumerable(bounds.enum)
-        if self._table is None and not enumerable:
-            raise UndecidedError(
-                f"{self.label}: rule map out of a source of order "
-                f"{self.source.order()}, past the enumeration bound "
-                f"{bounds.enum}; homomorphism not decided")
-        if enumerable:
+        if self.source.is_enumerable(bounds.enum):
             self.source.cayley(bounds.enum)  # kept, shared by maps out of it
-        n = len(self.tabulated())
+        elif self._table is None:
+            return self.graph_chain().order
         self.check_table_edges()
-        return n * max(1, len(gens))
+        return len(self._table) * max(1, len(gens))
 
     def graph_chain(self):
         """The stabilizer chain of the graph <(f(g), g)> over the source's
@@ -434,13 +436,9 @@ class Homomorphism:
         iff its order is |source|: then, and only then, the generator
         images define a homomorphism (Holt, Eick and O'Brien 2005, section
         3.3; Sims 1970), and anything else is refused. Then every f(g)
-        must lie in the target, or the map is refused as well.
-
-        The chain's base starts with the base of the target's own chain
-        (`StabilizerChain`'s prefix). An element of the target that fixes
-        that base is the identity, so the levels past the prefix are the
-        graph's elements (1, k), k in ker f, and the prefix levels' orbits
-        multiply to |im f|."""
+        must lie in the target, or the map is refused as well. The chain's
+        base starts with the base of the target's own chain
+        (`StabilizerChain`'s prefix)."""
         if self._graph is None:
             source, target = self.source, self.target
             images = [self(g) for g in source.generators]
@@ -460,11 +458,14 @@ class Homomorphism:
             self._graph = graph
         return self._graph
 
-    def check_generator_graph(self):
-        """Prove that the generator images define a homomorphism, whatever
-        the source's order, by the graph <(f(g), g)> with the target's
-        points first (`graph_chain`); returns the graph's order, |source|."""
-        return self.graph_chain().order
+    def graph_orders(self):
+        """(|im f|, |ker f|) off the graph chain (`graph_chain`). An element
+        of the target fixing its base is 1, so the levels past that prefix
+        are the graph's elements (1, k), k in ker f, and the prefix levels'
+        orbits multiply to |im f|."""
+        orbits = list(map(len, self.graph_chain().orbits))
+        cut = len(self.target.chain().base)
+        return prod(orbits[:cut]), prod(orbits[cut:])
 
     def __repr__(self):
         return (f"Homomorphism({self.label!r}: {self.source.label} -> "

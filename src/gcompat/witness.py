@@ -6,8 +6,8 @@ evidence at the designated normal subgroups, and a provenance tree. The
 builders realize every kernel isomorphism as an explicit composite of maps
 produced by the construction itself. They check no kernel map (one from
 generator images is a homomorphism by its propagation): `verify_witness`
-proves the certificate's kernel map at every size, by its table's edges
-when ker1 is enumerable and by its generator graph otherwise.
+proves the certificate's kernel map at every size, like p1 and p2, by
+`Homomorphism.validate`, which picks the proof by the map's form.
 
 Extendability evidence has one type, `ExtendEvidence`: a complement table
 or a block placement. A hand composition tabulates its lifted complements
@@ -422,8 +422,8 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     That map is the rule z -> place(0, kappa_2^-1(decode(z, 1))) at every
     size, with no table and no check here: `compose_witness` reads it into
     the composed map, unchecked, and `verify_witness` proves the final
-    kernel map by its table's edges when ker1 is enumerable and by its
-    generator graph otherwise. `decode` at branch 1 inverts place(1, .) on
+    kernel map by `Homomorphism.validate`, which picks the proof by the
+    map's form. `decode` at branch 1 inverts place(1, .) on
     ker1 = <place(1, k)>, whose order is checked below, and place(0, .) is
     a homomorphism, so the rule is a homomorphism exactly when kappa_2 is.
     kappa_2^-1 is `inverse()`, which raises unless kappa_2 is bijective.
@@ -949,10 +949,10 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
     """Re-check a certificate from scratch against the two target groups.
 
     Every check lands in the report; failures never raise. No check
-    samples, and enumerable and generator-based witnesses take the same
-    path, apart from the kernel isomorphism: p1 and p2 are proved from
-    their blocks (or their tables), and a generator-based kernel
-    isomorphism from its generator graph. Three checks are derived:
+    samples: p1, p2 and the kernel isomorphism (its table as it stands, or
+    the map a rule gives on ker1) are proved by `Homomorphism.validate`,
+    which picks the proof by the map's form, and |im f| of a kernel map
+    proved by its graph chain is read off that chain. Three are derived:
     `ker-p{d}-matches` from p_d's proof, the kernel's generators and
     |ker_d| = |G|/|im p_d|; `quotient-{d}-isomorphic`, by the first
     isomorphism theorem, from the checks its detail names; and
@@ -976,8 +976,9 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
             continue
         off = p.offset
         rep.add(f"p{d}-homomorphism", True,
-                f"{checked} edges" if off is None else
-                f"block map: {checked} generators keep points "
+                f"{checked} edges" if p.table is not None else
+                f"generator graph of order {checked} = |G|" if off is None
+                else f"block map: {checked} generators keep points "
                 f"{off}..{off + p.target.degree - 1}, images in target")
         img = p.image()
         rep.add(f"p{d}-surjective",
@@ -1025,47 +1026,42 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
             rep.add(f"quotient-{d}-isomorphic", True, "from " + ", ".join(
                 n + " (skipped)" if done[n].skipped else n for n in basis))
 
-    # kernel isomorphism: the certificate's map (each check fails on its
-    # own, with the error, if evaluating it raises)
+    # kernel isomorphism (each check fails on its own, with the error, if
+    # evaluating the map raises)
     ki, ker1, ker2 = cert.kernel_iso, cert.ker1, cert.ker2
-    table = ker1.group.is_enumerable(bounds.enum)
+    if ki.table is None:
+        ki = Homomorphism.of_rule(ker1.group, ker2.group, ki, label=ki.label)
     try:
-        if table:
-            ki.check_table_edges()
-            rep.add("kernel-iso-homomorphism", True, "complete edge check")
-        else:
-            # the map the images of ker1's generators define, whatever
-            # group the certificate's map was built on
-            order = Homomorphism.of_rule(
-                ker1.group, ker2.group, ki,
-                label=ki.label).check_generator_graph()
-            rep.add("kernel-iso-homomorphism", True,
-                    f"generator graph of order {order} = |ker1|")
-    except ValueError as e:
+        checked = ki.validate(bounds)
+        rep.add("kernel-iso-homomorphism", True,
+                "complete edge check" if ki.table is not None else
+                f"generator graph of order {checked} = |ker1|")
+    except (ValueError, UndecidedError) as e:
         rep.add("kernel-iso-homomorphism", False, str(e))
+    # a table keyed by ker1's elements, or |im f| off the graph chain
+    keyed = ki.table
     try:
-        # a table keyed by ker1's elements and its values, or the images of
-        # ker1's generators and the order of the group they generate; the
-        # edge check above closed the map's source, ker1, and ker2 within
-        # the bound is closed here, so keys and values are set lookups
-        if table:
-            if ker2.group.is_enumerable(bounds.enum):
-                ker2.members(bounds.enum)
-            keyed = ki.tabulated()
-            values = list(keyed.values())
-            size, detail = len(set(values)), ""
-            if len(keyed) != ker1.order() \
-                    or not all(map(ker1.contains, keyed)):
-                size, detail = -1, "table not keyed by ker1"
-        else:
-            values = list(map(ki, ker1.group.generators))
-            size = FiniteGroup(ker2.group.degree, values, "im").order()
+        if keyed is None:
+            size = ki.graph_orders()[0]
             detail = "image generates the full kernel (chain orders)"
+        elif len(keyed) != ker1.order() or not all(map(ker1.contains, keyed)):
+            size, detail = -1, "table not keyed by ker1"
+        else:
+            size, detail = len(set(keyed.values())), ""
         rep.add("kernel-iso-bijective", size == ker1.order() == ker2.order(),
                 detail)
-        rep.add("kernel-iso-lands-in-ker2", all(map(ker2.contains, values)))
     except ValueError as e:
         rep.add("kernel-iso-bijective", False, str(e))
+    try:
+        # ker2 within the bound is closed here, so values are set lookups
+        if keyed is None:
+            values = map(ki, ker1.group.generators)
+        else:
+            values = keyed.values()
+            if ker2.group.is_enumerable(bounds.enum):
+                ker2.members(bounds.enum)
+        rep.add("kernel-iso-lands-in-ker2", all(map(ker2.contains, values)))
+    except ValueError as e:
         rep.add("kernel-iso-lands-in-ker2", False, str(e))
 
     # ker1 ~ ker2: derived when the three checks above prove the map an
@@ -1078,7 +1074,7 @@ def verify_witness(cert: WitnessCertificate, l1: FiniteGroup,
         rep.add("kernel-iso-independent-search", True,
                 f"skipped: kernel order {k_order} past the isomorphism "
                 f"bound {bounds.iso}")
-    elif not table:
+    elif not ker1.group.is_enumerable(bounds.enum):
         rep.add("kernel-iso-independent-search", True,
                 f"skipped: kernel order {k_order} past the enumeration "
                 f"bound {bounds.enum}")

@@ -316,17 +316,25 @@ def test_block_map_is_proved_from_its_block():
         Homomorphism.block(prod, one, 0).validate()
 
 
-def test_rule_map_past_the_enumeration_bound_is_undecided():
-    from gcompat.bounds import Bounds, UndecidedError
+def test_rule_map_past_the_enumeration_bound_is_proved_by_its_graph_chain():
+    from gcompat.bounds import Bounds
 
     z2, z3 = cyclic(2), cyclic(3)
     prod = direct_product(z2, z3)
     pr2 = Homomorphism.block(prod, z3, 2)
     rule = Homomorphism.of_rule(prod, z3, lambda x: pr2(x), label="r")
-    with pytest.raises(UndecidedError, match="r: rule map out of a source "
-                       "of order 6, past the enumeration bound 5"):
-        rule.validate(Bounds(enum=5))
+    assert rule.validate(Bounds(enum=5)) == 6  # the graph's order, |source|
+    assert rule.table is None  # nothing tabulated
+    # one wrong image: Z2's generator sent to Z3's, which no homomorphism
+    # does; the graph chain refutes it past the bound
+    (g2,) = [g for g in prod.generators if perm_order(g) == 2]
+    wrong = Homomorphism.of_rule(
+        prod, z3, lambda x: z3.generators[0] if x == g2 else pr2(x),
+        label="w")
+    with pytest.raises(HypothesisError, match="w: generator graph has order"):
+        wrong.validate(Bounds(enum=5))
     assert rule.validate(Bounds(enum=6)) == 6 * 2  # one check per edge
+    assert rule.table is not None and len(rule.table) == 6
     # a block map needs no enumeration; a table map is checked on its table
     assert pr2.validate(Bounds(enum=5)) == 2
     table = Homomorphism(prod, z3, table={x: pr2(x) for x in prod.elements()})
@@ -384,12 +392,12 @@ def test_generator_graph_decides_generator_images():
     assert bad(mul(g, g)) == mul(bad(g), bad(g))
     with pytest.raises(HypothesisError, match="bad: generator graph has "
                        "order 6, not the source's 3"):
-        bad.check_generator_graph()
-    assert mod2_map()[2].check_generator_graph() == 4
+        bad.graph_chain().order
+    assert mod2_map()[2].graph_chain().order == 4
     z6 = cyclic(6)
     to_z3 = Homomorphism.from_gen_images(
         z6, z3, {z6.generators[0]: g}, label="mod3")
-    assert to_z3.check_generator_graph() == 6
+    assert to_z3.graph_chain().order == 6
 
 
 def test_block_map_rejects_an_overrun():
@@ -445,6 +453,31 @@ def test_rule_inverse_sifts_through_the_graph_chain(rng):
         assert chain.order == g.order()
 
 
+def test_graph_orders_read_image_and_kernel(rng):
+    # quotient maps and inner automorphisms of each group of the sampling
+    # pool, as rules: the orders read off the graph chain are the number of
+    # distinct values and the kernel's order, and inverse() refuses exactly
+    # the maps that are not bijective
+    from gcompat.isos import inner_automorphism
+    from gcompat.sampling import medium_group_pool, random_normal_subgroup
+
+    verdicts = set()
+    for g in medium_group_pool(60):
+        maps = [quotient(g, n)[1] for n in (
+            g.trivial_subgroup(), random_normal_subgroup(rng, g),
+            g.full_subgroup())]
+        maps.append(inner_automorphism(g, rng.choice(g.sorted_elements())))
+        for f in maps:
+            rule = Homomorphism.of_rule(g, f.target, f)
+            image = len(set(f.tabulated().values()))
+            kernel = rule.kernel().order()
+            assert rule.graph_orders() == (image, kernel)
+            bijective = kernel == 1 and image == f.target.order()
+            assert _accepts(rule.inverse) == bijective
+            verdicts.add(bijective)
+    assert verdicts == {True, False}
+
+
 def test_rule_inverse_refuses_what_is_no_bijective_homomorphism():
     z2, z3, z4, s3 = cyclic(2), cyclic(3), cyclic(4), symmetric(3)
     # Z3 -> S3 sending the generator to a transposition: no homomorphism
@@ -456,7 +489,7 @@ def test_rule_inverse_refuses_what_is_no_bijective_homomorphism():
         bad.inverse()
     # squaring on Z4 collapses: a homomorphism with a kernel of order 2
     square = Homomorphism.of_rule(z4, z4, lambda x: mul(x, x), label="sq")
-    assert square.check_generator_graph() == 4
+    assert square.graph_chain().order == 4
     with pytest.raises(HypothesisError, match="sq is not injective"):
         square.inverse()
     # Z2 into Z4: one-to-one, not onto
@@ -719,7 +752,7 @@ def test_gen_image_tables_satisfy_the_tuple_definition(rng):
             if rng.random() < 0.25:
                 images = dict.fromkeys(g.generators, h.identity)
             graph = Homomorphism.of_rule(g, h, images.__getitem__)
-            consistent = _accepts(graph.check_generator_graph)
+            consistent = _accepts(lambda: graph.graph_chain().order)
             if not consistent:
                 with pytest.raises(HypothesisError, match="not consistent"):
                     Homomorphism.from_gen_images(g, h, images)

@@ -19,3 +19,18 @@ def test_no_module_imports_a_private_name_from_another():
                          for alias in node.names
                          if alias.name.startswith("_"))
     assert found == []
+
+
+def test_only_homs_reads_a_maps_private_fields():
+    # the verifier and every other module learn a map's form from its
+    # public view (`Homomorphism.table`, `offset`), so the choice of proof
+    # lives in `homs` alone
+    private = {"_table", "_rule", "_graph", "_then", "_kernel"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "homs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert found == []

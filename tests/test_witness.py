@@ -899,15 +899,26 @@ def test_order_30_stretch_negative_controls():
     b = Bounds()
     z30, other = cyclic(30), direct_product(cyclic(5), named_group("S3"))
     cert = witness_square_free(z30, other, b)
-    # p1 as a rule rather than a block map: undecided, never sampled
+    # p1 as a rule rather than a block map: proved by its graph chain,
+    # never sampled
     rule_p1 = Homomorphism.of_rule(cert.witness, cert.p1.target, cert.p1,
                                    label="p1")
+    rep = verify_witness(replace(cert, p1=rule_p1), z30, other, b)
+    assert rep.passed
+    assert CheckResult("p1-homomorphism", True,
+                       "generator graph of order 7031250 = |G|") in rep.checks
+    # a rule p1 that sends an order-15 generator to the element of order 2,
+    # which no homomorphism does
+    g15 = next(g for g in cert.witness.generators if perm_order(g) == 15)
+    y2 = next(y for y in cert.p1.target.elements() if perm_order(y) == 2)
+    broken = Homomorphism.of_rule(cert.witness, cert.p1.target,
+                                  lambda x: y2 if x == g15 else cert.p1(x),
+                                  label="p1")
     checks = {c.name: c for c in verify_witness(
-        replace(cert, p1=rule_p1), z30, other, b).checks}
+        replace(cert, p1=broken), z30, other, b).checks}
     assert not checks["p1-homomorphism"].passed
-    assert checks["p1-homomorphism"].detail == (
-        "p1: rule map out of a source of order 7031250, past the "
-        "enumeration bound 20000; homomorphism not decided")
+    assert checks["p1-homomorphism"].detail.startswith(
+        "p1: generator graph has order ")
     assert "p1-surjective" not in checks and checks["p2-homomorphism"].passed
     # nothing is derived from an unproved map
     assert not checks["quotient-1-isomorphic"].passed
@@ -928,7 +939,7 @@ def test_order_30_stretch_negative_controls():
     assert not checks["kernel-iso-homomorphism"].passed and not rep.passed
     with pytest.raises(HypothesisError, match="generator graph has order"):
         Homomorphism.of_rule(ki.source, ki.target, images.__getitem__,
-                             label="kernel-iso").check_generator_graph()
+                             label="kernel-iso").graph_chain().order
 
 
 def _length2_builds(monkeypatch, build, *args):
@@ -1040,7 +1051,7 @@ def test_stretch_length2_kernel_iso_is_a_rule(monkeypatch):
     assert base.witness is cert.witness
     assert not base.witness.is_enumerable(b.enum)
     assert base.kernel_iso._table is None and "kernel-iso" not in checked
-    assert base.kernel_iso.check_generator_graph() == 1875
+    assert base.kernel_iso.graph_chain().order == 1875
     _assert_length2_kernel_iso_is_the_placed_inverse(base, comp, lim)
 
 
@@ -1113,16 +1124,119 @@ def test_kernel_map_that_raises_fails_each_kernel_iso_check():
     ker1 = Subgroup(cert.witness, gens=cert.ker1.group.generators)
     bounds = Bounds(enum=100)
     assert verify_witness(replace(cert, ker1=ker1), l1, l2, bounds).passed
-    # a table map defined on the identity alone raises on every generator
+    # a rule over a table defined on the identity alone raises on every
+    # generator
     identities = {ker1.group.identity: cert.ker2.group.identity}
     partial = Homomorphism(ker1.group, cert.ker2.group, table=identities,
                            label="kernel-iso", check=False)
-    rep = verify_witness(replace(cert, ker1=ker1, kernel_iso=partial),
+    raising = Homomorphism.of_rule(ker1.group, cert.ker2.group, partial,
+                                   label="kernel-iso")
+    rep = verify_witness(replace(cert, ker1=ker1, kernel_iso=raising),
                          l1, l2, bounds)
     assert len(rep.checks) == 18
     error = "kernel-iso: element not in source table"
     for name in ("homomorphism", "bijective", "lands-in-ker2"):
         assert CheckResult(f"kernel-iso-{name}", False, error) in rep.checks
+    # the one-entry table itself is a held table, proved as it stands
+    rep = verify_witness(replace(cert, ker1=ker1, kernel_iso=partial),
+                         l1, l2, bounds)
+    assert len(rep.checks) == 18
+    assert CheckResult("kernel-iso-homomorphism", False,
+                       "kernel-iso: table not total") in rep.checks
+    assert CheckResult("kernel-iso-bijective", False,
+                       "table not keyed by ker1") in rep.checks
+
+
+def test_swapped_kernel_table_fails_past_the_enumeration_bound():
+    # a held table is proved by its edges at every bound, never at its
+    # generators alone: with the values at two keys that generate nothing
+    # swapped, exactly kernel-iso-homomorphism fails under Bounds(enum=100),
+    # in process and read back from the descriptor
+    from dataclasses import replace
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    ki = cert.kernel_iso
+    table = dict(ki.table)
+    keys = sorted(table)
+    assert not {keys[1], keys[2]} & set(cert.ker1.group.generators)
+    table[keys[1]], table[keys[2]] = table[keys[2]], table[keys[1]]
+    swapped = replace(cert, kernel_iso=Homomorphism(
+        ki.source, ki.target, table=table, label="kernel-iso", check=False))
+    for tampered in (swapped, _loaded(swapped, l1, l2)):
+        rep = verify_witness(tampered, l1, l2, Bounds(enum=100))
+        assert [c for c in rep.checks if not c.passed] == [CheckResult(
+            "kernel-iso-homomorphism", False,
+            "kernel-iso: not a homomorphism")]
+
+
+def _rule_kernel_failures(cert, l1, l2, fn):
+    """The failed checks, name -> detail, of `cert` with the kernel map
+    replaced by the rule `fn` out of ker1, verified under Bounds(enum=100):
+    past the bound for an order-256 ker1, so proved by its graph chain."""
+    from dataclasses import replace
+
+    rule = Homomorphism.of_rule(cert.ker1.group, cert.ker2.group, fn,
+                                label="kernel-iso")
+    rep = verify_witness(replace(cert, kernel_iso=rule), l1, l2,
+                         Bounds(enum=100))
+    return {c.name: c.detail for c in rep.checks if not c.passed}
+
+
+def test_each_generator_route_kernel_check_has_a_control():
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    ki, ker1, ker2 = cert.kernel_iso, cert.ker1.group, cert.ker2.group
+    assert ker1.order() == 256
+    assert _rule_kernel_failures(cert, l1, l2, ki) == {}
+    # a homomorphism that collapses ker1 fails only bijectivity
+    assert _rule_kernel_failures(cert, l1, l2, lambda x: ker2.identity) == {
+        "kernel-iso-bijective":
+            "image generates the full kernel (chain orders)"}
+    # a generator sent to an element of ker2 whose order does not divide
+    # its own: no homomorphism, and no image order to compare
+    g, y = next((g, y) for g in ker1.generators for y in ker2.elements()
+                if perm_order(g) % perm_order(y))
+    broken = _rule_kernel_failures(cert, l1, l2,
+                                   lambda x: y if x == g else ki(x))
+    assert list(broken) == ["kernel-iso-homomorphism", "kernel-iso-bijective"]
+    assert broken["kernel-iso-homomorphism"].startswith(
+        "kernel-iso: generator graph has order ")
+    assert broken["kernel-iso-bijective"] == broken["kernel-iso-homomorphism"]
+    # the identity of ker1 lands outside ker2
+    refusal = "kernel-iso: a generator's image is not in the target"
+    assert _rule_kernel_failures(cert, l1, l2, lambda x: x) == {
+        "kernel-iso-homomorphism": refusal, "kernel-iso-bijective": refusal,
+        "kernel-iso-lands-in-ker2": ""}
+
+
+def test_generator_route_builds_no_chain_on_the_images(monkeypatch):
+    # kernel-iso-bijective reads |im f| off the graph chain that proved the
+    # map: no stabilizer chain is built on its generator images alone
+    from dataclasses import replace
+
+    import gcompat.groups as groups
+    import gcompat.homs as homs
+
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    ki, ker1 = cert.kernel_iso, cert.ker1.group
+    rule = Homomorphism.of_rule(ker1, cert.ker2.group, ki, label="kernel-iso")
+    images = {ki(g) for g in ker1.generators} - {ker1.identity}
+    built, chain = [], groups.StabilizerChain
+
+    def recorded(degree, gens=(), base=()):
+        built.append(set(map(tuple, gens)))
+        return chain(degree, gens, base)
+
+    monkeypatch.setattr(groups, "StabilizerChain", recorded)
+    monkeypatch.setattr(homs, "StabilizerChain", recorded)
+    rep = verify_witness(replace(cert, kernel_iso=rule), l1, l2,
+                         Bounds(enum=100))
+    assert rep.passed and CheckResult(
+        "kernel-iso-homomorphism", True,
+        "generator graph of order 256 = |ker1|") in rep.checks
+    assert built and images not in built
 
 
 def test_length2_kernel_iso_is_a_rule_at_every_size(monkeypatch):
@@ -1138,7 +1252,7 @@ def test_length2_kernel_iso_is_a_rule_at_every_size(monkeypatch):
         assert base is cert and cert.witness.order() == 18
         assert not cert.witness.is_enumerable(17)
         assert cert.kernel_iso._table is None and checked == []
-        assert cert.kernel_iso.check_generator_graph() == 3
+        assert cert.kernel_iso.graph_chain().order == 3
         _assert_length2_kernel_iso_is_the_placed_inverse(cert, comp, lim)
         seen = []
         monkeypatch.setattr(Homomorphism, "check_table_edges",
