@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _bound(text: str) -> int:
+    """A bound given on the command line: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"a bound must be an integer of at least 1, not {text!r}")
+    return int(text)
+
+
 def _group_arg(spec: str):
     spec = spec.strip()
     if spec.startswith("@"):
@@ -386,7 +394,7 @@ EXAMPLES = {
 def cmd_examples(args) -> int:
     bounds = _bounds(args)
     names = args.names.split(",") if args.names else list(EXAMPLES)
-    failures = 0
+    verdicts = set()
     for name in names:
         if name not in EXAMPLES:
             print(f"unknown example {name!r}", file=sys.stderr)
@@ -394,11 +402,14 @@ def cmd_examples(args) -> int:
         rng = random.Random(args.seed)
         try:
             ok, detail = EXAMPLES[name](bounds, rng)
-        except (HypothesisError, UndecidedError) as e:
-            ok, detail = False, str(e)
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}  ({detail})")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+            verdict = "PASS" if ok else "FAIL"
+        except HypothesisError as e:
+            verdict, detail = "FAIL", str(e)
+        except UndecidedError as e:
+            verdict, detail = "UNDECIDED", str(e)
+        print(f"[{verdict}] {name}  ({detail})")
+        verdicts.add(verdict)
+    return 1 if "FAIL" in verdicts else 2 if "UNDECIDED" in verdicts else 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +418,9 @@ def cmd_examples(args) -> int:
 def build_parser() -> _Parser:
     p = _Parser(prog="gcompat",
                 description="finite-group compatibility witnesses")
-    p.add_argument("--bound-enum", type=int, default=20000)
-    p.add_argument("--bound-iso", type=int, default=2000)
-    p.add_argument("--bound-aut", type=int, default=512)
+    p.add_argument("--bound-enum", type=_bound, default=20000)
+    p.add_argument("--bound-iso", type=_bound, default=2000)
+    p.add_argument("--bound-aut", type=_bound, default=512)
     p.add_argument("--seed", type=int, default=20240801)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .bounds import DEFAULT_BOUNDS
+from .bounds import DEFAULT_BOUNDS, HypothesisError
 from .catalog import construct, named_group
 from .groups import FiniteGroup, Subgroup
 from .homs import Homomorphism
@@ -249,6 +249,18 @@ def subgroup_from_descriptor(d: dict, parent: FiniteGroup,
     return Subgroup(parent, gens=gens)
 
 
+def _target_subgroup(d: dict, l_d: FiniteGroup, what) -> Subgroup:
+    """A subgroup of the target L_d that the certificate names: a generator
+    off L_d's points refutes the file as one for this pair."""
+    gens = perm_list(_object(d, what).get("generators"), f"{what} generators")
+    for g in gens:
+        if not is_perm(g, l_d.degree):
+            raise HypothesisError(
+                f"{what}: generator {list(g)} is not a permutation of the "
+                f"{l_d.degree} points of {l_d.label}")
+    return subgroup_from_descriptor(d, l_d, what)
+
+
 def certificate_to_descriptor(cert: WitnessCertificate,
                               bounds=DEFAULT_BOUNDS, report=None) -> dict:
     """Serialize a certificate; evidence complements are materialized over
@@ -337,14 +349,13 @@ def certificate_from_descriptor(d: dict, l1: FiniteGroup,
         dict(_object(d["kernel_iso"], "kernel_iso"), label="kernel-iso"),
         ker1.group, ker2.group, what="kernel_iso")
     good_at = _items(d["good_at"], 2, "good_at")
-    n1 = subgroup_from_descriptor(good_at[0], l1, "good_at[0]")
-    n2 = subgroup_from_descriptor(good_at[1], l2, "good_at[1]")
+    n1 = _target_subgroup(good_at[0], l1, "good_at[0]")
+    n2 = _target_subgroup(good_at[1], l2, "good_at[1]")
     evidence = []
     for i, (ev_d, l_d) in enumerate(zip(_items(d["evidence"], 2, "evidence"),
                                         (l1, l2))):
         what = f"evidence[{i}]"
-        n = subgroup_from_descriptor(_object(ev_d, what).get("n"), l_d,
-                                     f"{what} n")
+        n = _target_subgroup(_object(ev_d, what).get("n"), l_d, f"{what} n")
         kind = ev_d.get("kind")
         if not isinstance(kind, str):
             raise ValueError(f"{what} kind: expected a string")

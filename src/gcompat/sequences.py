@@ -3,6 +3,8 @@
 A sequence of length l stores groups[0..l] with groups[0] trivial and maps
 pi_i : S_i -> S_{i-1}. Normal series of a group convert to sequences by
 taking successive quotients, and back by taking kernels of the composites.
+The witness recursion runs on these surgeries: it fuses two tops, put on a
+common base by `concatenation`, by `sharp`, and contracts by `contraction`.
 """
 
 from __future__ import annotations
@@ -112,12 +114,8 @@ def series_to_sequence(l_group: FiniteGroup, chain) -> GroupSequence:
 
 def sequence_to_series(seq: GroupSequence):
     """Normal series of the top group: term i = ker(S_l -> S_{l-i})."""
-    top = seq.top
-    out = []
-    for i in range(seq.length + 1):
-        comp = seq.composite_to(seq.length - i)
-        out.append(comp.kernel())
-    return out
+    return [seq.composite_to(seq.length - i).kernel()
+            for i in range(seq.length + 1)]
 
 
 def contraction(seq: GroupSequence) -> GroupSequence:
@@ -161,13 +159,10 @@ def sharp(s: GroupSequence, t: GroupSequence, bounds=DEFAULT_BOUNDS):
     """
     if not almost_equal(s, t):
         raise HypothesisError("sharp needs almost-equal sequences")
-    system = star_system(s.groups[-2], [s.top, t.top],
-                         [s.maps[-1], t.maps[-1]])
-    lim = star_limit(system, bounds)
-    new_top = lim.group
-    top_map = lim.projection("r")
-    seq = GroupSequence(s.groups[:-1] + [new_top], s.maps[:-1] + [top_map])
-    return seq, lim
+    lim = star_limit(star_system(s.groups[-2], [s.top, t.top],
+                                 [s.maps[-1], t.maps[-1]]), bounds)
+    return GroupSequence(s.groups[:-1] + [lim.group],
+                         s.maps[:-1] + [lim.projection("r")]), lim
 
 
 def pad_to_length(seq: GroupSequence, length: int) -> GroupSequence:

@@ -49,7 +49,8 @@ from .inverse_limits import star_limit, star_system
 from .isos import (automorphism_set, enumerate_isomorphisms,
                    find_isomorphism, stabilized)
 from .perms import closure, inv, left_products, mul, place_block
-from .sequences import GroupSequence, pad_to_length, series_to_sequence
+from .sequences import (GroupSequence, concatenation, contraction,
+                        pad_to_length, series_to_sequence, sharp)
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +321,11 @@ def _derive_alpha_tau(s_pair, i, sigma, delta, bounds):
         def transported(k, tx=tx):
             return t(mul(mul(inv(tx), t_inv(k)), tx))
 
-        found = None
-        for a in stab:  # a and transported are homomorphisms on K_bar
-            if all(a(k) == transported(k) for k in k_bar.group.generators):
-                found = a
-                break
-        if found is None:
+        # a and transported are homomorphisms on K_bar
+        alpha[x] = next((a for a in stab if all(
+            a(k) == transported(k) for k in k_bar.group.generators)), None)
+        if alpha[x] is None:
             return None
-        alpha[x] = found
     return alpha, {x: tau[x] for x in s_d.group(i - 1).sorted_elements()}
 
 
@@ -412,12 +410,12 @@ def certificate_mode(cert: WitnessCertificate, bounds=DEFAULT_BOUNDS) -> str:
 def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
                           comp: CompData | None,
                           bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
-    """Base case: the fiber of the two tops over the common bottom group.
-
-    The star has root S_{1;2} with the side-1 branch twisted through the
-    level-1 kernel isomorphism; kernels of the projections are the opposite
-    branch kernels, bridged by the level-2 kernel isomorphism
-    z = place(1, y) -> place(0, kappa_2^-1(y)).
+    """Base case: the fiber of the two tops over the common bottom group,
+    taken by `sharp`. Side 1's top is first put on s2 cut to length 1
+    (`concatenation`) through the level-1 kernel isomorphism, so the star
+    has root S_{1;2} with the side-1 branch twisted; kernels of the
+    projections are the opposite branch kernels, bridged by the level-2
+    kernel isomorphism z = place(1, y) -> place(0, kappa_2^-1(y)).
 
     That map is the rule z -> place(0, kappa_2^-1(decode(z, 1))) at every
     size, with no table and no check here: `compose_witness` reads it into
@@ -439,13 +437,12 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     if comp is None:
         raise HypothesisError("pair fails the restriction condition")
     sigma1 = comp.kernel_isos[1]
-    root = s2.group(1)
-    into_root = Homomorphism.of_rule(sigma1.source, root, sigma1,
+    below = GroupSequence(s2.groups[:2], s2.maps[:1])
+    into_root = Homomorphism.of_rule(sigma1.source, below.top, sigma1,
                                      label="sigma1")
-    branch1 = s1.map(2).then(into_root, label="sigma*pi")
-    branch2 = s2.map(2)
-    system = star_system(root, [s1.top, s2.top], [branch1, branch2])
-    lim = star_limit(system, bounds)
+    twisted = concatenation(
+        s1.top, s1.map(2).then(into_root, label="sigma*pi"), below)
+    _, lim = sharp(twisted, s2, bounds)
     p1, p2 = lim.projection(0), lim.projection(1)
 
     k_pi21 = s1.kernel(2)
@@ -473,8 +470,8 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
               "targets": [s1.top.order(), s2.top.order()],
               "kernel_orders": [ker1.order(), ker2.order()],
               "kernel_iso_gen_images": _gen_image_list(kernel_iso)},
-        checks=[CheckResult("fiber-order", lim.group.order()
-                            * root.order() == s1.top.order() * s2.top.order())])
+        checks=[CheckResult("fiber-order", lim.group.order() * below.top.order()
+                            == s1.top.order() * s2.top.order())])
     return WitnessCertificate(lim.group, p1, p2, ker1, ker2, kernel_iso,
                               (k_pi21, k_pi22), (ev1, ev2), prov)
 
@@ -534,8 +531,7 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
         lim = star_limit(system, bounds)
         g_lims[d] = lim
         rhos[d] = lim.projection(0)
-        comp_map = seq.map(ell).then(seq.map(ell - 1))
-        t_subs[d] = comp_map.kernel(bounds.enum)
+        t_subs[d] = contraction(seq).map(ell - 1).kernel(bounds.enum)
 
     for d in (1, 2):
         bar = 3 - d
@@ -620,12 +616,8 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
     certs = {1: (cert.p1, cert.ker1), 2: (cert.p2, cert.ker2)}
     kpi = {1: pi1.kernel(bounds.enum), 2: pi2.kernel(bounds.enum)}
     for d in (1, 2):
-        p, _ = certs[d]
-        n_d = cert.good_at[d - 1]
-        for k in kpi[d].group.generators:
-            if not n_d.contains(k):
-                raise HypothesisError(
-                    "certificate goodness does not cover ker(pi)")
+        if not all(map(cert.good_at[d - 1].contains, kpi[d].group.generators)):
+            raise HypothesisError("certificate goodness does not cover ker(pi)")
     if kappa_pi.source.order() != kpi[1].order() \
             or not kappa_pi.is_bijective():
         raise HypothesisError("kappa_pi is not an isomorphism of the kernels")
@@ -704,7 +696,9 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     """The recursive construction on a pair of length at least 2 (as
     `sequences_from_series` pads it): base fiber at length 2, else one
     recursion step, a recursive call on the contracted pair, and the
-    quotient composition."""
+    quotient composition. The step's star G_d and hybrid H_d, each put on
+    s_d cut to length l-1, fuse by `sharp` into W_d; the contracted pair is
+    the `contraction` of W_1 and W_2, with top maps Pi_d."""
     if s1.length != s2.length:
         raise HypothesisError("sequences have different lengths")
     if comp is None:
@@ -717,21 +711,17 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
 
     seqs = {1: s1, 2: s2}
     step = build_recursion_step(s1, s2, comp, bounds)
-    new_tops, new_top_maps, contracted_maps = {}, {}, {}
-    lims_w = {}
+    lims_w, new_top_maps, new_seqs = {}, {}, {}
     for d in (1, 2):
-        seq = seqs[d]
-        root = seq.group(ell - 1)
-        g_part = step.g_lims[d].projection("r")
-        system = star_system(root, [step.g_lims[d].group, step.hybrids[d].group],
-                             [g_part, step.phis[d]])
-        lw = star_limit(system, bounds)
-        lims_w[d] = lw
-        new_tops[d] = lw.group
-        new_top_maps[d] = lw.projection(0).then(step.rho[d],
-                                                label=f"pi_next_{d}")
-        contracted_maps[d] = lw.projection("r").then(seq.map(ell - 1),
-                                                     label=f"Pi_{d}")
+        cut = GroupSequence(seqs[d].groups[:ell], seqs[d].maps[:ell - 1])
+        g_lim, hw = step.g_lims[d], step.hybrids[d]
+        fused, lims_w[d] = sharp(
+            concatenation(g_lim.group, g_lim.projection("r"), cut),
+            concatenation(hw.group, step.phis[d], cut), bounds)
+        new_top_maps[d] = lims_w[d].projection(0).then(step.rho[d],
+                                                       label=f"pi_next_{d}")
+        new_seqs[d] = contraction(fused)
+        new_seqs[d].map(ell - 1).label = f"Pi_{d}"
 
     # kernel of the new top map, as an internal direct product
     ker_next = {}
@@ -741,7 +731,7 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         ker_phi = step.phis[d].kernel(bounds.enum)
         gens = [place(0, g) for g in ker_rho.group.generators] \
             + [place(1, h) for h in ker_phi.group.generators]
-        ker_next[d] = Subgroup(new_tops[d], gens=gens,
+        ker_next[d] = Subgroup(lims_w[d].group, gens=gens,
                                label=f"ker pi_next_{d}")
         if ker_next[d].order() != ker_rho.order() * ker_phi.order():
             raise HypothesisError("new top kernel generators have wrong order")
@@ -775,15 +765,8 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         {w: kappa_next_rule(w) for w in ker_next[1].group.generators},
         label="kappa_next")
 
-    # contracted pair for the recursive call
-    new_seqs, kappa_contracted = {}, None
-    for d in (1, 2):
-        seq = seqs[d]
-        groups = seq.groups[:ell - 1] + [new_tops[d]]
-        maps = seq.maps[:ell - 2] + [contracted_maps[d]]
-        new_seqs[d] = GroupSequence(groups, maps)
-
-    ker_pi_big = {d: contracted_maps[d].kernel(bounds.enum) for d in (1, 2)}
+    ker_pi_big = {d: new_seqs[d].map(ell - 1).kernel(bounds.enum)
+                  for d in (1, 2)}
     fwd_sigma = comp.kernel_isos[ell - 1]
 
     def kappa_big_rule(w):
@@ -821,7 +804,7 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
               "copies": step.n,
               "g_order": step.g_lims[1].group.order(),
               "h_order": step.hybrids[1].order(),
-              "fiber_orders": [new_tops[1].order(), new_tops[2].order()],
+              "fiber_orders": [lims_w[d].group.order() for d in (1, 2)],
               "next_kernel_orders": [ker_next[1].order(), ker_next[2].order()],
               "contracted_kernel_iso_gen_images": _gen_image_list(kappa_big)},
         checks=list(step.checks))

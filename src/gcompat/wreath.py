@@ -272,7 +272,6 @@ def action_isomorphism_check(action1: GroupAction, point_bijection,
     target group must act naturally on its own domain.
     """
     phi = tuple(point_bijection)
-    target = psi.target
     for h in action1.group.elements():
         img = psi(h)
         for w in range(action1.npoints):

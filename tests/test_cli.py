@@ -502,6 +502,60 @@ def test_examples_fast_subset(capsys):
     assert "[PASS] z6s3" in out
 
 
+def test_examples_battery_passes_at_the_default_seed(capsys):
+    assert run(["examples"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    assert all(line.startswith("[PASS] ") for line in lines)
+
+
+def test_an_example_stopped_by_a_bound_is_undecided(capsys):
+    # seed 7's random quotient system has a limit of order 23040, past the
+    # enumeration bound: undecided (exit 2), not refuted (exit 1)
+    assert run(["--seed", "7", "examples", "--names", "limits"]) == 2
+    assert capsys.readouterr().out == (
+        "[UNDECIDED] limits  (limit enumeration exceeded bound 20000)\n")
+
+
+@pytest.mark.parametrize("flag,value,argv", [
+    ("--bound-enum", "-5", ["witness", "build", "--L1", "Z4", "--L2", "Z2xZ2"]),
+    ("--bound-enum", "0", ["group", "Z2"]),
+    ("--bound-iso", "-1", ["comp", "check", "--L1", "D8", "--L2", "Q8"]),
+    ("--bound-aut", "0", ["comp", "check", "--L1", "D8", "--L2", "Q8"]),
+    ("--bound-iso", "two", ["group", "Z2"])])
+def test_a_bound_below_1_is_malformed_input(flag, value, argv, capsys):
+    assert run([flag, value, *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: argument {flag}: a bound must be an integer of at least 1, "
+        f"not {value!r}")
+
+
+def test_a_certificate_of_another_pair_is_refuted(tmp_path, capsys):
+    # the Z6|S3 file checked as one for S3|Z6: its good_at[0] generator
+    # moves 6 points, and S3 has 3, so the file does not certify this pair
+    cert = tmp_path / "z6-s3.json"
+    assert run(["witness", "build", "--L1", "Z6", "--L2", "S3", "--series",
+                "auto-squarefree", "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "S3", "--L2", "Z6"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("hypothesis refuted: good_at[0]: generator "
+                   "[2, 3, 4, 5, 0, 1] is not a permutation of the 3 points "
+                   "of S3\n")
+    # the same off-degree generator in an evidence subgroup of L2
+    data = json.loads(cert.read_text())
+    data["evidence"][1]["n"]["generators"] = [[1, 0, 2, 3]]
+    cert.write_text(json.dumps(data))
+    assert run(["witness", "verify", "--cert", str(cert),
+                "--L1", "Z6", "--L2", "S3"]) == 1
+    assert capsys.readouterr().err == (
+        "hypothesis refuted: evidence[1] n: generator [1, 0, 2, 3] is not a "
+        "permutation of the 3 points of S3\n")
+
+
 def test_byte_identical_output(capsys):
     run(["group", "Z6"])
     first = capsys.readouterr().out

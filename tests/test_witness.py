@@ -946,6 +946,7 @@ def _length2_builds(monkeypatch, build, *args):
     """The result of `build(*args)` and, for each length-2 certificate
     built on the way, (certificate, its CompData, its star limit, the
     labels of the tables edge-checked while it was built)."""
+    import gcompat.sequences as sequences
     import gcompat.witness as witness
 
     limits, checked, calls = [], [], []
@@ -966,7 +967,10 @@ def _length2_builds(monkeypatch, build, *args):
         calls.append((cert, comp, limits[before], checked[seen:]))
         return cert
 
+    # the builders' fibers are `sharp` calls, which reach star_limit
+    # through `sequences`
     monkeypatch.setattr(witness, "star_limit", record_limit)
+    monkeypatch.setattr(sequences, "star_limit", record_limit)
     monkeypatch.setattr(witness, "build_witness_length2", capture)
     monkeypatch.setattr(Homomorphism, "check_table_edges", record_edges)
     return build(*args), calls
@@ -1066,6 +1070,7 @@ def test_enumerated_star_limits_of_a_build_equal_their_closures(
         monkeypatch, a, b, build, most):
     # every star limit listed within the bound while a witness is built is
     # the group its generators close to, and the witness verifies
+    import gcompat.sequences as sequences
     import gcompat.witness as witness
 
     star, listed = witness.star_limit, []
@@ -1077,6 +1082,7 @@ def test_enumerated_star_limits_of_a_build_equal_their_closures(
         return lim
 
     monkeypatch.setattr(witness, "star_limit", record_limit)
+    monkeypatch.setattr(sequences, "star_limit", record_limit)
     l1, l2 = named_group(a), named_group(b)
     cert = build(l1, l2, Bounds())
     assert max(g.order() for g in listed) == most
@@ -1634,6 +1640,44 @@ def test_sharp_closure_of_the_condition():
     f2, _ = sharp(s2, t2)
     assert f1.kernel_orders() == f2.kernel_orders()
     assert comp_membership(f1, f2) is not None
+
+
+def test_the_recursion_fuses_and_contracts_through_the_surgeries(
+        monkeypatch):
+    # the length-2 base and each fiber of two tops are `sharp`; each
+    # contracted pair and the step's composite are `contraction`
+    import gcompat.witness as witness
+
+    fused, contracted = [], []
+    sharp_, contraction_ = witness.sharp, witness.contraction
+
+    def record_sharp(s, t, bounds):
+        fused.append(sharp_(s, t, bounds))
+        return fused[-1]
+
+    def record_contraction(seq):
+        contracted.append((seq, contraction_(seq)))
+        return contracted[-1][1]
+
+    monkeypatch.setattr(witness, "sharp", record_sharp)
+    monkeypatch.setattr(witness, "contraction", record_contraction)
+    witness_nilpotent(named_group("Z4"), named_group("Z2xZ2"))
+    assert len(fused) == 1 and contracted == []
+
+    fused.clear()
+    l1, l2 = named_group("D8"), named_group("Q8")
+    cert = witness_nilpotent(l1, l2)
+    # the step's composites contract the two length-3 sequences, then the
+    # two fibers W_d contract into the recursive call's pair, whose base
+    # is the third fusion
+    assert len(fused) == 3 and len(contracted) == 4
+    assert [seq.top for seq, _ in contracted[:2]] == [l1, l2]
+    assert [seq for seq, _ in contracted[2:]] == [w for w, _ in fused[:2]]
+    for d, (_, pair) in enumerate(contracted[2:], start=1):
+        assert pair.map(2).label == f"Pi_{d}"
+    # the base fuses over the bottom of the side-2 contracted sequence
+    assert fused[2][1].system.groups["r"] is contracted[3][1].group(1)
+    assert verify_witness(cert, l1, l2).passed
 
 
 def test_almost_equal_replacement_preserves_membership():
