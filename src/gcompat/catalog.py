@@ -150,8 +150,8 @@ def _atom(name):
 
 
 def named_group(spec: str) -> FiniteGroup:
-    """Parse names like 'Z4', 'S3', 'Q8', 'F21', 'Z2xZ4xZ8', 'E(2,3)'."""
-    parts = spec.split("x") if "x" in spec and not spec.startswith("E(") else [spec]
+    """Parse names like 'Z4', 'S3', 'Q8', 'F21', 'Z2xZ4xZ8', 'E(2,3)xZ2'."""
+    parts = re.split(r"x(?![^()]*\))", spec)  # no split inside E(p,k)
     if len(parts) == 1:
         return _atom(parts[0])
     g = _atom(parts[0])

@@ -360,17 +360,18 @@ class Homomorphism:
 
     def check_table_edges(self):
         """Check f(x*s) = f(x)f(s) on every edge of the source's kept Cayley
-        graph (`source.cayley()`), on element indices: by induction on word
+        graph (`source.cayley`), on element indices: by induction on word
         length, the homomorphism law for the whole table. This is the one
         check of the law: a table from generator images (`from_gen_images`)
-        or a certificate file is proved here. A table whose keys are not the
-        source's elements is not total."""
+        or a certificate file is proved here, at every bound: the source
+        closes under the table's size. Keys that are not the source's
+        elements make the table not total."""
         table = self.tabulated()
         if table.get(self.source.identity) != self.target.identity:
             raise HypothesisError(f"{self.label}: identity not preserved")
         if len(table) != self.source.order():  # no enumeration needed
             raise HypothesisError(f"{self.label}: table not total")
-        elems, gens, cols = self.source.cayley()
+        elems, gens, cols = self.source.cayley(len(table))
         try:
             images = list(map(table.__getitem__, elems))
         except KeyError:

@@ -3,8 +3,9 @@
 A sequence of length l stores groups[0..l] with groups[0] trivial and maps
 pi_i : S_i -> S_{i-1}. Normal series of a group convert to sequences by
 taking successive quotients, and back by taking kernels of the composites.
-The witness recursion runs on these surgeries: it fuses two tops, put on a
-common base by `concatenation`, by `sharp`, and contracts by `contraction`.
+The witness recursion runs on these surgeries alone: it cuts by `truncation`,
+puts a top on a base by `concatenation`, fuses any number of almost-equal
+sequences by `sharp` (one fibre product), and contracts by `contraction`.
 """
 
 from __future__ import annotations
@@ -138,6 +139,13 @@ def concatenation(g: FiniteGroup, f: Homomorphism, seq: GroupSequence) -> GroupS
     return GroupSequence(seq.groups + [g], seq.maps + [f])
 
 
+def truncation(seq: GroupSequence, length: int) -> GroupSequence:
+    """The bottom of the sequence: groups[0..length], maps[1..length]."""
+    if not 0 <= length <= seq.length:
+        raise ValueError(f"cannot cut length {seq.length} to {length}")
+    return GroupSequence(seq.groups[:length + 1], seq.maps[:length])
+
+
 def almost_equal(s: GroupSequence, t: GroupSequence) -> bool:
     """Same groups, and maps that agree on generators, below the top."""
     if s.length != t.length:
@@ -151,16 +159,17 @@ def almost_equal(s: GroupSequence, t: GroupSequence) -> bool:
     return True
 
 
-def sharp(s: GroupSequence, t: GroupSequence, bounds=DEFAULT_BOUNDS):
-    """Fuse two almost-equal sequences: the new top is the fiber product of
-    the two tops over S_{l-1}, with the limit projection as the new top map.
+def sharp(*seqs: GroupSequence, bounds=DEFAULT_BOUNDS):
+    """Fuse almost-equal sequences: the new top is the fiber product of
+    their tops over S_{l-1}, with the limit projection as the new top map.
 
     Returns (sequence, limit) so callers can reach the fiber structure.
     """
-    if not almost_equal(s, t):
+    s = seqs[0]
+    if not all(almost_equal(s, t) for t in seqs[1:]):
         raise HypothesisError("sharp needs almost-equal sequences")
-    lim = star_limit(star_system(s.groups[-2], [s.top, t.top],
-                                 [s.maps[-1], t.maps[-1]]), bounds)
+    lim = star_limit(star_system(s.groups[-2], [t.top for t in seqs],
+                                 [t.maps[-1] for t in seqs]), bounds)
     return GroupSequence(s.groups[:-1] + [lim.group],
                          s.maps[:-1] + [lim.projection("r")]), lim
 
@@ -178,11 +187,3 @@ def pad_to_length(seq: GroupSequence, length: int) -> GroupSequence:
             + out.maps[1:]
         out = GroupSequence(groups, maps)
     return out
-
-
-def compatible(s: GroupSequence, t: GroupSequence) -> bool:
-    """Level-wise isomorphic kernels (order screen only; isomorphisms are
-    found by the witness layer, which needs them explicitly anyway)."""
-    if s.length != t.length:
-        return False
-    return s.kernel_orders() == t.kernel_orders()

@@ -45,12 +45,11 @@ from .groups import (
 )
 from .homs import Homomorphism, quotient
 from .hybrid import hybrid_wreath
-from .inverse_limits import star_limit, star_system
 from .isos import (automorphism_set, enumerate_isomorphisms,
                    find_isomorphism, stabilized)
 from .perms import closure, inv, left_products, mul, place_block
 from .sequences import (GroupSequence, concatenation, contraction,
-                        pad_to_length, series_to_sequence, sharp)
+                        pad_to_length, series_to_sequence, sharp, truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +411,9 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
                           bounds=DEFAULT_BOUNDS) -> WitnessCertificate:
     """Base case: the fiber of the two tops over the common bottom group,
     taken by `sharp`. Side 1's top is first put on s2 cut to length 1
-    (`concatenation`) through the level-1 kernel isomorphism, so the star
-    has root S_{1;2} with the side-1 branch twisted; kernels of the
-    projections are the opposite branch kernels, bridged by the level-2
+    (`truncation`, `concatenation`) through the level-1 kernel isomorphism,
+    so the star has root S_{1;2} with the side-1 branch twisted; kernels of
+    the projections are the opposite branch kernels, bridged by the level-2
     kernel isomorphism z = place(1, y) -> place(0, kappa_2^-1(y)).
 
     That map is the rule z -> place(0, kappa_2^-1(decode(z, 1))) at every
@@ -437,12 +436,12 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     if comp is None:
         raise HypothesisError("pair fails the restriction condition")
     sigma1 = comp.kernel_isos[1]
-    below = GroupSequence(s2.groups[:2], s2.maps[:1])
+    below = truncation(s2, 1)
     into_root = Homomorphism.of_rule(sigma1.source, below.top, sigma1,
                                      label="sigma1")
     twisted = concatenation(
         s1.top, s1.map(2).then(into_root, label="sigma*pi"), below)
-    _, lim = sharp(twisted, s2, bounds)
+    _, lim = sharp(twisted, s2, bounds=bounds)
     p1, p2 = lim.projection(0), lim.projection(1)
 
     k_pi21 = s1.kernel(2)
@@ -495,7 +494,9 @@ class RecursionStep:
 
 def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
                          bounds=DEFAULT_BOUNDS) -> RecursionStep:
-    """The twisted-star and hybrid-wreath objects for the top level.
+    """The twisted-star and hybrid-wreath objects for the top level. The
+    star G_d is the `sharp` of `concatenation(S_{l;d}, alpha[x]*pi_l,
+    truncation(s_d, l-1))` over the n elements x of S_{l-2;bar}.
 
     Asserts: the branch projections are surjective and trivially extendable
     at the top kernel, the base-subgroup identifications are bijective, and
@@ -520,17 +521,13 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
 
     g_lims, rhos, t_subs, hybrids, phis = {}, {}, {}, {}, {}
     for d in (1, 2):
-        bar = 3 - d
         seq = seqs[d]
         alpha = comp.alphas[(ell - 1, d)]
-        branch_maps = []
-        for x in x_lists[bar]:
-            branch_maps.append(seq.map(ell).then(alpha[x],
-                                                 label=f"alpha*pi@{x}"))
-        system = star_system(seq.group(ell - 1), [seq.top] * n, branch_maps)
-        lim = star_limit(system, bounds)
-        g_lims[d] = lim
-        rhos[d] = lim.projection(0)
+        cut = truncation(seq, ell - 1)
+        _, g_lims[d] = sharp(*(concatenation(
+            seq.top, seq.map(ell).then(alpha[x], label=f"alpha*pi@{x}"), cut)
+            for x in x_lists[3 - d]), bounds=bounds)
+        rhos[d] = g_lims[d].projection(0)
         t_subs[d] = contraction(seq).map(ell - 1).kernel(bounds.enum)
 
     for d in (1, 2):
@@ -697,8 +694,8 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     `sequences_from_series` pads it): base fiber at length 2, else one
     recursion step, a recursive call on the contracted pair, and the
     quotient composition. The step's star G_d and hybrid H_d, each put on
-    s_d cut to length l-1, fuse by `sharp` into W_d; the contracted pair is
-    the `contraction` of W_1 and W_2, with top maps Pi_d."""
+    s_d cut to length l-1 (`truncation`), fuse by `sharp` into W_d; the
+    contracted pair is their `contraction`, with top maps Pi_d."""
     if s1.length != s2.length:
         raise HypothesisError("sequences have different lengths")
     if comp is None:
@@ -713,11 +710,11 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
     step = build_recursion_step(s1, s2, comp, bounds)
     lims_w, new_top_maps, new_seqs = {}, {}, {}
     for d in (1, 2):
-        cut = GroupSequence(seqs[d].groups[:ell], seqs[d].maps[:ell - 1])
+        cut = truncation(seqs[d], ell - 1)
         g_lim, hw = step.g_lims[d], step.hybrids[d]
         fused, lims_w[d] = sharp(
             concatenation(g_lim.group, g_lim.projection("r"), cut),
-            concatenation(hw.group, step.phis[d], cut), bounds)
+            concatenation(hw.group, step.phis[d], cut), bounds=bounds)
         new_top_maps[d] = lims_w[d].projection(0).then(step.rho[d],
                                                        label=f"pi_next_{d}")
         new_seqs[d] = contraction(fused)

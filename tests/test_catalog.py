@@ -76,6 +76,9 @@ def test_named_group_parsing():
     assert named_group("F21").order() == 21
     assert named_group("E(3,2)").order() == 9
     assert named_group("Z2xZ4xZ8").order() == 64
+    # products split outside parentheses, whatever the order of factors
+    assert named_group("E(2,2)xZ2").order() == 8
+    assert named_group("E(2,3)xE(3,1)").order() == 24
     with pytest.raises(ValueError):
         named_group("wat")
 

@@ -341,6 +341,20 @@ def test_rule_map_past_the_enumeration_bound_is_proved_by_its_graph_chain():
     assert table.validate(Bounds(enum=5)) == 6 * 2
 
 
+def test_a_held_table_is_proved_under_its_own_size(monkeypatch):
+    # the table's length is the source's order, checked first, so the
+    # source closes under it and not under the default bound
+    import gcompat.groups as groups
+    from gcompat.bounds import Bounds
+
+    z8 = cyclic(8)
+    g = z8.generators[0]
+    table = {z8.power(g, k): z8.power(g, k) for k in range(8)}
+    monkeypatch.setattr(groups, "DEFAULT_BOUNDS", Bounds(enum=4))
+    f = Homomorphism(z8, z8, table=table, check=True)
+    assert f.validate(Bounds(enum=2)) == 8
+
+
 def test_maps_out_of_a_source_closed_past_the_default_bound():
     # a builder run under a larger enumeration bound closes the source's
     # elements; kernels are read off them instead of being refused, and a

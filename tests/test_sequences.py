@@ -9,7 +9,6 @@ from gcompat.perms import closure, perm_order
 from gcompat.sequences import (
     GroupSequence,
     almost_equal,
-    compatible,
     concatenation,
     contraction,
     contraction2,
@@ -17,6 +16,7 @@ from gcompat.sequences import (
     sequence_to_series,
     series_to_sequence,
     sharp,
+    truncation,
 )
 
 
@@ -166,14 +166,24 @@ def test_concatenation():
     longer = concatenation(z8, f, seq)
     assert longer.length == 3
     assert longer.top.order() == 8
+    # truncation cuts from the top, and concatenation puts the top back
+    assert truncation(longer, 0).length == 0
+    ell = longer.length
+    again = concatenation(longer.top, longer.map(ell),
+                          truncation(longer, ell - 1))
+    assert again.groups == longer.groups and again.maps == longer.maps
+    with pytest.raises(ValueError):
+        truncation(longer, ell + 1)
 
 
-def test_sharp_of_sequence_with_itself():
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_sharp_of_sequence_with_itself(copies):
     z4, chain = z4_series()
     seq = series_to_sequence(z4, chain)
     assert almost_equal(seq, seq)
-    fused, lim = sharp(seq, seq)
-    assert fused.top.order() == 4 * 4 // 2
+    fused, lim = sharp(*[seq] * copies)
+    # each copy adds a kernel of order 2 over the order-2 root
+    assert fused.top.order() == 2 * 2 ** copies
     assert fused.length == 2
     assert fused.map(2).is_surjective()
 
@@ -192,7 +202,6 @@ def test_sharp_of_z4_and_v4_towers():
     assert almost_equal(s, t)
     fused, lim = sharp(s, t)
     assert fused.top.order() == 8  # 4 * 4 / 2
-    assert compatible(fused, fused)
 
 
 def test_sharp_rejects_non_almost_equal():
@@ -204,6 +213,9 @@ def test_sharp_rejects_non_almost_equal():
                                 z9.full_subgroup()])
     with pytest.raises(HypothesisError):
         sharp(s, t)
+    # every sequence is held to the first, the last as much as the second
+    with pytest.raises(HypothesisError):
+        sharp(s, s, t)
 
 
 def test_pad_to_length():

@@ -950,7 +950,7 @@ def _length2_builds(monkeypatch, build, *args):
     import gcompat.witness as witness
 
     limits, checked, calls = [], [], []
-    length2, star = witness.build_witness_length2, witness.star_limit
+    length2, star = witness.build_witness_length2, sequences.star_limit
     edges = Homomorphism.check_table_edges
 
     def record_limit(*a, **kw):
@@ -969,7 +969,6 @@ def _length2_builds(monkeypatch, build, *args):
 
     # the builders' fibers are `sharp` calls, which reach star_limit
     # through `sequences`
-    monkeypatch.setattr(witness, "star_limit", record_limit)
     monkeypatch.setattr(sequences, "star_limit", record_limit)
     monkeypatch.setattr(witness, "build_witness_length2", capture)
     monkeypatch.setattr(Homomorphism, "check_table_edges", record_edges)
@@ -1071,9 +1070,8 @@ def test_enumerated_star_limits_of_a_build_equal_their_closures(
     # every star limit listed within the bound while a witness is built is
     # the group its generators close to, and the witness verifies
     import gcompat.sequences as sequences
-    import gcompat.witness as witness
 
-    star, listed = witness.star_limit, []
+    star, listed = sequences.star_limit, []
 
     def record_limit(*args, **kw):
         lim = star(*args, **kw)
@@ -1081,7 +1079,6 @@ def test_enumerated_star_limits_of_a_build_equal_their_closures(
             listed.append(lim.group)
         return lim
 
-    monkeypatch.setattr(witness, "star_limit", record_limit)
     monkeypatch.setattr(sequences, "star_limit", record_limit)
     l1, l2 = named_group(a), named_group(b)
     cert = build(l1, l2, Bounds())
@@ -1644,15 +1641,16 @@ def test_sharp_closure_of_the_condition():
 
 def test_the_recursion_fuses_and_contracts_through_the_surgeries(
         monkeypatch):
-    # the length-2 base and each fiber of two tops are `sharp`; each
-    # contracted pair and the step's composite are `contraction`
+    # the length-2 base, each step's twisted star and each fiber of two
+    # tops are `sharp`; each contracted pair and the step's composite are
+    # `contraction`
     import gcompat.witness as witness
 
     fused, contracted = [], []
     sharp_, contraction_ = witness.sharp, witness.contraction
 
-    def record_sharp(s, t, bounds):
-        fused.append(sharp_(s, t, bounds))
+    def record_sharp(*seqs, bounds):
+        fused.append(sharp_(*seqs, bounds=bounds))
         return fused[-1]
 
     def record_contraction(seq):
@@ -1667,16 +1665,20 @@ def test_the_recursion_fuses_and_contracts_through_the_surgeries(
     fused.clear()
     l1, l2 = named_group("D8"), named_group("Q8")
     cert = witness_nilpotent(l1, l2)
-    # the step's composites contract the two length-3 sequences, then the
-    # two fibers W_d contract into the recursive call's pair, whose base
-    # is the third fusion
-    assert len(fused) == 3 and len(contracted) == 4
+    # the step's stars G_1 and G_2 fuse |S_1| = 2 copies of each top and
+    # its composites contract the two length-3 sequences, then the two
+    # fibers W_d contract into the recursive call's pair, whose base is
+    # the fifth fusion
+    assert len(fused) == 5 and len(contracted) == 4
+    for top, (_, lim) in zip((l1, l2), fused[:2]):
+        assert [lim.system.groups[n] for n in lim.node_order
+                if n != "r"] == [top, top]
     assert [seq.top for seq, _ in contracted[:2]] == [l1, l2]
-    assert [seq for seq, _ in contracted[2:]] == [w for w, _ in fused[:2]]
+    assert [seq for seq, _ in contracted[2:]] == [w for w, _ in fused[2:4]]
     for d, (_, pair) in enumerate(contracted[2:], start=1):
         assert pair.map(2).label == f"Pi_{d}"
     # the base fuses over the bottom of the side-2 contracted sequence
-    assert fused[2][1].system.groups["r"] is contracted[3][1].group(1)
+    assert fused[4][1].system.groups["r"] is contracted[3][1].group(1)
     assert verify_witness(cert, l1, l2).passed
 
 
