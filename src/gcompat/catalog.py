@@ -7,6 +7,7 @@ direct products joined with 'x' (Z2xZ4xZ8).
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from .bounds import DEFAULT_BOUNDS, HypothesisError
 from .groups import (
@@ -128,7 +129,7 @@ _NAME_RE = re.compile(r"^(Z|C)(\d+)$|^S(\d+)$|^A(\d+)$|^D(\d+)$|^E\((\d+),(\d+)\
 
 
 def _atom(name):
-    name = name.strip()
+    """The catalog group of one factor name, or None if it names none."""
     if name in ("1", "triv"):
         return trivial_group()
     if name == "Q8":
@@ -137,7 +138,7 @@ def _atom(name):
         return frobenius21()
     m = _NAME_RE.match(name)
     if not m:
-        raise ValueError(f"unrecognized group name {name!r}")
+        return None
     if m.group(2):
         return cyclic(int(m.group(2)), label=name)
     if m.group(3):
@@ -150,14 +151,21 @@ def _atom(name):
 
 
 def named_group(spec: str) -> FiniteGroup:
-    """Parse names like 'Z4', 'S3', 'Q8', 'F21', 'Z2xZ4xZ8', 'E(2,3)xZ2'."""
-    parts = re.split(r"x(?![^()]*\))", spec)  # no split inside E(p,k)
-    if len(parts) == 1:
-        return _atom(parts[0])
-    g = _atom(parts[0])
-    for p in parts[1:]:
-        g = direct_product(g, _atom(p))
-    g.label = spec
+    """Parse names like 'Z4', 'S3', 'Q8', 'F21', 'Z2xZ4xZ8', 'E(2,3)xZ2'.
+    A name outside the catalog raises ValueError naming it; for a product,
+    the whole spec and the bad factor."""
+    # no split inside E(p,k)
+    parts = [p.strip() for p in re.split(r"x(?![^()]*\))", spec)]
+    factors = []
+    for part in parts:
+        factors.append(_atom(part))
+        if factors[-1] is None:
+            named = f"{spec!r} (factor {part!r})" if len(parts) > 1 \
+                else repr(part)
+            raise ValueError(f"unrecognized group name {named}")
+    g = reduce(direct_product, factors)
+    if len(factors) > 1:
+        g.label = spec
     return g
 
 

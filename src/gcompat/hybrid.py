@@ -20,8 +20,10 @@ kernel to 1; `Homomorphism.from_gen_images` propagates those images, which
 tabulates p_theta, and proves it a homomorphism by the one edge check. The
 base subgroup BW = p_theta^-1(theta(G)) is one pass over p_theta's table
 (`Homomorphism.preimage_members`); for a normal hybrid it is an inverse
-limit of twisted copies of G over the image, which is what the witness
-recursion consumes.
+limit of twisted copies of G over the image. One method identifies BW with
+the part of a star limit over a root subgroup, `HybridWreath.onto_limit`:
+the lemma's identification (`bw_as_limit`) and each eta_d of the witness
+recursion's step are calls to it.
 """
 
 from __future__ import annotations
@@ -97,6 +99,31 @@ class HybridWreath:
     def decode(self, w):
         return self.wreath.decode(w)
 
+    def onto_limit(self, lim, over, twist, label) -> Homomorphism:
+        """A normal hybrid's BW onto p_r^-1(over) in the star limit `lim`.
+        Each generator w of BW goes to the element with root
+        twist(p_theta(w)) and its coordinate f(v) (`decode`) at branch v;
+        `Homomorphism.from_gen_images` propagates that and so proves it a
+        homomorphism. The roots lie in twist(theta(G)), which the caller
+        puts inside `over`. It is refused unless it is onto p_r^-1(over):
+        the images lie in `lim`, its |BW| values are distinct, and
+        |BW| |root| = |lim| |over|, since p_r is onto the root."""
+        images = {}
+        for w in self.base.group.generators:
+            f, _ = self.decode(w)
+            images[w] = lim.encode({"r": twist(self.standard_map(w)),
+                                    **dict(enumerate(f))})
+        ident = Homomorphism.from_gen_images(self.base.group, lim.group,
+                                             images, label=label)
+        values = ident.tabulated().values()
+        if not all(map(lim.group.contains, images.values())) \
+                or len(set(values)) != len(values) \
+                or len(values) * lim.system.groups["r"].order() \
+                != lim.group.order() * over.order():
+            raise HypothesisError(
+                f"{label}: base subgroup is not identified with the limit")
+        return ident
+
 
 def hybrid_wreath(g_group, h_group, theta, transversal_elems=None,
                   bounds=DEFAULT_BOUNDS, label=None) -> HybridWreath:
@@ -133,20 +160,19 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
 
     Returns (limit, identification). The limit is the star limit of G at
     each point v over theta(G), with branch map x -> t_v^-1 theta(x) t_v
-    propagated from G's generators (`Homomorphism.from_gen_images`).
-    The identification sends each generator w of BW to the limit element
-    with root p_theta(w) and coordinate f(v) at branch v, and
-    `Homomorphism.from_gen_images` propagates it over BW, which proves it a
-    homomorphism. It is an isomorphism: the generator images lie in the
-    limit, its |BW| values are distinct, and |BW| = |limit|. It commutes
-    with every evaluation map and with the standard map: the limit's
-    projections, the evaluation maps and p_theta are homomorphisms that
-    agree on BW's generators by construction. The twisted-cone identity
-    t_v^-1 theta(f(v)) t_v = p_theta(w) is the coherence of the limit's
-    elements: `star_limit`'s generators are coherent (its lifts are section
-    values, and it checks each placed kernel generator maps to 1), and
-    coherent tuples form a subgroup because the branch maps are
-    homomorphisms.
+    propagated from G's generators (`Homomorphism.from_gen_images`). After
+    `evaluation_maps` has checked that BW's tops are trivial and that each
+    evaluation is onto G, the identification is
+    `hw.onto_limit(limit, theta(G), identity)`, which proves it an
+    isomorphism onto the whole limit. It commutes with every evaluation
+    map and with the standard map: on BW the coordinates `decode` reads
+    are the evaluation maps, and the limit's projections, the evaluation
+    maps and p_theta are homomorphisms that agree on BW's generators. The
+    twisted-cone identity t_v^-1 theta(f(v)) t_v = p_theta(w) is the
+    coherence of the limit's elements: `star_limit`'s generators are
+    coherent (its lifts are section values, and it checks each placed
+    kernel generator maps to 1), and coherent tuples form a subgroup
+    because the branch maps are homomorphisms.
     """
     if not hw.normal:
         raise HypothesisError("the limit description requires a normal hybrid")
@@ -157,21 +183,9 @@ def bw_as_limit(hw: HybridWreath, bounds=DEFAULT_BOUNDS):
         label=f"twist@{v}") for v, tv in enumerate(hw.action.labels)]
     system = star_system(root, [hw.g_group] * hw.npoints, branch_maps)
     lim = star_limit(system, bounds)
-
-    evals = evaluation_maps(hw)
-    images = {}
-    for w in hw.base.group.generators:
-        asg = {v: p(w) for v, p in evals.items()}
-        asg["r"] = hw.standard_map(w)
-        images[w] = lim.encode(asg)
-    ident = Homomorphism.from_gen_images(hw.base.group, lim.group, images,
-                                         label="bw-as-lim")
-    table = ident.tabulated()
-    if not all(map(lim.group.contains, images.values())) \
-            or len(set(table.values())) != len(table) \
-            or len(table) != lim.group.order():
-        raise HypothesisError("base subgroup is not identified with the limit")
-    return lim, ident
+    evaluation_maps(hw)  # trivial tops, each evaluation onto G
+    return lim, hw.onto_limit(lim, hw.image, Homomorphism.identity(root),
+                              "bw-as-lim")
 
 
 def transversal_independence(hw1: HybridWreath, hw2: HybridWreath):

@@ -45,8 +45,7 @@ from .groups import (
 )
 from .homs import Homomorphism, quotient
 from .hybrid import hybrid_wreath
-from .isos import (automorphism_set, enumerate_isomorphisms,
-                   find_isomorphism, stabilized)
+from .isos import automorphism_set, find_isomorphism, stabilized
 from .perms import closure, inv, left_products, mul, place_block
 from .sequences import (GroupSequence, concatenation, contraction,
                         pad_to_length, series_to_sequence, sharp, truncation)
@@ -286,36 +285,34 @@ class CompData:
     taus: dict = field(default_factory=dict)
 
 
-def _sigma_power(comp_sigma: Homomorphism, delta: int, forward: bool):
-    """sigma^(dbar-delta) when forward else sigma^(delta-dbar)."""
-    if forward:
-        return comp_sigma if delta == 1 else comp_sigma.inverse()
-    return comp_sigma.inverse() if delta == 1 else comp_sigma
-
-
-def _derive_alpha_tau(s_pair, i, sigma, delta, bounds):
-    """alpha and tau for level i on side delta, or None if the condition fails.
-
-    For every x in S_{i-1; delta}, the inner twist by tau(x)^-1 on the
-    kernel, transported through sigma^(dbar-delta), must extend to an
-    automorphism of the other side stabilizing its kernel.
-    """
-    s_d = s_pair[delta - 1]
-    s_bar = s_pair[2 - delta]
-    k_bar = s_bar.kernel(i)
-    t = _sigma_power(sigma, delta, forward=True)   # K_delta -> K_bar
-    t_inv = t.inverse()
+def _condition_side(s_pair, i, delta, bounds):
+    """What level i's condition reads on side delta, whatever sigma: the
+    sorted elements of S_{i-1; delta}, the canonical transversal tau of
+    pi_{i; delta} (its section, which fixes the identity), K_{i; dbar},
+    and the automorphisms of S_{i; dbar} that stabilize K_{i; dbar}."""
+    s_d, s_bar = s_pair[delta - 1], s_pair[2 - delta]
     tau = s_d.map(i).section()
     if tau[s_d.group(i - 1).identity] != s_d.group(i).identity:
         raise HypothesisError("canonical transversal must fix the identity")
+    k_bar = s_bar.kernel(i)
     stab = stabilized(automorphism_set(s_bar.group(i), bounds), k_bar)
-    identity_auto = Homomorphism.identity(s_bar.group(i))
-    alpha = {}
-    for x in s_d.group(i - 1).sorted_elements():
+    return s_d.group(i - 1).sorted_elements(), tau, k_bar, stab
+
+
+def _derive_alpha_tau(side, fwd, delta):
+    """alpha and tau for one level on side delta, or None if the condition
+    fails. `side` is the level's `_condition_side` for delta, and fwd[d] is
+    the kernel isomorphism K_d -> K_dbar.
+
+    For every x in S_{i-1; delta}, the inner twist by tau(x)^-1 on the
+    kernel, transported through fwd[delta], must extend to an
+    automorphism of the other side stabilizing its kernel.
+    """
+    xs, tau, k_bar, stab = side
+    t, t_inv = fwd[delta], fwd[3 - delta]   # K_delta -> K_bar, and back
+    alpha = {xs[0]: Homomorphism.identity(k_bar.parent)}  # 1 sorts first
+    for x in xs[1:]:
         tx = tau[x]
-        if x == s_d.group(i - 1).identity:
-            alpha[x] = identity_auto
-            continue
 
         def transported(k, tx=tx):
             return t(mul(mul(inv(tx), t_inv(k)), tx))
@@ -325,7 +322,7 @@ def _derive_alpha_tau(s_pair, i, sigma, delta, bounds):
             a(k) == transported(k) for k in k_bar.group.generators)), None)
         if alpha[x] is None:
             return None
-    return alpha, {x: tau[x] for x in s_d.group(i - 1).sorted_elements()}
+    return alpha, {x: tau[x] for x in xs}
 
 
 def comp_membership(s1: GroupSequence, s2: GroupSequence,
@@ -351,15 +348,16 @@ def comp_membership(s1: GroupSequence, s2: GroupSequence,
         kernel_isos[i] = iso
     alphas, taus = {}, {}
     for i in range(2, ell):
-        k1 = s1.kernel(i)
+        sides = {d: _condition_side((s1, s2), i, d, bounds) for d in (1, 2)}
         base = kernel_isos[i]
         found = None
-        for aut in enumerate_isomorphisms(k1.group, k1.group, bounds):
+        for aut in automorphism_set(s1.kernel(i).group, bounds):
             sigma = aut.then(base)
-            data1 = _derive_alpha_tau((s1, s2), i, sigma, 1, bounds)
+            fwd = {1: sigma, 2: sigma.inverse()}
+            data1 = _derive_alpha_tau(sides[1], fwd, 1)
             if data1 is None:
                 continue
-            data2 = _derive_alpha_tau((s1, s2), i, sigma, 2, bounds)
+            data2 = _derive_alpha_tau(sides[2], fwd, 2)
             if data2 is None:
                 continue
             found = (sigma, data1, data2)
@@ -447,14 +445,10 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
     k_pi21 = s1.kernel(2)
     k_pi22 = s2.kernel(2)
     embed0, embed1 = partial(lim.place, 0), partial(lim.place, 1)
-    ker1 = Subgroup(lim.group,
-                    gens=[embed1(k) for k in k_pi22.group.generators],
-                    label="ker p1")
-    ker2 = Subgroup(lim.group,
-                    gens=[embed0(k) for k in k_pi21.group.generators],
-                    label="ker p2")
-    if ker1.order() != k_pi22.order() or ker2.order() != k_pi21.order():
-        raise HypothesisError("length-2 kernel generators have wrong order")
+    ker1 = _generated(lim.group, map(embed1, k_pi22.group.generators),
+                      k_pi22.order(), "ker p1")
+    ker2 = _generated(lim.group, map(embed0, k_pi21.group.generators),
+                      k_pi21.order(), "ker p2")
     kappa2_inv = comp.kernel_isos[2].inverse()
     kernel_iso = Homomorphism.of_rule(
         ker1.group, ker2.group,
@@ -473,6 +467,14 @@ def build_witness_length2(s1: GroupSequence, s2: GroupSequence,
                             == s1.top.order() * s2.top.order())])
     return WitnessCertificate(lim.group, p1, p2, ker1, ker2, kernel_iso,
                               (k_pi21, k_pi22), (ev1, ev2), prov)
+
+
+def _generated(group, gens, order, label) -> Subgroup:
+    """<gens> in group, refused unless it has the predicted order."""
+    sub = Subgroup(group, gens=list(gens), label=label)
+    if sub.order() != order:
+        raise HypothesisError(f"{label}: generators have wrong order")
+    return sub
 
 
 def _gen_image_list(h: Homomorphism):
@@ -496,17 +498,19 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
                          bounds=DEFAULT_BOUNDS) -> RecursionStep:
     """The twisted-star and hybrid-wreath objects for the top level. The
     star G_d is the `sharp` of `concatenation(S_{l;d}, alpha[x]*pi_l,
-    truncation(s_d, l-1))` over the n elements x of S_{l-2;bar}.
+    truncation(s_d, l-1))` over the n elements x of S_{l-2;bar}. The level's
+    kernel isomorphism sigma is inverted once: fwd[d] is the map K_d ->
+    K_bar, which eta_d and square d read, and theta_d reads fwd[bar].
 
     Asserts: the branch projections are surjective and trivially extendable
     at the top kernel, the base-subgroup identifications are bijective, and
-    the two kernel squares commute. Each identification eta_d is given by
-    its values at BW_d's generators (`Homomorphism.from_gen_images`), and is
-    onto limZ_bar = p_r^-1(K_bar), never closed, when they lie in the other
-    side's limit, its |BW_d| values are distinct, and |BW_d| = |limZ_bar|.
-    Each value's root is fwd(phi_d(w)), which lies in K_bar without a test:
-    phi_d(w) is in theta_d(T_bar) <= K_d, and fwd is a proved map K_d ->
-    K_bar. Squares of homomorphisms are compared at generators.
+    the two kernel squares commute. Each eta_d is
+    `hybrids[d].onto_limit(G_bar, K_bar, fwd[d])`, the one identification
+    of a hybrid's base with a star limit, which refuses it unless it is
+    onto limZ_bar = p_r^-1(K_bar), never closed. Each value's root is
+    fwd[d](phi_d(w)), which lies in K_bar without a test: phi_d(w) is in
+    theta_d(T_bar) <= K_d, and fwd[d] is a proved map K_d -> K_bar.
+    Squares of homomorphisms are compared at generators.
     """
     ell = s1.length
     if ell < 3:
@@ -518,6 +522,8 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
     if len(x_lists[2]) != n:
         raise HypothesisError("middle quotients have different orders")
     sigma = comp.kernel_isos[ell - 1]
+    fwd = {1: sigma, 2: sigma.inverse()}   # K_d -> K_dbar
+    kers = {d: seqs[d].kernel(ell - 1) for d in (1, 2)}   # K_d
 
     g_lims, rhos, t_subs, hybrids, phis = {}, {}, {}, {}, {}
     for d in (1, 2):
@@ -533,13 +539,10 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
     for d in (1, 2):
         bar = 3 - d
         seq = seqs[d]
-        k_d = seq.kernel(ell - 1)
-        k_bar = seqs[bar].kernel(ell - 1)
         t_bar = t_subs[bar]
-        pi_bar_restr = seqs[bar].map(ell).restrict(t_bar, k_bar)
-        back = _sigma_power(sigma, d, forward=False)  # K_bar -> K_d
-        incl = Homomorphism.inclusion(k_d)
-        theta = pi_bar_restr.then(back).then(incl, label=f"theta_{d}")
+        pi_bar_restr = seqs[bar].map(ell).restrict(t_bar, kers[bar])
+        incl = Homomorphism.inclusion(kers[d])
+        theta = pi_bar_restr.then(fwd[bar]).then(incl, label=f"theta_{d}")
         tau = comp.taus[(ell - 1, d)]
         reps = [tau[x] for x in x_lists[d]]
         hw = hybrid_wreath(t_bar.group, seq.group(ell - 1), theta,
@@ -559,37 +562,16 @@ def build_recursion_step(s1: GroupSequence, s2: GroupSequence, comp: CompData,
                       * seqs[d].kernel(ell).order() ** n for d in (1, 2)),
         f"|G_d| = |H_d| = {g_lims[1].group.order()}"))
 
-    etas = {}
-    for d in (1, 2):
-        bar = 3 - d
-        hw = hybrids[d]
-        fwd = _sigma_power(sigma, d, forward=True)    # K_d -> K_bar
-        lim_bar = g_lims[bar]
-        k_bar = seqs[bar].kernel(ell - 1)
-        images = {}
-        for w in hw.base.group.generators:
-            base, _ = hw.decode(w)
-            asg = {"r": fwd(phis[d](w)), **dict(enumerate(base))}
-            images[w] = lim_bar.encode(asg)
-        eta = Homomorphism.from_gen_images(hw.base.group, lim_bar.group,
-                                           images, label=f"eta_{d}")
-        table = eta.tabulated()
-        # p_r is onto S_{l-1}: |limZ_bar| = |lim_bar| / |S_{l-1}| * |K_{l-1}|
-        if not all(map(lim_bar.group.contains, images.values())) \
-                or len(set(table.values())) != len(table) \
-                or len(table) * seqs[bar].group(ell - 1).order() \
-                != lim_bar.group.order() * k_bar.order():
-            raise HypothesisError("eta is not a bijection onto the kernel system")
-        etas[d] = eta
-        checks.append(CheckResult(f"eta_{d}-bijective", True,
-                                  f"order {len(table)}"))
+    etas = {d: hybrids[d].onto_limit(g_lims[3 - d], kers[3 - d], fwd[d],
+                                     f"eta_{d}") for d in (1, 2)}
+    checks += [CheckResult(f"eta_{d}-bijective", True,
+                           f"order {hybrids[d].base.order()}") for d in (1, 2)]
 
-    # commuting squares: sigma^(bar-d) o phi_d = (pi_l o rho_bar) o eta_d
+    # commuting squares: fwd[d] o phi_d = (pi_l o rho_bar) o eta_d
     for d in (1, 2):
         bar = 3 - d
-        fwd = _sigma_power(sigma, d, forward=True)
         bottom = g_lims[bar].projection(0).then(seqs[bar].map(ell))
-        ok = all(fwd(phis[d](w)) == bottom(etas[d](w))
+        ok = all(fwd[d](phis[d](w)) == bottom(etas[d](w))
                  for w in etas[d].source.generators)
         checks.append(CheckResult(f"square_{d}-commutes", ok))
         if not ok:
@@ -629,14 +611,12 @@ def compose_witness(cert: WitnessCertificate, pi1: Homomorphism,
 
     new_kers = {}
     for d in (1, 2):
-        p, kerp = certs[d]
-        gens = list(kerp.group.generators)
-        gens += [lifts[d][m] for m in kpi[d].group.generators]
+        kerp = certs[d][1]
+        gens = [*kerp.group.generators,
+                *(lifts[d][m] for m in kpi[d].group.generators)]
         # <ker p, lifts> lies in ker q, so equal orders prove equality
-        sub = Subgroup(cert.witness, gens=gens, label=f"ker q_{d}")
-        if sub.order() != kerp.order() * kpi[d].order():
-            raise HypothesisError("kernel generators have wrong order")
-        new_kers[d] = sub
+        new_kers[d] = _generated(cert.witness, gens,
+                                 kerp.order() * kpi[d].order(), f"ker q_{d}")
 
     kappa_g = cert.kernel_iso
     p1c, ker1c = certs[1]
@@ -728,10 +708,9 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         ker_phi = step.phis[d].kernel(bounds.enum)
         gens = [place(0, g) for g in ker_rho.group.generators] \
             + [place(1, h) for h in ker_phi.group.generators]
-        ker_next[d] = Subgroup(lims_w[d].group, gens=gens,
-                               label=f"ker pi_next_{d}")
-        if ker_next[d].order() != ker_rho.order() * ker_phi.order():
-            raise HypothesisError("new top kernel generators have wrong order")
+        ker_next[d] = _generated(lims_w[d].group, gens,
+                                 ker_rho.order() * ker_phi.order(),
+                                 f"ker pi_next_{d}")
 
     # the explicit kernel isomorphism chain for the new top maps
     sigma_l = comp.kernel_isos[ell]
@@ -750,10 +729,7 @@ def build_good_witness(s1: GroupSequence, s2: GroupSequence,
         m1 = kappa_l_inv(m2)
         z1 = mul(step.g_lims[1].place(0, m1), g)
         h2 = eta2_inv_table[z1]
-        asg = {n: lw2.system.groups[n].identity for n in lw2.node_order}
-        asg[0] = k2
-        asg[1] = h2
-        return lw2.encode(asg)
+        return mul(lw2.place(0, k2), lw2.place(1, h2))
 
     # propagating its generator images tabulates and proves it;
     # compose_witness's is_bijective proves it one-to-one

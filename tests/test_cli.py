@@ -41,6 +41,16 @@ def test_group_bad_spec_exits_3(capsys):
     assert run(["group", "Zx--"]) == 3
 
 
+@pytest.mark.parametrize("spec,named", [
+    ("Z2xwat", "'Z2xwat' (factor 'wat')"),
+    ("Z2x", "'Z2x' (factor '')"),
+    ("wat", "'wat'")])
+def test_a_bad_group_name_is_refused_by_its_full_spec(spec, named, capsys):
+    assert run(["group", spec]) == 3
+    err = capsys.readouterr().err
+    assert err == f"malformed input: unrecognized group name {named}\n"
+
+
 def test_missing_subcommand_exits_3():
     assert run(["frobnicate"]) == 3
 

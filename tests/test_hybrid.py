@@ -139,19 +139,22 @@ def test_bw_as_limit_f21():
 
 @pytest.mark.parametrize("wrong", ["points-swapped", "coordinates-1"])
 def test_bw_as_limit_refuses_a_wrong_identification(monkeypatch, wrong):
-    # the two evaluation maps swapped: images outside the limit, one to
-    # one; both sent to 1: images of a map that is not one to one
-    import gcompat.hybrid as hybrid
+    # the identification reads BW's coordinates through `decode`: the two
+    # points swapped give images outside the limit, one to one; every
+    # coordinate sent to 1 gives images of a map that is not one to one
+    from gcompat.hybrid import HybridWreath
 
     g, h, theta = f21_s3_theta()
     hw = hybrid_wreath(g, h, theta)
-    evals = list(evaluation_maps(hw).values())
-    if wrong == "points-swapped":
-        evals.reverse()
-    else:
-        evals = [Homomorphism.trivial(hw.base.group, g) for _ in evals]
-    monkeypatch.setattr(hybrid, "evaluation_maps",
-                        lambda hw: dict(enumerate(evals)))
+    decode = HybridWreath.decode
+
+    def wrong_decode(self, w):
+        base, top = decode(self, w)
+        if wrong == "points-swapped":
+            return base[::-1], top
+        return (g.identity,) * len(base), top
+
+    monkeypatch.setattr(HybridWreath, "decode", wrong_decode)
     with pytest.raises(HypothesisError,
                        match="base subgroup is not identified with the limit"):
         bw_as_limit(hw)

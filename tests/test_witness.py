@@ -514,23 +514,24 @@ def test_recursion_step_refuses_an_eta_image_outside_the_kernel_system(
     # root entries sent to 1: an image whose base entries do not all lie in
     # the top kernel is no coherent tuple, so it lies outside limZ; every
     # image sent to 1: eta lands in limZ but is not injective
-    import gcompat.witness as witness
+    from gcompat.hybrid import HybridWreath
     from gcompat.inverse_limits import LimitGroup
 
     s1, s2, comp = _z8_e23_step_inputs()
     if wrong == "root-sent-to-1":
-        power = witness._sigma_power
+        onto_limit = HybridWreath.onto_limit
 
-        def trivial_forward(sigma, delta, forward):
-            t = power(sigma, delta, forward)
-            return Homomorphism.trivial(t.source, t.target) if forward else t
+        def trivial_twist(self, lim, over, twist, label):
+            return onto_limit(self, lim, over,
+                              Homomorphism.trivial(twist.source, twist.target),
+                              label)
 
-        monkeypatch.setattr(witness, "_sigma_power", trivial_forward)
+        monkeypatch.setattr(HybridWreath, "onto_limit", trivial_twist)
     else:
         monkeypatch.setattr(LimitGroup, "encode",
                             lambda self, asg: self.group.identity)
-    with pytest.raises(HypothesisError,
-                       match="eta is not a bijection onto the kernel system"):
+    with pytest.raises(HypothesisError, match="^eta_1: base subgroup is not "
+                       "identified with the limit$"):
         build_recursion_step(s1, s2, comp)
 
 
@@ -699,17 +700,17 @@ def d8_vs_z2z4_pair():
 def test_condition_rejects_misaligned_kernel_isomorphisms():
     from gcompat.bounds import DEFAULT_BOUNDS
     from gcompat.isos import enumerate_isomorphisms
-    from gcompat.witness import _derive_alpha_tau
+    from gcompat.witness import _condition_side, _derive_alpha_tau
 
     s1, s2 = d8_vs_z2z4_pair()
     k1g, k2g = s1.kernel(2).group, s2.kernel(2).group
+    sides = {d: _condition_side((s1, s2), 2, d, DEFAULT_BOUNDS)
+             for d in (1, 2)}
     verdicts = []
     for sigma in enumerate_isomorphisms(k1g, k2g):
-        ok = (_derive_alpha_tau((s1, s2), 2, sigma, 1, DEFAULT_BOUNDS)
-              is not None
-              and _derive_alpha_tau((s1, s2), 2, sigma, 2, DEFAULT_BOUNDS)
-              is not None)
-        verdicts.append(ok)
+        fwd = {1: sigma, 2: sigma.inverse()}
+        verdicts.append(all(_derive_alpha_tau(sides[d], fwd, d) is not None
+                            for d in (1, 2)))
     assert verdicts.count(True) == 2
     assert verdicts.count(False) == 4
     comp = comp_membership(s1, s2)
@@ -1680,6 +1681,60 @@ def test_the_recursion_fuses_and_contracts_through_the_surgeries(
     # the base fuses over the bottom of the side-2 contracted sequence
     assert fused[4][1].system.groups["r"] is contracted[3][1].group(1)
     assert verify_witness(cert, l1, l2).passed
+
+
+def test_one_identification_serves_each_eta_and_the_lemma(monkeypatch,
+                                                          capsys):
+    # D8|Q8 has one recursion step, whose eta_1 and eta_2 identify BW_d
+    # with the other side's star; the hybrid command's lemma is one more
+    from gcompat.cli import run
+    from gcompat.hybrid import HybridWreath
+
+    labels = []
+    onto_limit = HybridWreath.onto_limit
+
+    def record(self, lim, over, twist, label):
+        labels.append(label)
+        return onto_limit(self, lim, over, twist, label)
+
+    monkeypatch.setattr(HybridWreath, "onto_limit", record)
+    witness_nilpotent(named_group("D8"), named_group("Q8"))
+    assert labels == ["eta_1", "eta_2"]
+    labels.clear()
+    assert run(["hybrid", "--G", "F21", "--H", "S3",
+                "--theta-image", "Z3"]) == 0
+    assert labels == ["bw-as-lim"]
+
+
+@pytest.mark.parametrize("l1,l2,kernel", [("Z4", "Z2xZ2", "ker p1"),
+                                          ("D8", "Q8", "ker pi_next_1")])
+def test_a_kernel_of_the_wrong_order_is_refused_by_name(l1, l2, kernel,
+                                                        monkeypatch):
+    # every placed generator sent to 1: the kernel a builder generates is
+    # trivial, not of the order its construction predicts
+    from gcompat.inverse_limits import LimitGroup
+
+    monkeypatch.setattr(LimitGroup, "place",
+                        lambda self, node, value: self.group.identity)
+    with pytest.raises(HypothesisError,
+                       match=f"^{kernel}: generators have wrong order$"):
+        witness_nilpotent(named_group(l1), named_group(l2))
+
+
+def test_each_side_of_a_level_reads_its_transversal_once(monkeypatch):
+    # the transversal and the stabilized automorphisms of a side do not
+    # depend on the candidate sigma: one section per side of the level
+    s1, s2 = d8_vs_z2z4_pair()
+    calls = []
+    section = Homomorphism.section
+
+    def record(self, *args):
+        calls.append(self)
+        return section(self, *args)
+
+    monkeypatch.setattr(Homomorphism, "section", record)
+    assert comp_membership(s1, s2) is not None
+    assert calls == [s1.map(2), s2.map(2)]
 
 
 def test_almost_equal_replacement_preserves_membership():
